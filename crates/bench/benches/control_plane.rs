@@ -1,14 +1,10 @@
 //! Multi-job control-path benchmarks: the per-tick cost of serving a
 //! fleet of SLO jobs from one shared token budget.
 //!
-//! Two runtimes compute the same greedy marginal-utility split:
-//!
-//! - `shared_arbiter`: the live `SharedArbiter`, which holds a single
-//!   global `Mutex` over all job slots and re-runs the O(jobs × budget)
-//!   split inside that lock on **every** tick;
-//! - `plane`: the sharded `ControlPlane`, which re-runs the split once
-//!   per refresh epoch (~once per control round) and serves every other
-//!   tick from an atomically-swapped allocation snapshot.
+//! `plane` drives the sharded `ControlPlane`, which re-runs the greedy
+//! marginal-utility split once per refresh epoch (~once per control
+//! round) and serves every other tick from an atomically-swapped
+//! allocation snapshot. Every job enters through `try_add_job`.
 //!
 //! Each benchmark iteration drives one whole control round (every job
 //! ticks once), so ticks/sec is the fleet size divided by the mean
@@ -28,7 +24,7 @@ use jockey_core::alloc::{AllocationPolicy, ArgminPolicy, SpeculationLevel, Specu
 use jockey_core::predict::CompletionModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_core::utility::UtilityFunction;
-use jockey_core::{ControlPlane, SharedArbiter};
+use jockey_core::ControlPlane;
 use jockey_jobgraph::graph::JobGraphBuilder;
 use jockey_jobgraph::profile::ProfileBuilder;
 use jockey_simrt::time::{SimDuration, SimTime};
@@ -81,59 +77,48 @@ fn deadline_mins(i: usize) -> u64 {
     30 + 5 * (i as u64 % 12)
 }
 
-/// A budget that scales with the fleet but stays well under the sum of
-/// demands, so arbitration always runs its grant loop to exhaustion.
+/// Exactly the fleet's summed admission reservations, so every job is
+/// admitted. The benchmarked ticks report jobs behind schedule, whose
+/// summed demand exceeds their reservations, so arbitration always
+/// runs its grant loop to exhaustion.
 fn budget_for(jobs: usize) -> u32 {
-    (jobs as u32) * 4
+    (0..jobs)
+        .map(|i| {
+            Toy { work: 36_000.0 }
+                .size_for_deadline(&[0.0], SimDuration::from_mins(deadline_mins(i)), 1.0)
+                .expect("feasible deadline")
+        })
+        .sum()
 }
 
 fn bench_control_plane(c: &mut Criterion) {
     // JOCKEY_BENCH_SMOKE=1 (set by scripts/tier1.sh) trims the sweep
     // to the small fleets with minimal sampling: enough to exercise
-    // both runtimes end to end without the ~500 ms/round 256-job
-    // baseline dominating the CI gate.
+    // the plane end to end in the CI gate.
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
     let fleets: &[usize] = if smoke { &[1, 16] } else { &[1, 16, 256] };
 
     let mut group = c.benchmark_group("control_plane");
-    // Each 256-job arbiter round is O(jobs² × budget); keep sampling
-    // bounded so the full sweep stays in CI-friendly time.
     group.sample_size(if smoke { 3 } else { 10 });
 
     // One iteration = one control round (n ticks), so ticks/sec is
     // n / mean-iteration-time.
     for &n in fleets {
-        // Baseline: one global lock, full re-arbitration per tick.
-        let arbiter = SharedArbiter::new(budget_for(n));
-        let mut arb_handles: Vec<_> = (0..n)
-            .map(|i| {
-                arbiter.register(
-                    Arc::new(Toy { work: 36_000.0 }) as Arc<dyn CompletionModel>,
-                    toy_indicator(),
-                    UtilityFunction::deadline(SimDuration::from_mins(deadline_mins(i))),
-                    1.0,
-                )
-            })
-            .collect();
-        let st = status(5, 0.25, 4);
-        group.bench_function(BenchmarkId::new("shared_arbiter", n), |b| {
-            b.iter(|| {
-                for h in &mut arb_handles {
-                    std::hint::black_box(h.tick(&st));
-                }
-            });
-        });
-
+        // Five minutes in with no progress: every job is behind.
+        let st = status(5, 0.0, 4);
         // Sharded plane: per-job slots, amortized snapshot refresh.
         let plane = ControlPlane::new(budget_for(n));
         let mut plane_handles: Vec<_> = (0..n)
             .map(|i| {
-                plane.add_job(
-                    Arc::new(Toy { work: 36_000.0 }) as Arc<dyn CompletionModel>,
-                    toy_indicator(),
-                    UtilityFunction::deadline(SimDuration::from_mins(deadline_mins(i))),
-                    1.0,
-                )
+                plane
+                    .try_add_job(
+                        &format!("job-{i}"),
+                        Arc::new(Toy { work: 36_000.0 }),
+                        toy_indicator(),
+                        SimDuration::from_mins(deadline_mins(i)),
+                        1.0,
+                    )
+                    .expect("budget holds every reservation")
             })
             .collect();
         group.bench_function(BenchmarkId::new("plane", n), |b| {

@@ -8,13 +8,14 @@
 //! that `remaining`'s dense table is built from — so one binary
 //! measures both sides of each pair on identical inputs:
 //!
-//! - `queue/{heap,bucketed,adaptive}`: a hold-model workload (pop one
-//!   event, schedule a successor at a near-monotone future time) over
-//!   a few thousand pending events, the access pattern the cluster
-//!   engine produces. The `adaptive` row is the occupancy-triggered
-//!   hybrid that is now the default backend; `engine_dense` and
-//!   `engine_sparse` measure all three backends at engine level in the
-//!   two regimes the hybrid has to win (or at least tie) in.
+//! - `queue/{heap,adaptive}`: a hold-model workload (pop one event,
+//!   schedule a successor at a near-monotone future time) over a few
+//!   thousand pending events, the access pattern the cluster engine
+//!   produces. The `adaptive` row is the occupancy-triggered hybrid
+//!   that is the default backend (here promoted to its bucket ladder);
+//!   `engine_dense` and `engine_sparse` measure both backends at
+//!   engine level in the two regimes the hybrid has to win (or at
+//!   least tie) in.
 //! - `sample/{dyn,enum}`: per-task-attempt draws from a realistic
 //!   distribution mix through the `dyn Sample` vtable vs. the
 //!   monomorphized [`Dist::sample_with`] match.
@@ -78,9 +79,6 @@ fn bench_queue(c: &mut Criterion) {
     g.bench_function("heap", |b| {
         b.iter(|| queue_hold_model(QueueBackend::BinaryHeap));
     });
-    g.bench_function("bucketed", |b| {
-        b.iter(|| queue_hold_model(QueueBackend::Bucketed));
-    });
     g.bench_function("adaptive", |b| {
         b.iter(|| queue_hold_model(QueueBackend::Adaptive));
     });
@@ -108,9 +106,6 @@ fn bench_engine_dense(c: &mut Criterion) {
     g.sample_size(if smoke { 2 } else { 15 });
     g.bench_function("heap", |b| {
         b.iter(|| dense_sim(&job.spec, QueueBackend::BinaryHeap).run());
-    });
-    g.bench_function("bucketed", |b| {
-        b.iter(|| dense_sim(&job.spec, QueueBackend::Bucketed).run());
     });
     g.bench_function("adaptive", |b| {
         b.iter(|| dense_sim(&job.spec, QueueBackend::Adaptive).run());
@@ -140,9 +135,6 @@ fn bench_engine_sparse(c: &mut Criterion) {
     g.sample_size(if smoke { 3 } else { 20 });
     g.bench_function("heap", |b| {
         b.iter(|| sparse_sim(&job.spec, QueueBackend::BinaryHeap).run());
-    });
-    g.bench_function("bucketed", |b| {
-        b.iter(|| sparse_sim(&job.spec, QueueBackend::Bucketed).run());
     });
     g.bench_function("adaptive", |b| {
         b.iter(|| sparse_sim(&job.spec, QueueBackend::Adaptive).run());

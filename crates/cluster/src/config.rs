@@ -218,11 +218,11 @@ pub struct ClusterConfig {
     pub failures: FailureConfig,
     /// Hard stop: jobs not finished by then are reported incomplete.
     pub max_sim_time: SimTime,
-    /// Event-queue data structure. All backends produce identical
+    /// Event-queue data structure. Both backends produce identical
     /// event streams. The adaptive default starts on the heap (fastest
     /// at sparse occupancy) and promotes itself to the calendar ladder
-    /// at dense occupancy, so neither regime pays a tax; the explicit
-    /// backends remain for the benches to A/B against.
+    /// at dense occupancy, so neither regime pays a tax; the plain heap
+    /// remains as the reference for tests and benches to A/B against.
     pub queue_backend: QueueBackend,
 }
 

@@ -152,7 +152,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let spec = JobSpec::uniform(graph, Constant(4.0), Constant(0.2), fail_prob);
-        for backend in [QueueBackend::BinaryHeap, QueueBackend::Bucketed, QueueBackend::Adaptive] {
+        for backend in [QueueBackend::BinaryHeap, QueueBackend::Adaptive] {
             assert_equivalent(&training_cfg(backend), &[(spec.clone(), 8)], seed);
         }
     }

@@ -101,7 +101,7 @@ proptest! {
             Constant(0.2),
             fail_prob,
         );
-        for backend in [QueueBackend::BinaryHeap, QueueBackend::Bucketed, QueueBackend::Adaptive] {
+        for backend in [QueueBackend::BinaryHeap, QueueBackend::Adaptive] {
             let mut cfg = ClusterConfig::production();
             cfg.total_tokens = 24;
             cfg.max_guarantee = 8;

@@ -49,9 +49,9 @@ impl ArbiterJob {
 /// running job stripped to zero guaranteed tokens would be evicted
 /// wholesale, so the floor is the smallest allocation that keeps it
 /// schedulable. The floor is why callers managing a fixed budget must
-/// either keep `jobs.len() <= budget` (admission control) or account
-/// the difference as over-commit ([`SharedArbiter::over_committed_rounds`],
-/// [`crate::plane::PlaneStats::over_committed_rounds`]). Remaining
+/// keep `jobs.len() <= budget`; the [`crate::plane::ControlPlane`]
+/// does so through admission and counts any breach in
+/// [`crate::plane::PlaneStats::over_committed_rounds`]. Remaining
 /// tokens go one at a time to the job with the highest marginal utility
 /// gain; allocation stops early when no job's utility improves by more
 /// than `1e-12` (granting tokens that help nobody would only hurt the
@@ -381,365 +381,5 @@ mod tests {
                 "trial {trial}: {n} jobs, budget {budget}"
             );
         }
-    }
-}
-
-use jockey_cluster::{ControlDecision, FixedAllocation, JobStatus};
-use jockey_simrt::time::SimDuration;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use crate::layer::{ControlLayer, Layered};
-use crate::progress::IndicatorContext;
-
-/// Per-job state tracked by a [`SharedArbiter`].
-struct Slot {
-    model: Arc<dyn CompletionModel>,
-    utility: UtilityFunction,
-    slack: f64,
-    progress: f64,
-    stage_fraction: Vec<f64>,
-    elapsed_secs: f64,
-    finished: bool,
-}
-
-/// A live inter-job arbiter (§4.4): concurrent SLO jobs register
-/// against one token budget; each control tick, the ticking job
-/// refreshes its state and the greedy marginal-utility split
-/// ([`arbitrate`]) decides its guarantee from the latest view of every
-/// job. Decentralized — each job's controller runs independently but
-/// shares the arbiter — so no global scheduler loop is needed.
-pub struct SharedArbiter {
-    budget: u32,
-    slots: Mutex<Vec<Slot>>,
-    /// Ticks whose active fleet outnumbered the budget, forcing the
-    /// 1-token floor to hand out more tokens than the arbiter owns.
-    over_commits: AtomicU64,
-}
-
-impl SharedArbiter {
-    /// Creates an arbiter managing `budget` guaranteed tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is zero.
-    pub fn new(budget: u32) -> Arc<Self> {
-        assert!(budget > 0);
-        Arc::new(SharedArbiter {
-            budget,
-            slots: Mutex::new(Vec::new()),
-            over_commits: AtomicU64::new(0),
-        })
-    }
-
-    /// How many arbitration rounds handed out more tokens than the
-    /// budget because the active fleet outnumbered it (the 1-token
-    /// floor). Zero for fleets kept within budget by admission control.
-    pub fn over_committed_rounds(&self) -> u64 {
-        self.over_commits.load(Ordering::Relaxed)
-    }
-
-    /// Locks the slot table, recovering it if a previous holder
-    /// panicked. Slot entries are plain state snapshots overwritten on
-    /// every tick (no multi-step invariants span the lock), so the
-    /// table is always usable; propagating the poison would instead
-    /// cascade one job's panic into every other job's control thread.
-    fn lock_slots(&self) -> MutexGuard<'_, Vec<Slot>> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Registers a job, returning its controller. `slack` is the
-    /// prediction multiplier applied inside the arbitration.
-    pub fn register(
-        self: &Arc<Self>,
-        model: Arc<dyn CompletionModel>,
-        indicator: IndicatorContext,
-        utility: UtilityFunction,
-        slack: f64,
-    ) -> ArbitratedController {
-        let slot = self.register_slot(model, utility, slack, indicator.stage_count());
-        Layered::new(FixedAllocation(1)).with(Box::new(ArbitrationLayer {
-            arbiter: self.clone(),
-            slot,
-            indicator,
-            smoothed: None,
-        }))
-    }
-
-    /// Registers a bare slot (no controller wiring) and returns its
-    /// index.
-    pub(crate) fn register_slot(
-        &self,
-        model: Arc<dyn CompletionModel>,
-        utility: UtilityFunction,
-        slack: f64,
-        stage_count: usize,
-    ) -> usize {
-        let mut slots = self.lock_slots();
-        slots.push(Slot {
-            model,
-            utility,
-            slack,
-            progress: 0.0,
-            stage_fraction: vec![0.0; stage_count],
-            elapsed_secs: 0.0,
-            finished: false,
-        });
-        slots.len() - 1
-    }
-
-    /// Updates one slot and recomputes the ticking job's share.
-    fn tick_slot(&self, slot: usize, progress: f64, status: &JobStatus) -> u32 {
-        let mut slots = self.lock_slots();
-        {
-            let s = &mut slots[slot];
-            s.progress = progress;
-            s.stage_fraction = status.stage_fraction.clone();
-            s.elapsed_secs = status.elapsed.as_secs_f64();
-            s.finished = status.finished;
-        }
-        // Arbitrate across unfinished jobs with the latest view.
-        let active: Vec<usize> = (0..slots.len()).filter(|&i| !slots[i].finished).collect();
-        if active.is_empty() || !active.contains(&slot) {
-            return 1;
-        }
-        let jobs: Vec<ArbiterJob> = active
-            .iter()
-            .map(|&i| {
-                let s = &slots[i];
-                ArbiterJob {
-                    model: s.model.clone(),
-                    utility: s.utility.clone(),
-                    progress: s.progress,
-                    stage_fraction: s.stage_fraction.clone(),
-                    elapsed_secs: s.elapsed_secs,
-                    slack: s.slack,
-                }
-            })
-            .collect();
-        // The 1-token floor can exceed the configured budget when the
-        // active fleet outgrows it; count such rounds instead of
-        // absorbing the inflation silently.
-        if active.len() as u32 > self.budget {
-            self.over_commits.fetch_add(1, Ordering::Relaxed);
-        }
-        let budget = self.budget.max(active.len() as u32);
-        let alloc = arbitrate(&jobs, budget);
-        let pos = active.iter().position(|&i| i == slot).expect("slot active");
-        alloc[pos]
-    }
-
-    fn set_deadline(&self, slot: usize, new_deadline: SimDuration) {
-        let mut slots = self.lock_slots();
-        slots[slot].utility = slots[slot].utility.with_deadline(new_deadline);
-    }
-}
-
-/// A per-job controller backed by a [`SharedArbiter`]: a passive
-/// 1-token inner controller whose decision the [`ArbitrationLayer`]
-/// replaces wholesale every tick.
-pub type ArbitratedController = Layered<FixedAllocation>;
-
-/// Hysteresis coefficient applied to the arbiter's raw shares.
-const ARBITER_HYSTERESIS: f64 = 0.3;
-
-/// Arbitration as a stackable [`ControlLayer`].
-///
-/// The raw greedy split is smoothed with the same hysteresis the §4.3
-/// control loop uses (α = 0.3 here): without it, jobs with near-equal
-/// marginal utilities would swap tokens every tick, and each swing
-/// demotes or evicts running tasks in the cluster.
-pub struct ArbitrationLayer {
-    arbiter: Arc<SharedArbiter>,
-    slot: usize,
-    indicator: IndicatorContext,
-    smoothed: Option<f64>,
-}
-
-impl ArbitrationLayer {
-    fn arbitrated(&mut self, status: &JobStatus) -> ControlDecision {
-        let p = self.indicator.progress(&status.stage_fraction);
-        let raw = self.arbiter.tick_slot(self.slot, p, status);
-        let next = match self.smoothed {
-            None => f64::from(raw),
-            Some(cur) => cur + ARBITER_HYSTERESIS * (f64::from(raw) - cur),
-        };
-        self.smoothed = Some(next);
-        ControlDecision {
-            guarantee: (next.ceil() as u32).max(1),
-            raw: Some(f64::from(raw)),
-            progress: Some(p),
-            predicted_completion: None,
-        }
-    }
-}
-
-impl ControlLayer for ArbitrationLayer {
-    fn name(&self) -> &'static str {
-        "arbitration"
-    }
-
-    fn after_tick(&mut self, status: &JobStatus, _decision: ControlDecision) -> ControlDecision {
-        self.arbitrated(status)
-    }
-
-    fn after_initial(&mut self, status: &JobStatus, _decision: ControlDecision) -> ControlDecision {
-        // Admission behaves like any other tick: the arbiter sizes the
-        // job from the budget's current marginal utilities.
-        self.arbitrated(status)
-    }
-
-    fn deadline_changed(&mut self, new_deadline: SimDuration) {
-        self.arbiter.set_deadline(self.slot, new_deadline);
-        // A new SLO is a fresh sizing problem (same as JockeyController).
-        self.smoothed = None;
-    }
-}
-
-#[cfg(test)]
-mod shared_tests {
-    use super::*;
-    use crate::cpa::{CpaModel, TrainConfig};
-    use crate::progress::{IndicatorContext, ProgressIndicator};
-    use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobController, JobSpec};
-    use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
-    use jockey_simrt::dist::Constant;
-    use jockey_simrt::time::SimDuration;
-
-    fn trained_job(seed: u64) -> (Arc<jockey_jobgraph::JobGraph>, jockey_jobgraph::JobProfile) {
-        let mut b = JobGraphBuilder::new(format!("arb-{seed}"));
-        let m = b.stage("map", 24);
-        let r = b.stage("reduce", 2);
-        b.edge(m, r, EdgeKind::AllToAll);
-        let graph = Arc::new(b.build().unwrap());
-        let spec = JobSpec::uniform(graph.clone(), Constant(20.0), Constant(0.5), 0.0);
-        let mut sim = ClusterSim::new(ClusterConfig::dedicated(6), seed);
-        sim.add_job(spec, Box::new(FixedAllocation(6)));
-        (graph.clone(), sim.run_single().profile)
-    }
-
-    #[test]
-    fn two_arbitrated_jobs_share_a_budget_and_meet_deadlines() {
-        let (g1, p1) = trained_job(1);
-        let (g2, p2) = trained_job(2);
-        let ctx1 = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &g1, &p1, None);
-        let ctx2 = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &g2, &p2, None);
-        let cfg = TrainConfig::fast(vec![1, 2, 4, 8, 12]);
-        let m1 = Arc::new(CpaModel::train(&g1, &p1, &ctx1, &cfg, 3));
-        let m2 = Arc::new(CpaModel::train(&g2, &p2, &ctx2, &cfg, 4));
-
-        // Tight deadline for job 1, loose for job 2.
-        let d1 = SimDuration::from_secs_f64(m1.fresh_latency(12) * 1.6);
-        let d2 = SimDuration::from_secs_f64(m2.fresh_latency(12) * 5.0);
-
-        let arbiter = SharedArbiter::new(12);
-        let c1 = arbiter.register(
-            m1.clone() as Arc<dyn CompletionModel>,
-            ctx1,
-            UtilityFunction::deadline(d1),
-            1.2,
-        );
-        let c2 = arbiter.register(
-            m2.clone() as Arc<dyn CompletionModel>,
-            ctx2,
-            UtilityFunction::deadline(d2),
-            1.2,
-        );
-
-        let mut cluster = ClusterConfig::dedicated(12);
-        cluster.max_guarantee = 12;
-        cluster.control_period = SimDuration::from_secs(15);
-        let mut sim = ClusterSim::new(cluster, 9);
-        let i1 = sim.add_job(JobSpec::from_profile(g1.clone(), &p1), Box::new(c1));
-        let i2 = sim.add_job(JobSpec::from_profile(g2.clone(), &p2), Box::new(c2));
-        let results = sim.run();
-        let l1 = results[i1].duration().expect("job 1 finished");
-        let l2 = results[i2].duration().expect("job 2 finished");
-        assert!(l1 <= d1, "tight job missed: {l1:?} vs {d1:?}");
-        assert!(l2 <= d2, "loose job missed: {l2:?} vs {d2:?}");
-        // The tight job got the larger share while both ran.
-        assert!(
-            results[i1].trace.median_guarantee() >= results[i2].trace.median_guarantee(),
-            "tight {} vs loose {}",
-            results[i1].trace.median_guarantee(),
-            results[i2].trace.median_guarantee()
-        );
-        // Combined medians stay within the arbiter's budget.
-        assert!(
-            results[i1].trace.median_guarantee() + results[i2].trace.median_guarantee()
-                <= 12.0 + 1e-9
-        );
-    }
-
-    #[test]
-    fn over_commit_rounds_are_counted() {
-        let (g, p) = trained_job(7);
-        let ctx = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &g, &p, None);
-        let cfg = TrainConfig::fast(vec![1, 2, 4]);
-        let m = Arc::new(CpaModel::train(&g, &p, &ctx, &cfg, 8));
-        // Three jobs on a 2-token arbiter: every arbitration round
-        // exceeds the budget via the 1-token floor.
-        let arbiter = SharedArbiter::new(2);
-        let mut handles: Vec<_> = (0..3)
-            .map(|_| {
-                arbiter.register(
-                    m.clone() as Arc<dyn CompletionModel>,
-                    ctx.clone(),
-                    UtilityFunction::deadline(SimDuration::from_mins(10)),
-                    1.0,
-                )
-            })
-            .collect();
-        assert_eq!(arbiter.over_committed_rounds(), 0);
-        let status = jockey_cluster::JobStatus {
-            now: jockey_simrt::time::SimTime::from_mins(1),
-            elapsed: SimDuration::from_mins(1),
-            stage_fraction: vec![0.2, 0.0],
-            stage_completed: vec![5, 0],
-            running: 1,
-            running_guaranteed: 1,
-            guarantee: 1,
-            work_done: 10.0,
-            finished: false,
-        };
-        for h in &mut handles {
-            h.tick(&status);
-        }
-        assert_eq!(arbiter.over_committed_rounds(), 3);
-    }
-
-    #[test]
-    fn finished_jobs_release_their_share() {
-        let (g, p) = trained_job(5);
-        let ctx = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &g, &p, None);
-        let cfg = TrainConfig::fast(vec![1, 2, 4, 8]);
-        let m = Arc::new(CpaModel::train(&g, &p, &ctx, &cfg, 6));
-        let arbiter = SharedArbiter::new(8);
-        let mut a = arbiter.register(
-            m.clone() as Arc<dyn CompletionModel>,
-            ctx.clone(),
-            UtilityFunction::deadline(SimDuration::from_mins(10)),
-            1.2,
-        );
-        let _b = arbiter.register(
-            m as Arc<dyn CompletionModel>,
-            ctx,
-            UtilityFunction::deadline(SimDuration::from_mins(10)),
-            1.2,
-        );
-        // Drive job A to "finished" and check its share collapses.
-        let status = jockey_cluster::JobStatus {
-            now: jockey_simrt::time::SimTime::from_mins(5),
-            elapsed: SimDuration::from_mins(5),
-            stage_fraction: vec![1.0, 1.0],
-            stage_completed: vec![24, 2],
-            running: 0,
-            running_guaranteed: 0,
-            guarantee: 4,
-            work_done: 0.0,
-            finished: true,
-        };
-        let d = a.tick(&status);
-        assert_eq!(d.guarantee, 1, "finished job should hold no budget");
     }
 }

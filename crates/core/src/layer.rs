@@ -1,9 +1,7 @@
 //! Stackable control-layer middleware over any [`JobController`].
 //!
-//! The §4.4/§5.6 runtime extensions — fair-share fallback, online
-//! recalibration, inter-job arbitration — used to be three bespoke
-//! `JobController` wrapper types, each re-implementing delegation by
-//! hand. They are now [`ControlLayer`]s: small decorators with hooks
+//! The §4.4/§5.6 runtime extensions — fair-share fallback and online
+//! recalibration — are [`ControlLayer`]s: small decorators with hooks
 //! before and after the inner controller's tick, stacked in any
 //! combination by [`Layered`]:
 //!

@@ -25,9 +25,8 @@
 //! - [`conditioner`]: §4.3's conditioning mechanisms (slack, dead-zone
 //!   gate, hysteresis EWMA, min clamp) as **composable stages** with
 //!   per-stage trace attribution.
-//! - [`layer`]: the **control-layer middleware** seam — fallback,
-//!   recalibration and arbitration stack as decorators over any
-//!   controller.
+//! - [`layer`]: the **control-layer middleware** seam — fallback and
+//!   recalibration stack as decorators over any controller.
 //! - [`plane`]: the **multi-job control plane**: N concurrent SLO jobs
 //!   against one shared budget with sharded slots and an atomic
 //!   snapshot instead of a global lock.
@@ -37,10 +36,9 @@
 //! - [`oracle`]: the oracle allocation `O(T, d) = ceil(T/d)` impact
 //!   baseline (§5.1).
 //! - [`admission`]: SLO admission control ("does this job fit?", §1).
-//! - [`arbiter`]: the multi-job marginal-utility arbiter (§4.4's
-//!   future work) — both one-shot [`arbiter::arbitrate`] splits and the
-//!   live [`arbiter::SharedArbiter`] that coordinates concurrent
-//!   controllers against one budget.
+//! - [`arbiter`]: the multi-job marginal-utility split (§4.4's future
+//!   work), [`arbiter::arbitrate`]; the [`plane`] runs it live against
+//!   one shared budget.
 //! - [`fallback`]: the §5.6 fair-share fallback guard on persistent
 //!   model error.
 //! - [`recal`]: §4.4/§5.6 online model recalibration (runtime
@@ -82,7 +80,6 @@ pub use admission::{AdmissionController, AdmissionError, Reservation};
 pub use alloc::{
     AllocationPolicy, ArgminPolicy, SpeculationLevel, SpeculativeArgmin, SpeculativeDecision,
 };
-pub use arbiter::{ArbitratedController, ArbitrationLayer, SharedArbiter};
 pub use conditioner::{
     ConditionStage, ConditionerPipeline, DeadZoneGate, HysteresisEwma, MinClamp, PipelineTrace,
     SlackStage, StageCtx, StageStep, TickAttribution,

@@ -1,12 +1,12 @@
 //! A multi-job control plane: N concurrent SLO jobs against one shared
 //! token budget, without a global lock.
 //!
-//! The live [`SharedArbiter`](crate::arbiter::SharedArbiter) keeps all
-//! job state behind one `Mutex<Vec<Slot>>` and re-runs the greedy
-//! marginal-utility split *inside that lock on every tick* — at N jobs
-//! that is O(N · budget) model evaluations serialized N times per
-//! control period. [`ControlPlane`] restructures the same decision
-//! into a scalable runtime:
+//! [`ControlPlane`] is the runtime of §4.4's inter-job arbiter: every
+//! job is admitted against a reservation ledger, and the greedy
+//! marginal-utility split ([`arbitrate`]) moves tokens between the
+//! admitted jobs as they progress. Re-running that O(N · budget) split
+//! on every tick would serialize N splits per control period, so the
+//! plane is structured to scale:
 //!
 //! - **Sharded per-job slots.** Each job's state snapshot lives behind
 //!   its own small `Mutex`; a tick touches only its own slot, so jobs
@@ -22,12 +22,10 @@
 //!   new snapshot; everyone else reads the current snapshot and moves
 //!   on.
 //!
-//! Each job still observes the same cadence as under the per-tick
-//! arbiter: its share is recomputed from a fleet-wide view about once
-//! per control period. [`JobHandle`] implements `JobController` (with
-//! the same hysteresis smoothing as the arbitrated controller), so
-//! plane-managed jobs drop into `ClusterSim` or a real scheduler
-//! unchanged.
+//! Each job's share is still recomputed from a fleet-wide view about
+//! once per control period. [`JobHandle`] implements `JobController`
+//! (smoothing the raw share with §4.3's hysteresis), so plane-managed
+//! jobs drop into `ClusterSim` or a real scheduler unchanged.
 //!
 //! # Service lifecycle
 //!
@@ -49,9 +47,6 @@
 //!   the *reservation* as the default share — safe (reservations sum
 //!   within the budget) and refresh-free, so sustained admission churn
 //!   cannot degenerate into per-tick re-arbitration.
-//!   [`ControlPlane::add_job`] remains the unconditional path; jobs
-//!   admitted that way bypass the ledger and request an opportunistic
-//!   refresh (they have no reservation to fall back on).
 //! - **Strict deadline-change visibility.** Deadline changes bump a
 //!   *strict* generation counter after updating the slot; a tick that
 //!   observes an unapplied strict generation refuses to serve the
@@ -92,7 +87,7 @@ struct JobSlot {
     /// from earlier occupants of the same recycled slot id.
     serial: u64,
     /// Default share served before the first refresh that includes this
-    /// job: the ledger reservation for SLO jobs, 1 otherwise.
+    /// job: its ledger reservation.
     reserved: u32,
     state: Mutex<SlotState>,
 }
@@ -135,8 +130,9 @@ pub struct PlaneStats {
     pub refreshes: u64,
     /// Refreshes in which the active fleet outnumbered the budget, so
     /// the 1-token-per-job floor handed out more tokens than the plane
-    /// owns. Zero whenever every job enters through
-    /// [`ControlPlane::try_add_job`].
+    /// owns. Zero while every job enters through admission
+    /// ([`ControlPlane::try_add_job`] and its speculative variant): a
+    /// non-zero count means the 1-token floor was breached.
     pub over_committed_rounds: u64,
     /// Model generations published by online model stores registered
     /// via [`ControlPlane::register_model_stats`] — one per absorbed
@@ -191,15 +187,6 @@ pub struct ControlPlane {
     strict_gen: AtomicU64,
     /// The `strict_gen` the last refresher loaded *before* gathering.
     applied_strict: AtomicU64,
-    /// Bumped by unconditional [`ControlPlane::add_job`] admissions,
-    /// which have no reservation to fall back on. The next tick
-    /// opportunistically refreshes (try-lock, never blocking) even if
-    /// the epoch has not elapsed. SLO admissions and releases do *not*
-    /// bump this: under sustained churn they ride the periodic epoch
-    /// refresh, keeping the arbitration cadence flat.
-    forced_gen: AtomicU64,
-    /// The `forced_gen` the last refresher loaded *before* gathering.
-    applied_forced: AtomicU64,
     /// Occupant serial source; starts at 1 (0 marks vacancy).
     next_serial: AtomicU64,
     ticks: AtomicU64,
@@ -238,8 +225,6 @@ impl ControlPlane {
             ticks_since_refresh: AtomicU64::new(0),
             strict_gen: AtomicU64::new(0),
             applied_strict: AtomicU64::new(0),
-            forced_gen: AtomicU64::new(0),
-            applied_forced: AtomicU64::new(0),
             next_serial: AtomicU64::new(1),
             ticks: AtomicU64::new(0),
             refreshes: AtomicU64::new(0),
@@ -250,31 +235,6 @@ impl ControlPlane {
             clone_wins: AtomicU64::new(0),
             model_stats: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Admits a job unconditionally, returning its [`JobHandle`]
-    /// controller. `slack` is the prediction multiplier applied inside
-    /// the arbitration.
-    ///
-    /// No SLO reservation is made: enough unconditional admissions can
-    /// push the active fleet past the budget, at which point refreshes
-    /// fall back to the 1-token floor and count as over-committed in
-    /// [`ControlPlane::stats`]. Use [`ControlPlane::try_add_job`] for
-    /// the guarded path.
-    pub fn add_job(
-        self: &Arc<Self>,
-        model: Arc<dyn CompletionModel>,
-        indicator: IndicatorContext,
-        utility: UtilityFunction,
-        slack: f64,
-    ) -> JobHandle {
-        let stage_count = indicator.stage_count();
-        let slot = self.new_slot(model, slack, stage_count, utility, 1);
-        let handle = self.admit_slot(slot, indicator, None);
-        // No reservation to serve before the first fleet refresh that
-        // includes this job: request an opportunistic refresh instead.
-        self.forced_gen.fetch_add(1, Ordering::Release);
-        handle
     }
 
     /// Admits a job only if its SLO fits: sizes the minimum reservation
@@ -311,7 +271,7 @@ impl ControlPlane {
             UtilityFunction::deadline(deadline),
             required,
         );
-        Ok(self.admit_slot(slot, indicator, Some(name.to_string())))
+        Ok(self.admit_slot(slot, indicator, name.to_string()))
     }
 
     /// Admits an SLO job through the 2D (allocation, speculation)
@@ -388,10 +348,7 @@ impl ControlPlane {
             UtilityFunction::deadline(deadline),
             decision.allocation,
         );
-        Ok((
-            self.admit_slot(slot, indicator, Some(name.to_string())),
-            decision,
-        ))
+        Ok((self.admit_slot(slot, indicator, name.to_string()), decision))
     }
 
     /// Folds one finished job's speculation counters (clone attempts
@@ -435,7 +392,7 @@ impl ControlPlane {
         self: &Arc<Self>,
         slot: Arc<JobSlot>,
         indicator: IndicatorContext,
-        name: Option<String>,
+        name: String,
     ) -> JobHandle {
         let id = {
             let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
@@ -467,8 +424,8 @@ impl ControlPlane {
     }
 
     /// Returns a released job's slot to the free list and frees its
-    /// ledger reservation, if it held one.
-    fn release_job(&self, id: usize, name: Option<&str>) {
+    /// ledger reservation.
+    fn release_job(&self, id: usize, name: &str) {
         {
             let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
             if slots.get_mut(id).and_then(Option::take).is_some() {
@@ -479,12 +436,10 @@ impl ControlPlane {
                 self.active.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        if let Some(name) = name {
-            self.ledger
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .release(name);
-        }
+        self.ledger
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .release(name);
         // No generation bump: survivors converge on the freed tokens at
         // the next periodic refresh (bounded by one control period),
         // and the serial guard keeps the freed id's stale snapshot
@@ -548,8 +503,7 @@ impl ControlPlane {
             .len()
     }
 
-    /// Tokens reserved by SLO jobs admitted via
-    /// [`ControlPlane::try_add_job`].
+    /// Tokens reserved by the admitted jobs.
     pub fn reserved(&self) -> u32 {
         self.ledger
             .lock()
@@ -585,8 +539,7 @@ impl ControlPlane {
 
         // One refresh per epoch: an epoch is one tick per *active* job,
         // so each job sees a fleet-fresh split about once per control
-        // period — the same cadence the per-tick arbiter provides, at
-        // 1/N of the arbitration cost.
+        // period at 1/N of the cost of re-splitting on every tick.
         let epoch = self.active.load(Ordering::Relaxed).max(1);
         let due = self.ticks_since_refresh.fetch_add(1, Ordering::AcqRel) >= epoch - 1;
         // `goal` is the newest deadline change this tick has observed;
@@ -609,9 +562,7 @@ impl ControlPlane {
                     self.refresh_locked(&slots);
                 }
             }
-        } else if due
-            || self.applied_forced.load(Ordering::Acquire) < self.forced_gen.load(Ordering::Acquire)
-        {
+        } else if due {
             if let Ok(_gate) = self.refresh_gate.try_lock() {
                 self.refresh_locked(&slots);
             }
@@ -631,16 +582,14 @@ impl ControlPlane {
     }
 
     /// Runs one refresh while the caller holds the refresh gate,
-    /// recording the generations observed *before* gathering so a
-    /// change landing mid-refresh leaves `applied_* < *_gen` and forces
-    /// a follow-up.
+    /// recording the generation observed *before* gathering so a
+    /// deadline change landing mid-refresh leaves
+    /// `applied_strict < strict_gen` and forces a follow-up.
     fn refresh_locked(&self, slots: &[Option<Arc<JobSlot>>]) {
         let strict = self.strict_gen.load(Ordering::Acquire);
-        let forced = self.forced_gen.load(Ordering::Acquire);
         self.ticks_since_refresh.store(0, Ordering::Release);
         self.refresh(slots);
         self.applied_strict.store(strict, Ordering::Release);
-        self.applied_forced.store(forced, Ordering::Release);
     }
 
     /// Recomputes the greedy split from the current slot snapshots and
@@ -671,10 +620,11 @@ impl ControlPlane {
         }
         let mut alloc = vec![1_u32; slots.len()];
         if !jobs.is_empty() {
-            // `arbitrate` needs at least one token per job; when the
-            // active fleet outgrows the budget (possible only through
-            // unconditional `add_job`), the floor over-commits — count
-            // it instead of absorbing it silently.
+            // `arbitrate` needs at least one token per job. Admission
+            // keeps the active fleet within the budget (every
+            // reservation is at least one token), so this count stays
+            // zero; a non-zero value flags a broken floor instead of
+            // absorbing it silently.
             if jobs.len() as u32 > self.budget {
                 self.over_committed_rounds.fetch_add(1, Ordering::Relaxed);
             }
@@ -706,8 +656,9 @@ impl ControlPlane {
     }
 }
 
-/// Hysteresis coefficient applied to the plane's raw shares (same as
-/// the per-tick arbitrated controller).
+/// Hysteresis coefficient applied to the plane's raw shares: without
+/// it, jobs with near-equal marginal utilities would swap tokens every
+/// refresh, and each swing demotes or evicts running tasks.
 const PLANE_HYSTERESIS: f64 = 0.3;
 
 /// A per-job `JobController` served by a [`ControlPlane`].
@@ -720,9 +671,8 @@ pub struct JobHandle {
     id: usize,
     indicator: IndicatorContext,
     smoothed: Option<f64>,
-    /// Ledger reservation name, for jobs admitted via
-    /// [`ControlPlane::try_add_job`].
-    name: Option<String>,
+    /// Ledger reservation name, freed on release.
+    name: String,
     released: bool,
 }
 
@@ -750,7 +700,7 @@ impl JobHandle {
     pub fn release(&mut self) {
         if !self.released {
             self.released = true;
-            self.plane.release_job(self.id, self.name.as_deref());
+            self.plane.release_job(self.id, &self.name);
         }
     }
 }
@@ -859,21 +809,27 @@ mod tests {
         }
     }
 
+    /// Admits a [`Toy`] job through the plane's ledger.
+    fn admit(plane: &Arc<ControlPlane>, name: &str, work: f64, deadline_mins: u64) -> JobHandle {
+        plane
+            .try_add_job(
+                name,
+                Arc::new(Toy { work }),
+                toy_indicator(),
+                SimDuration::from_mins(deadline_mins),
+                1.0,
+            )
+            .expect("admitted")
+    }
+
     #[test]
     fn tight_deadline_wins_the_budget() {
         let plane = ControlPlane::new(20);
-        let mut tight = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(60)),
-            1.0,
-        );
-        let mut loose = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(120)),
-            1.0,
-        );
+        let mut tight = admit(&plane, "tight", 36_000.0, 60);
+        let mut loose = admit(&plane, "loose", 36_000.0, 120);
+        // The first round serves reservations; the second the split.
+        tight.tick(&status(0, 0.0, 0));
+        loose.tick(&status(0, 0.0, 0));
         let dt = tight.tick(&status(0, 0.0, 0));
         let dl = loose.tick(&status(0, 0.0, 0));
         assert!(dt.guarantee > dl.guarantee, "tight {dt:?} vs loose {dl:?}");
@@ -883,17 +839,11 @@ mod tests {
 
     #[test]
     fn refreshes_are_amortized_across_ticks() {
-        let plane = ControlPlane::new(64);
         let n = 16;
+        // Each job reserves 10 tokens (36000/3600).
+        let plane = ControlPlane::new(10 * n as u32);
         let mut handles: Vec<JobHandle> = (0..n)
-            .map(|_| {
-                plane.add_job(
-                    Arc::new(Toy { work: 36_000.0 }),
-                    toy_indicator(),
-                    UtilityFunction::deadline(SimDuration::from_mins(60)),
-                    1.0,
-                )
-            })
+            .map(|i| admit(&plane, &format!("job-{i}"), 36_000.0, 60))
             .collect();
         // Drive 20 whole control rounds.
         for minute in 0..20 {
@@ -909,19 +859,10 @@ mod tests {
 
     #[test]
     fn finished_jobs_release_their_share() {
+        // Each job reserves 4 tokens (7200/1800) of the 8.
         let plane = ControlPlane::new(8);
-        let mut a = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(10)),
-            1.0,
-        );
-        let mut b = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(10)),
-            1.0,
-        );
+        let mut a = admit(&plane, "a", 7_200.0, 30);
+        let mut b = admit(&plane, "b", 7_200.0, 30);
         a.tick(&status(0, 0.0, 0));
         b.tick(&status(0, 0.0, 0));
         // Job A finishes; its share collapses and B inherits the budget
@@ -936,21 +877,14 @@ mod tests {
     #[test]
     fn deadline_change_forces_a_fresh_split() {
         let plane = ControlPlane::new(20);
-        let mut a = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(120)),
-            1.0,
-        );
-        let mut b = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(120)),
-            1.0,
-        );
+        let mut a = admit(&plane, "a", 36_000.0, 120);
+        let mut b = admit(&plane, "b", 36_000.0, 120);
+        // The first round serves reservations; the second the split.
+        a.tick(&status(0, 0.0, 0));
+        b.tick(&status(0, 0.0, 0));
         let g0 = a.tick(&status(0, 0.0, 0)).guarantee;
         b.tick(&status(0, 0.0, 0));
-        // Halve A's deadline: its share must grow at the next ticks.
+        // Quarter A's deadline: its share must grow at the next ticks.
         a.deadline_changed(SimDuration::from_mins(30));
         let mut g = g0;
         for minute in 1..=6 {
@@ -963,13 +897,8 @@ mod tests {
     fn snapshot_is_recovered_after_a_panicking_reader() {
         // Poison one slot lock by panicking while holding it; the
         // plane must keep serving every job.
-        let plane = ControlPlane::new(8);
-        let mut a = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(60)),
-            1.0,
-        );
+        let plane = ControlPlane::new(10);
+        let mut a = admit(&plane, "a", 36_000.0, 60);
         a.tick(&status(0, 0.0, 0));
         {
             let plane = plane.clone();
@@ -991,19 +920,9 @@ mod tests {
         // refresh epoch forever. 10k admit→finish cycles must leave the
         // table no larger than the peak concurrency.
         let plane = ControlPlane::new(8);
-        let mut anchor = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(60)),
-            1.0,
-        );
+        let mut anchor = admit(&plane, "anchor", 36_000.0, 120); // 5 tokens
         for cycle in 0..10_000_u64 {
-            let mut h = plane.add_job(
-                Arc::new(Toy { work: 3_600.0 }),
-                toy_indicator(),
-                UtilityFunction::deadline(SimDuration::from_mins(30)),
-                1.0,
-            );
+            let mut h = admit(&plane, "churn", 3_600.0, 30); // 2 tokens
             h.tick(&status(0, 0.0, 0));
             let d = h.tick(&status(1, 1.0, 2));
             assert_eq!(d.guarantee, 1);
@@ -1020,31 +939,17 @@ mod tests {
         }
         drop(anchor);
         assert_eq!(plane.active_jobs(), 0);
+        assert_eq!(plane.stats().over_committed_rounds, 0);
     }
 
     #[test]
     fn released_ids_are_recycled() {
-        let plane = ControlPlane::new(8);
-        let _keep = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(60)),
-            1.0,
-        );
-        let mut a = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(60)),
-            1.0,
-        );
+        let plane = ControlPlane::new(20);
+        let _keep = admit(&plane, "keep", 36_000.0, 60);
+        let mut a = admit(&plane, "a", 36_000.0, 60);
         let freed = a.id();
         a.release();
-        let b = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(60)),
-            1.0,
-        );
+        let b = admit(&plane, "b", 36_000.0, 60);
         assert_eq!(b.id(), freed, "released id should be reissued");
         assert_eq!(plane.slot_count(), 2);
     }
@@ -1058,18 +963,11 @@ mod tests {
         // election by holding the refresh gate while the deadline
         // changes; the next tick must still observe the new split.
         let plane = ControlPlane::new(20);
-        let mut a = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(120)),
-            1.0,
-        );
-        let mut b = plane.add_job(
-            Arc::new(Toy { work: 36_000.0 }),
-            toy_indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(120)),
-            1.0,
-        );
+        let mut a = admit(&plane, "a", 36_000.0, 120);
+        let mut b = admit(&plane, "b", 36_000.0, 120);
+        // The first round serves reservations; the second the split.
+        a.tick(&status(0, 0.0, 0));
+        b.tick(&status(0, 0.0, 0));
         let g0 = a.tick(&status(0, 0.0, 0)).guarantee;
         b.tick(&status(0, 0.0, 0));
 
@@ -1245,32 +1143,6 @@ mod tests {
             .is_ok());
     }
 
-    #[test]
-    fn over_commit_is_counted_not_silent() {
-        // Five unconditional jobs on a 2-token plane: every refresh
-        // must hand out 5 ≥ budget tokens via the 1-token floor, and
-        // say so in the stats.
-        let plane = ControlPlane::new(2);
-        let mut handles: Vec<JobHandle> = (0..5)
-            .map(|_| {
-                plane.add_job(
-                    Arc::new(Toy { work: 36_000.0 }),
-                    toy_indicator(),
-                    UtilityFunction::deadline(SimDuration::from_mins(60)),
-                    1.0,
-                )
-            })
-            .collect();
-        for minute in 0..4 {
-            for h in &mut handles {
-                h.tick(&status(minute, 0.01 * minute as f64, 1));
-            }
-        }
-        let stats = plane.stats();
-        assert!(stats.over_committed_rounds > 0, "{stats:?}");
-        assert_eq!(stats.over_committed_rounds, stats.refreshes, "{stats:?}");
-    }
-
     /// [`Toy`] with a straggler tail the speculative surface removes.
     struct TailToy {
         work: f64,
@@ -1401,7 +1273,7 @@ mod tests {
     #[test]
     fn plane_managed_jobs_share_a_cluster_budget() {
         // End-to-end: two trained jobs run concurrently in ClusterSim
-        // under one plane, as in the SharedArbiter test.
+        // under one plane.
         let trained_job = |seed: u64| {
             let mut b = JobGraphBuilder::new(format!("plane-{seed}"));
             let m = b.stage("map", 24);
@@ -1424,18 +1296,12 @@ mod tests {
         let d2 = SimDuration::from_secs_f64(m2.fresh_latency(12) * 5.0);
 
         let plane = ControlPlane::new(12);
-        let c1 = plane.add_job(
-            m1.clone() as Arc<dyn CompletionModel>,
-            ctx1,
-            UtilityFunction::deadline(d1),
-            1.2,
-        );
-        let c2 = plane.add_job(
-            m2.clone() as Arc<dyn CompletionModel>,
-            ctx2,
-            UtilityFunction::deadline(d2),
-            1.2,
-        );
+        let c1 = plane
+            .try_add_job("tight", m1.clone(), ctx1, d1, 1.2)
+            .expect("tight job fits");
+        let c2 = plane
+            .try_add_job("loose", m2.clone(), ctx2, d2, 1.2)
+            .expect("loose job fits");
         let mut cluster = ClusterConfig::dedicated(12);
         cluster.max_guarantee = 12;
         cluster.control_period = SimDuration::from_secs(15);

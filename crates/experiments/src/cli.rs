@@ -9,8 +9,7 @@
 //! Flags override the `JOCKEY_SCALE` / `JOCKEY_SEED` / `JOCKEY_RESULTS`
 //! environment variables, which remain the defaults so existing
 //! wrappers keep working; `JOCKEY_ARTIFACTS=<dir>` additionally enables
-//! the on-disk trained-model cache. `repro_all` is an alias that runs
-//! everything (the pre-pipeline behavior).
+//! the on-disk trained-model cache.
 
 use std::path::PathBuf;
 

@@ -81,9 +81,9 @@ pub trait Experiment: Sync {
     fn run(&self, env: &Env, store: &ArtifactStore) -> Vec<Emission>;
 }
 
-/// All experiments, in canonical emission order (the order the
-/// pre-pipeline `repro_all` produced outputs, so results remain
-/// byte-identical and console output keeps its familiar shape).
+/// All experiments, in canonical emission order (emission follows it
+/// at any `--jobs` level, so results and console output stay
+/// byte-identical).
 pub fn registry() -> &'static [&'static dyn Experiment] {
     static REGISTRY: [&dyn Experiment; 19] = [
         &figures::table1::Table1Experiment,

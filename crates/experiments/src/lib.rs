@@ -4,8 +4,7 @@
 //!
 //! Each figure/table has a module under [`figures`] exposing a
 //! `run(&Env) -> …` entry point and an [`experiment::Experiment`]
-//! registration. The `jockey-repro` binary (alias `repro_all`) drives
-//! the whole pipeline: `--list` shows the registry, `--only fig6,table1`
+//! registration. The `jockey-repro` binary drives the whole pipeline: `--list` shows the registry, `--only fig6,table1`
 //! selects a subset, `--jobs N` pins the worker count, and outputs land
 //! as TSVs under `results/`.
 //!
@@ -49,26 +48,3 @@ pub use artifact::{ArtifactId, ArtifactStore};
 pub use env::{Env, EvalJob, Scale};
 pub use experiment::{Emission, Experiment};
 pub use slo::{run_slo, SloConfig, SloOutcome};
-
-/// Builds the environment for an experiment binary: scale from
-/// `JOCKEY_SCALE` (`smoke`/`quick`/`full`, default full), seed from
-/// `JOCKEY_SEED` (default 42). Prints a short banner since training
-/// takes a while at full scale.
-pub fn bin_env() -> Env {
-    let scale = Scale::from_env();
-    let seed = std::env::var("JOCKEY_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    eprintln!(
-        "[jockey] building environment: scale={scale:?} seed={seed} (training C(p,a) models...)"
-    );
-    let start = std::time::Instant::now();
-    let env = Env::build(scale, seed);
-    eprintln!(
-        "[jockey] environment ready: {} jobs in {:.1}s",
-        env.jobs.len(),
-        start.elapsed().as_secs_f64()
-    );
-    env
-}

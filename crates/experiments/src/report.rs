@@ -59,11 +59,6 @@ pub fn try_emit_in(
     Ok(path)
 }
 
-/// [`try_emit_in`] against the default [`results_dir`].
-pub fn try_emit(name: &str, title: &str, table: &Table) -> Result<PathBuf, EmitError> {
-    try_emit_in(&results_dir(), name, title, table)
-}
-
 /// Writes raw text (e.g. a Graphviz rendering) to `<dir>/<filename>`,
 /// creating parent directories, returning the written path.
 pub fn try_emit_text_in(dir: &Path, filename: &str, text: &str) -> Result<PathBuf, EmitError> {
@@ -80,33 +75,6 @@ pub fn try_emit_text_in(dir: &Path, filename: &str, text: &str) -> Result<PathBu
     })?;
     println!("[written {}]", path.display());
     Ok(path)
-}
-
-/// [`try_emit_text_in`] against the default [`results_dir`].
-pub fn try_emit_text(filename: &str, text: &str) -> Result<PathBuf, EmitError> {
-    try_emit_text_in(&results_dir(), filename, text)
-}
-
-/// Prints `table` (aligned) under a heading and writes it to
-/// `results/<name>.tsv`.
-///
-/// # Panics
-///
-/// Panics if the results directory cannot be written. Pipeline code
-/// should prefer [`try_emit`], which surfaces the failure instead.
-pub fn emit(name: &str, title: &str, table: &Table) {
-    try_emit(name, title, table).unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// Writes raw text (e.g. a Graphviz rendering) to
-/// `results/<filename>`.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written. Pipeline code should prefer
-/// [`try_emit_text`], which surfaces the failure instead.
-pub fn emit_text(filename: &str, text: &str) {
-    try_emit_text(filename, text).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Formats a float with three significant decimals for table cells.

@@ -6,7 +6,7 @@
 //! in this workspace deterministic — `std::collections::BinaryHeap` alone
 //! does not guarantee any order among equal keys.
 //!
-//! Three backends implement the same contract (see [`QueueBackend`]):
+//! Two backends implement the same contract (see [`QueueBackend`]):
 //!
 //! - **Adaptive** (the default): starts on the binary heap (cheapest at
 //!   low occupancy) and promotes itself to the bucket ladder the first
@@ -14,19 +14,18 @@
 //!   [`ADAPTIVE_PROMOTE_LEN`](EventQueue::ADAPTIVE_PROMOTE_LEN), so
 //!   neither the sparse nor the dense regime pays for the other's data
 //!   structure. Promotion is invisible: both representations emit the
-//!   identical `(time, seq)` stream.
-//! - **Bucketed**: a calendar/ladder structure exploiting the
-//!   near-monotone event times of a discrete-event simulation.
-//!   Events within a sliding window land in fixed-width time buckets
-//!   (O(1) schedule); buckets are sorted lazily when the pop cursor
-//!   reaches them, so the per-event cost is O(1) amortized for the
-//!   dispatch-heavy simulator hot path. Events beyond the window wait
-//!   in an overflow heap and migrate into buckets when the window
-//!   advances.
+//!   identical `(time, seq)` stream. The ladder is a calendar structure
+//!   exploiting the near-monotone event times of a discrete-event
+//!   simulation: events within a sliding window land in fixed-width
+//!   time buckets (O(1) schedule); buckets are sorted lazily when the
+//!   pop cursor reaches them, so the per-event cost is O(1) amortized
+//!   for the dispatch-heavy simulator hot path. Events beyond the
+//!   window wait in an overflow heap and migrate into buckets when the
+//!   window advances.
 //! - **BinaryHeap**: the straightforward `(time, seq)` min-heap. Kept
 //!   as the reference implementation; the property tests in
-//!   `tests/queue_equiv.rs` prove the bucketed backend produces the
-//!   exact same `(time, payload)` stream.
+//!   `tests/queue_equiv.rs` prove the adaptive backend, before and
+//!   after promotion, produces the exact same `(time, payload)` stream.
 //!
 //! All backends order events by `(time, sequence)` where the sequence
 //! number is assigned at schedule time, so switching backends never
@@ -37,7 +36,7 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Number of buckets in the bucketed backend's sliding window (a power
+/// Number of buckets in the bucket ladder's sliding window (a power
 /// of two so slot indexing is a mask).
 const NUM_BUCKETS: usize = 256;
 
@@ -90,20 +89,16 @@ pub enum QueueBackend {
     /// events are pending and promotes itself (once per run; `reset`
     /// demotes) to the bucket ladder when the pending count crosses
     /// [`EventQueue::ADAPTIVE_PROMOTE_LEN`]. The default: neither the
-    /// sparse nor the dense regime pays the other backend's tax, and
-    /// no manual flag is needed. The explicit backends below remain
-    /// for tests and benches.
+    /// sparse nor the dense regime pays the other representation's
+    /// tax, and no manual flag is needed.
     #[default]
     Adaptive,
-    /// Calendar-style bucket ladder: O(1) amortized schedule/pop on the
-    /// near-monotone event times of a simulation run.
-    Bucketed,
     /// `(time, seq)` binary min-heap: O(log n) per operation. The
-    /// reference implementation the bucketed backend is proved against.
+    /// reference implementation the adaptive backend is proved against.
     BinaryHeap,
 }
 
-/// One time bucket of the bucketed backend. Entries are appended
+/// One time bucket of the bucket ladder. Entries are appended
 /// unsorted; the bucket is sorted *descending* by `(time, seq)` the
 /// first time the pop cursor drains it, so the minimum pops from the
 /// back in O(1).
@@ -143,7 +138,8 @@ impl<E> Bucket<E> {
     }
 }
 
-/// The calendar/ladder structure behind [`QueueBackend::Bucketed`].
+/// The calendar/ladder structure a promoted [`QueueBackend::Adaptive`]
+/// queue runs on.
 ///
 /// Invariants:
 /// - every bucketed event has `cursor_ms <= at < window_end_ms`;
@@ -326,7 +322,6 @@ impl<E> BucketLadder<E> {
 }
 
 enum Backend<E> {
-    Bucketed(BucketLadder<E>),
     Heap(BinaryHeap<Scheduled<E>>),
     /// The adaptive hybrid. Events live in exactly one of the two
     /// structures: the heap until promotion, the ladder after. Both
@@ -395,7 +390,6 @@ impl<E> EventQueue<E> {
                     ladder: BucketLadder::new(),
                     promoted: false,
                 },
-                QueueBackend::Bucketed => Backend::Bucketed(BucketLadder::new()),
                 QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::new()),
             },
             next_seq: 0,
@@ -408,14 +402,13 @@ impl<E> EventQueue<E> {
     /// currently holds, so pooled queues match their config across runs.
     pub fn backend(&self) -> QueueBackend {
         match self.backend {
-            Backend::Bucketed(_) => QueueBackend::Bucketed,
             Backend::Heap(_) => QueueBackend::BinaryHeap,
             Backend::Adaptive { .. } => QueueBackend::Adaptive,
         }
     }
 
     /// True if an adaptive queue has promoted to the ladder (test/bench
-    /// introspection; always false for the explicit backends).
+    /// introspection; always false for the heap backend).
     pub fn is_promoted(&self) -> bool {
         matches!(self.backend, Backend::Adaptive { promoted: true, .. })
     }
@@ -437,7 +430,6 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let s = Scheduled { at, seq, event };
         match &mut self.backend {
-            Backend::Bucketed(l) => l.push(s),
             Backend::Heap(h) => h.push(s),
             Backend::Adaptive {
                 heap,
@@ -474,7 +466,6 @@ impl<E> EventQueue<E> {
     /// the queue's notion of "now". Returns `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = match &mut self.backend {
-            Backend::Bucketed(l) => l.pop()?,
             Backend::Heap(h) => h.pop()?,
             Backend::Adaptive {
                 heap,
@@ -506,7 +497,6 @@ impl<E> EventQueue<E> {
     /// The firing time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.backend {
-            Backend::Bucketed(l) => l.peek_time(),
             Backend::Heap(h) => h.peek().map(|s| s.at),
             Backend::Adaptive {
                 heap,
@@ -530,7 +520,6 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.backend {
-            Backend::Bucketed(l) => l.len(),
             Backend::Heap(h) => h.len(),
             Backend::Adaptive {
                 heap,
@@ -554,7 +543,6 @@ impl<E> EventQueue<E> {
     /// Drops all pending events without changing "now".
     pub fn clear(&mut self) {
         match &mut self.backend {
-            Backend::Bucketed(l) => l.clear(),
             Backend::Heap(h) => h.clear(),
             Backend::Adaptive { heap, ladder, .. } => {
                 heap.clear();
@@ -574,10 +562,6 @@ impl<E> EventQueue<E> {
         self.next_seq = 0;
         self.now = SimTime::ZERO;
         match &mut self.backend {
-            Backend::Bucketed(l) => {
-                l.cursor_ms = 0;
-                l.window_end_ms = NUM_BUCKETS as u64 * BUCKET_WIDTH_MS;
-            }
             Backend::Heap(_) => {}
             Backend::Adaptive {
                 ladder, promoted, ..
@@ -595,9 +579,24 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
+    /// An adaptive queue already promoted to the ladder, so the ladder
+    /// is exercised at low occupancy (the threshold would otherwise
+    /// keep every small test on the heap).
+    fn ladder<E>() -> EventQueue<E> {
+        EventQueue {
+            backend: Backend::Adaptive {
+                heap: BinaryHeap::new(),
+                ladder: BucketLadder::new(),
+                promoted: true,
+            },
+            next_seq: 0,
+            now: SimTime::ZERO,
+        }
+    }
+
     fn both() -> [EventQueue<i32>; 3] {
         [
-            EventQueue::with_backend(QueueBackend::Bucketed),
+            ladder(),
             EventQueue::with_backend(QueueBackend::BinaryHeap),
             EventQueue::with_backend(QueueBackend::Adaptive),
         ]
@@ -679,7 +678,7 @@ mod tests {
     fn peek_does_not_disturb_order() {
         // A peek past empty buckets must not advance the cursor: events
         // scheduled afterwards at earlier times still pop first.
-        let mut q = EventQueue::with_backend(QueueBackend::Bucketed);
+        let mut q = ladder();
         q.schedule(SimTime::from_secs(50), 50);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(50)));
         q.schedule(SimTime::from_secs(2), 2);
@@ -689,7 +688,7 @@ mod tests {
 
     #[test]
     fn far_future_events_take_the_overflow_path() {
-        let mut q = EventQueue::with_backend(QueueBackend::Bucketed);
+        let mut q = ladder();
         // Beyond the initial window (~262 s), into overflow.
         q.schedule(SimTime::from_mins(60), 1);
         q.schedule(SimTime::from_mins(90), 2);
@@ -701,7 +700,7 @@ mod tests {
 
     #[test]
     fn overflow_jump_then_near_schedule_stays_ordered() {
-        let mut q = EventQueue::with_backend(QueueBackend::Bucketed);
+        let mut q = ladder();
         q.schedule(SimTime::from_mins(60), 1);
         // Pop jumps the window out to t=60min.
         assert_eq!(q.pop(), Some((SimTime::from_mins(60), 1)));
@@ -717,17 +716,17 @@ mod tests {
     #[test]
     fn interleaved_hold_model_matches_reference() {
         // A deterministic hold-model run (pop one, schedule one ahead)
-        // must produce identical streams on both backends.
-        let mut bucketed = EventQueue::with_backend(QueueBackend::Bucketed);
+        // must produce identical streams on the ladder and the heap.
+        let mut promoted = ladder();
         let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
         let mut x: u64 = 0x9E37_79B9;
         for i in 0..64 {
             let t = SimTime::from_millis((i * 37) % 1_000);
-            bucketed.schedule(t, i);
+            promoted.schedule(t, i);
             heap.schedule(t, i);
         }
         for i in 64..4_096 {
-            let (ta, a) = bucketed.pop().unwrap();
+            let (ta, a) = promoted.pop().unwrap();
             let (tb, b) = heap.pop().unwrap();
             assert_eq!((ta, a), (tb, b));
             // Pseudo-random hold time, occasionally zero (tie) or huge
@@ -741,10 +740,10 @@ mod tests {
                 _ => x % 20_000,
             };
             let t = ta + SimDuration::from_millis(hold);
-            bucketed.schedule(t, i);
+            promoted.schedule(t, i);
             heap.schedule(t, i);
         }
-        while let Some(a) = bucketed.pop() {
+        while let Some(a) = promoted.pop() {
             assert_eq!(Some(a), heap.pop());
         }
         assert!(heap.pop().is_none());

@@ -5,6 +5,8 @@
 //! Two jobs share an 80-token budget. One is far behind (tight
 //! deadline), the other comfortably ahead; the arbiter shifts tokens
 //! from low to high marginal utility, re-evaluated as progress evolves.
+//! The live run admits both into a `ControlPlane`, which refuses a job
+//! whose reservation would not fit the budget.
 //!
 //! Run with: `cargo run --release --example multi_job_arbiter`
 
@@ -90,40 +92,58 @@ fn main() {
     );
 
     // ---- Live version: both jobs run concurrently in one cluster,
-    // coordinated through a SharedArbiter.
+    // admitted into and coordinated by a ControlPlane.
     use jockey::cluster::{ClusterConfig, ClusterSim, JobSpec};
-    use jockey::core::arbiter::SharedArbiter;
-    use jockey::core::predict::CompletionModel;
+    use jockey::core::ControlPlane;
 
-    println!("\nlive run: both jobs concurrently under an 80-token shared budget");
-    let arbiter = SharedArbiter::new(80);
+    println!("\nlive run: both jobs concurrently under an 80-token control plane");
+    let plane = ControlPlane::new(80);
     let mut cluster = ClusterConfig::production();
     cluster.total_tokens = 300;
     cluster.background.mean_util = 0.7;
     let mut sim = ClusterSim::new(cluster, 21);
-    let mut indices = Vec::new();
+    let mut admitted = Vec::new();
     for (setup, &deadline) in setups.iter().zip(&deadlines) {
-        let controller = arbiter.register(
-            setup.cpa.clone() as Arc<dyn CompletionModel>,
+        let name = setup.graph.name();
+        // A refusal is the plane keeping its guarantee to the jobs it
+        // already holds, not an error.
+        match plane.try_add_job(
+            name,
+            setup.cpa.clone(),
             setup.indicator_context(),
-            UtilityFunction::deadline(deadline),
+            deadline,
             1.2,
-        );
-        indices.push(sim.add_job(
-            JobSpec::from_profile(setup.graph.clone(), &setup.profile),
-            Box::new(controller),
-        ));
+        ) {
+            Ok(handle) => {
+                println!(
+                    "  {name}: admitted (plane reserves {} of {} tokens)",
+                    plane.reserved(),
+                    plane.budget()
+                );
+                let i = sim.add_job(
+                    JobSpec::from_profile(setup.graph.clone(), &setup.profile),
+                    Box::new(handle),
+                );
+                admitted.push((setup, deadline, i));
+            }
+            Err(e) => println!("  {name}: refused ({e})"),
+        }
     }
     let results = sim.run();
-    for ((setup, &deadline), &i) in setups.iter().zip(&deadlines).zip(&indices) {
+    for (setup, deadline, i) in admitted {
         let r = &results[i];
-        let latency = r.duration().expect("finished");
+        let outcome = match r.duration() {
+            Some(latency) => format!(
+                "{:.1} / {:.0} min ({})",
+                latency.as_minutes_f64(),
+                deadline.as_minutes_f64(),
+                if latency <= deadline { "met" } else { "missed" }
+            ),
+            None => "incomplete".to_string(),
+        };
         println!(
-            "  {}: {:.1} / {:.0} min ({}), median {:.0} tokens",
+            "  {}: {outcome}, median {:.0} tokens",
             setup.graph.name(),
-            latency.as_minutes_f64(),
-            deadline.as_minutes_f64(),
-            if latency <= deadline { "met" } else { "MISSED" },
             r.trace.median_guarantee(),
         );
     }

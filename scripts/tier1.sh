@@ -14,9 +14,9 @@ cargo bench --workspace --no-run
 # sampling) so the sharded path is exercised end to end, not just
 # compiled.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench control_plane
-# Smoke-run the simulation-kernel bench so all three queue backends
-# (heap, bucketed, adaptive), the dense/sparse engine regimes, the
-# dyn/enum sampling pair and the C(p, a) table path all execute.
+# Smoke-run the simulation-kernel bench so both queue backends (heap
+# and adaptive), the dense/sparse engine regimes, the dyn/enum
+# sampling pair and the C(p, a) table path all execute.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench simrt_kernel
 # Smoke-run the engine bench: events_per_sec plus both training paths
 # (train_one_model and the dense-kernel train_one_model_batched)
@@ -37,6 +37,11 @@ JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench online
 cargo run --release -p jockey-core --example train_digest \
   | grep -qx 'digest=39c32f08b9cd7eea' \
   || { echo "tier1: flat-model training digest drifted from 39c32f08b9cd7eea" >&2; exit 1; }
+# Multi-job example: the offline arbitrate split plus a live run whose
+# jobs enter a ControlPlane through admission (each prints admitted or
+# refused, then met, missed or incomplete).
+cargo run --release --example multi_job_arbiter \
+  || { echo "tier1: multi_job_arbiter example failed" >&2; exit 1; }
 # Scenario-engine smoke: the registry lists by name and one named
 # scenario runs end to end (topology build, retrain, controlled runs).
 ./target/release/jockey-cli scenario list | grep -q 'hetero-mix' \
