@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jockey_cluster::{JobController, JobStatus};
-use jockey_core::alloc::{AllocationPolicy, ArgminPolicy, SpeculationLevel, SpeculativeArgmin};
+use jockey_core::alloc::{ArgminPolicy, SpeculationLevel, SpeculativeArgmin};
 use jockey_core::predict::CompletionModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_core::utility::UtilityFunction;

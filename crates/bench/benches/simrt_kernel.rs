@@ -2,18 +2,18 @@
 //! optimized, each measured against the code path it replaced.
 //!
 //! All three "before" variants still exist in the tree — the
-//! `BinaryHeap` queue backend is kept as the reference implementation,
-//! `Arc<dyn Sample>` remains the extensibility seam behind
-//! [`Dist::custom`], and `remaining_percentile` is the raw-cell scan
-//! that `remaining`'s dense table is built from — so one binary
-//! measures both sides of each pair on identical inputs:
+//! `BinaryHeap` queue backend is kept as the queue-level reference,
+//! every distribution still implements the `Sample` trait, and
+//! `remaining_percentile` is the raw-cell scan that `remaining`'s
+//! dense table is built from — so one binary measures both sides of
+//! each pair on identical inputs:
 //!
 //! - `queue/{heap,adaptive}`: a hold-model workload (pop one event,
 //!   schedule a successor at a near-monotone future time) over a few
 //!   thousand pending events, the access pattern the cluster engine
 //!   produces. The `adaptive` row is the occupancy-triggered hybrid
-//!   that is the default backend (here promoted to its bucket ladder);
-//!   `engine_dense` and `engine_sparse` measure both backends at
+//!   the engine always uses (here promoted to its bucket ladder);
+//!   `engine_dense/adaptive` and `engine_sparse/adaptive` measure it at
 //!   engine level in the two regimes the hybrid has to win (or at
 //!   least tie) in.
 //! - `sample/{dyn,enum}`: per-task-attempt draws from a realistic
@@ -87,13 +87,11 @@ fn bench_queue(c: &mut Criterion) {
 
 /// A dense production-shaped run — the widest paper job (G, 8 496
 /// tasks) held at an 800-token guarantee, so several hundred
-/// task-completion events are pending at once. This is where backend
-/// choice shows at engine level; at the `engine` bench's 60-token
-/// scale the queue is a minor cost and the backends tie.
-fn dense_sim(spec: &JobSpec, backend: QueueBackend) -> ClusterSim {
+/// task-completion events are pending at once and the adaptive queue
+/// promotes itself to its bucket ladder.
+fn dense_sim(spec: &JobSpec) -> ClusterSim {
     let mut cfg = ClusterConfig::production();
     cfg.max_guarantee = 800;
-    cfg.queue_backend = backend;
     let mut sim = ClusterSim::new(cfg, 17);
     sim.add_job(spec.clone(), Box::new(FixedAllocation(800)));
     sim
@@ -104,25 +102,21 @@ fn bench_engine_dense(c: &mut Criterion) {
     let job = paper_job(6, 1);
     let mut g = c.benchmark_group("engine_dense");
     g.sample_size(if smoke { 2 } else { 15 });
-    g.bench_function("heap", |b| {
-        b.iter(|| dense_sim(&job.spec, QueueBackend::BinaryHeap).run());
-    });
     g.bench_function("adaptive", |b| {
-        b.iter(|| dense_sim(&job.spec, QueueBackend::Adaptive).run());
+        b.iter(|| dense_sim(&job.spec).run());
     });
     g.finish();
 }
 
 /// A sparse production-shaped run — the same 60-token, ~20-pending-
 /// event regime as `engine/events_per_sec`. This is the regime where
-/// the always-on bucket ladder used to *lose* to the binary heap
-/// (~10% at PR 4); the adaptive backend must match the heap here
-/// because its occupancy never crosses the promotion threshold.
-fn sparse_sim(spec: &JobSpec, backend: QueueBackend) -> ClusterSim {
+/// an always-on bucket ladder loses to the binary heap (~10%); the
+/// adaptive queue stays on its heap here because its occupancy never
+/// crosses the promotion threshold.
+fn sparse_sim(spec: &JobSpec) -> ClusterSim {
     let mut cfg = ClusterConfig::production();
     cfg.total_tokens = 60;
     cfg.max_guarantee = 40;
-    cfg.queue_backend = backend;
     let mut sim = ClusterSim::new(cfg, 17);
     sim.add_job(spec.clone(), Box::new(FixedAllocation(24)));
     sim
@@ -133,11 +127,8 @@ fn bench_engine_sparse(c: &mut Criterion) {
     let job = paper_job(0, 1);
     let mut g = c.benchmark_group("engine_sparse");
     g.sample_size(if smoke { 3 } else { 20 });
-    g.bench_function("heap", |b| {
-        b.iter(|| sparse_sim(&job.spec, QueueBackend::BinaryHeap).run());
-    });
     g.bench_function("adaptive", |b| {
-        b.iter(|| sparse_sim(&job.spec, QueueBackend::Adaptive).run());
+        b.iter(|| sparse_sim(&job.spec).run());
     });
     g.finish();
 }

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use jockey_simrt::event::QueueBackend;
 use jockey_simrt::time::{SimDuration, SimTime};
 
 /// Background-load process parameters (see [`crate::background`]).
@@ -97,9 +96,8 @@ pub struct FailureConfig {
     pub task_failure_prob: Option<f64>,
     /// Per-machine failure hazard, in failures per machine-hour. The
     /// slice's aggregate failure arrival rate is this value times its
-    /// machine count ([`PlacementConfig::machines`](crate::placement::PlacementConfig)
-    /// when placement is enabled, else `ceil(total_tokens /
-    /// tasks_per_machine)`).
+    /// machine count (the topology's machines when one is configured,
+    /// else `ceil(total_tokens / tasks_per_machine)`).
     pub machine_failure_rate_per_hour: f64,
     /// Running tasks killed by one machine failure (a machine hosts a
     /// handful of task slots).
@@ -187,10 +185,6 @@ impl SpeculationConfig {
 /// Full simulator configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
-    /// Optional machine-level placement and locality model
-    /// (disabled = abstract token pool). Superseded by `topology`;
-    /// the two are mutually exclusive.
-    pub placement: Option<crate::placement::PlacementConfig>,
     /// Optional physical topology: racks × heterogeneous machine
     /// classes with replica placement (see [`crate::topology`]). When
     /// `None` the simulator runs the legacy flat model bit-identically.
@@ -218,12 +212,6 @@ pub struct ClusterConfig {
     pub failures: FailureConfig,
     /// Hard stop: jobs not finished by then are reported incomplete.
     pub max_sim_time: SimTime,
-    /// Event-queue data structure. Both backends produce identical
-    /// event streams. The adaptive default starts on the heap (fastest
-    /// at sparse occupancy) and promotes itself to the calendar ladder
-    /// at dense occupancy, so neither regime pays a tax; the plain heap
-    /// remains as the reference for tests and benches to A/B against.
-    pub queue_backend: QueueBackend,
 }
 
 impl ClusterConfig {
@@ -232,7 +220,6 @@ impl ClusterConfig {
     /// job simulator at allocation `a = tokens`.
     pub fn dedicated(tokens: u32) -> Self {
         ClusterConfig {
-            placement: None,
             topology: None,
             total_tokens: tokens,
             max_guarantee: tokens,
@@ -243,7 +230,6 @@ impl ClusterConfig {
             background: BackgroundConfig::none(),
             failures: FailureConfig::none(),
             max_sim_time: SimTime::from_mins(24 * 60),
-            queue_backend: QueueBackend::Adaptive,
         }
     }
 
@@ -268,7 +254,6 @@ impl ClusterConfig {
     /// failures.
     pub fn production() -> Self {
         ClusterConfig {
-            placement: None,
             topology: None,
             total_tokens: 1_000,
             max_guarantee: 100,
@@ -279,7 +264,6 @@ impl ClusterConfig {
             background: BackgroundConfig::production(),
             failures: FailureConfig::production(),
             max_sim_time: SimTime::from_mins(24 * 60),
-            queue_backend: QueueBackend::Adaptive,
         }
     }
 
@@ -336,9 +320,6 @@ impl ClusterConfig {
                 return Err(E::Background("diurnal_phase must be finite"));
             }
         }
-        if let Some(p) = &self.placement {
-            p.validate().map_err(E::Placement)?;
-        }
         if let Some(t) = &self.topology {
             t.validate().map_err(E::Topology)?;
         }
@@ -368,18 +349,13 @@ impl ClusterConfig {
     }
 
     /// Checks that independently-valid sections agree with each other.
-    /// The failure model's machine accounting, the placement/topology
-    /// machine counts, and the token pool must describe the *same*
+    /// The failure model's machine accounting, the topology's machine
+    /// count, and the token pool must describe the *same*
     /// cluster — historically each was validated alone and could
     /// silently contradict the others.
     fn validate_cross_field(&self) -> Result<(), InvalidClusterConfig> {
         use InvalidClusterConfig as E;
         let f = &self.failures;
-        if self.placement.is_some() && self.topology.is_some() {
-            return Err(E::Inconsistent(
-                "placement and topology are mutually exclusive; topology supersedes placement",
-            ));
-        }
         if self.topology.is_none() {
             if f.rack_failure_rate_per_hour > 0.0 {
                 return Err(E::Inconsistent(
@@ -406,19 +382,10 @@ impl ClusterConfig {
                          per-machine failure hazard contradicts the simulated cluster",
                     ));
                 }
-            } else if let Some(p) = &self.placement {
-                let capacity = u64::from(p.machines) * u64::from(f.tasks_per_machine);
-                if capacity < u64::from(self.total_tokens) {
-                    return Err(E::Inconsistent(
-                        "placement machines x failures.tasks_per_machine cannot host \
-                         total_tokens, so the per-machine failure hazard contradicts the \
-                         simulated cluster",
-                    ));
-                }
             } else if f.tasks_per_machine == 0 {
                 return Err(E::Inconsistent(
                     "tasks_per_machine must be >= 1 when machine failures are enabled without a \
-                     placement or topology (it defines the implied machine count)",
+                     topology (it defines the implied machine count)",
                 ));
             }
         }
@@ -454,8 +421,6 @@ pub enum InvalidClusterConfig {
     ControlPeriod,
     /// A background-load parameter is out of range.
     Background(&'static str),
-    /// The placement model is invalid.
-    Placement(String),
     /// The topology model is invalid.
     Topology(String),
     /// A failure-injection parameter is out of range.
@@ -479,7 +444,6 @@ impl fmt::Display for InvalidClusterConfig {
             }
             InvalidClusterConfig::ControlPeriod => write!(f, "control_period must be positive"),
             InvalidClusterConfig::Background(what) => write!(f, "background {what}"),
-            InvalidClusterConfig::Placement(what) => write!(f, "{what}"),
             InvalidClusterConfig::Topology(what) => write!(f, "topology {what}"),
             InvalidClusterConfig::Failures(what) => write!(f, "{what}"),
             InvalidClusterConfig::Speculation(what) => write!(f, "speculation {what}"),
@@ -543,19 +507,7 @@ mod tests {
 
     #[test]
     fn cross_field_validation_catches_contradictions() {
-        use crate::placement::PlacementConfig;
         use crate::topology::TopologyConfig;
-
-        // Placement and topology are mutually exclusive.
-        let mut c = ClusterConfig::dedicated(10);
-        c.placement = Some(PlacementConfig::production());
-        c.topology = Some(TopologyConfig::google_mix(4));
-        assert_eq!(
-            c.validate(),
-            Err(InvalidClusterConfig::Inconsistent(
-                "placement and topology are mutually exclusive; topology supersedes placement",
-            ))
-        );
 
         // Rack failures and replica loss are meaningless without racks.
         let mut c = ClusterConfig::dedicated(10);
@@ -583,22 +535,6 @@ mod tests {
         ));
         // Enough machines: the same config validates.
         c.topology = Some(TopologyConfig::uniform(5, 6)); // 30 x 4 = 120
-        assert_eq!(c.validate(), Ok(()));
-
-        // Same contradiction through the legacy placement model.
-        let mut c = ClusterConfig::dedicated(100);
-        c.placement = Some(PlacementConfig {
-            machines: 10,
-            locality_fraction: 0.9,
-            remote_penalty: 1.3,
-        });
-        c.failures.machine_failure_rate_per_hour = 0.01;
-        c.failures.tasks_per_machine = 2; // 10 x 2 = 20 < 100 tokens
-        assert!(matches!(
-            c.validate(),
-            Err(InvalidClusterConfig::Inconsistent(_))
-        ));
-        c.failures.tasks_per_machine = 10; // 10 x 10 = 100
         assert_eq!(c.validate(), Ok(()));
 
         // tasks_per_machine = 0 with failures on and no machine model

@@ -4,14 +4,15 @@
 //! queue, the background model, diagnostics — and the *mechanics* every
 //! policy layer composes: starting task attempts, killing or evicting
 //! running tasks, and rolling back lost outputs. The [`Engine`] drives
-//! the discrete-event loop and delegates every policy decision through
-//! two trait seams:
+//! the discrete-event loop and delegates every policy decision to the
+//! layer that owns it:
 //!
-//! - [`SchedulerPolicy`](crate::scheduler::SchedulerPolicy) — token and
-//!   spare-capacity arbitration (who runs, in which class, who is
-//!   evicted under pressure);
-//! - [`FailureModel`](crate::failure::FailureModel) — task-attempt
-//!   failures, machine-failure arrivals and their blast radius.
+//! - `WeightedFair` — token and spare-capacity arbitration (who runs,
+//!   in which class, who is evicted under pressure);
+//! - `DefaultFailureModel` — task-attempt failures, machine-failure
+//!   arrivals and their blast radius;
+//! - [`SpeculationPolicy`] — clone-on-slow watching (the one swappable
+//!   seam: [`CloneOnSlow`] or [`NoSpeculation`](crate::speculation::NoSpeculation)).
 //!
 //! Implementation notes that matter:
 //!
@@ -42,12 +43,12 @@ use rand::rngs::StdRng;
 use crate::background::BackgroundModel;
 use crate::config::ClusterConfig;
 use crate::controller::{ControlDecision, JobController, JobStatus};
-use crate::failure::{DefaultFailureModel, FailureModel};
+use crate::failure::DefaultFailureModel;
 use crate::invariants;
 use crate::job::JobSpec;
-use crate::scheduler::{SchedulerPolicy, WeightedFair};
+use crate::scheduler::WeightedFair;
 use crate::speculation::{CloneOnSlow, SpeculationPolicy};
-use crate::topology::{ClusterTopology, LocalityFirst, PlacementPolicy};
+use crate::topology::{ClusterTopology, LocalityFirst};
 use crate::trace::RunTrace;
 use crate::workspace::{JobBuffers, SimWorkspace};
 
@@ -207,7 +208,7 @@ pub struct RunningTask {
     pub queue_secs: f64,
     /// Sampled execution seconds of this attempt.
     pub run_secs: f64,
-    /// Hosting machine (placement model only).
+    /// Hosting machine (topology model only).
     pub machine: Option<u32>,
 }
 
@@ -357,9 +358,8 @@ impl JobRun {
 /// The mutable simulation state plus the mechanics every policy layer
 /// composes.
 ///
-/// A [`SchedulerPolicy`](crate::scheduler::SchedulerPolicy) or
-/// [`FailureModel`](crate::failure::FailureModel) receives `&mut
-/// EngineCore` and acts through the mechanics methods ([`start_task`]
+/// The scheduler, failure model and speculation policy receive `&mut
+/// EngineCore` and act through the mechanics methods ([`start_task`]
 /// [`evict_spare`], [`kill_running_tasks`], ...) — the engine keeps the
 /// event queue, stale-attempt filtering and accounting consistent so
 /// policies cannot corrupt the run.
@@ -376,10 +376,10 @@ pub struct EngineCore {
     pub(crate) observer: Box<dyn SimObserver>,
     pub(crate) invariants_enabled: bool,
     /// When true (the default), the run loop may drain batches of
-    /// same-instant task completions through one merged scheduling pass
-    /// — the dense-kernel fast path. Only engaged when the batching
-    /// gate holds (see [`Engine::run_loop`]); turned off by equivalence
-    /// tests to pin the per-event reference semantics.
+    /// same-instant task completions through one merged scheduling
+    /// pass. Only engaged when the batching gate holds (see
+    /// [`Engine::run_loop`]); turned off by equivalence tests to pin
+    /// the per-event reference semantics.
     pub(crate) batching_enabled: bool,
     /// Time of the most recently dispatched event (event-time
     /// monotonicity invariant).
@@ -399,8 +399,6 @@ pub struct EngineCore {
     /// Realized topology, built once from `cfg.topology`. `None` runs
     /// the legacy flat model bit-identically.
     pub(crate) topology: Option<ClusterTopology>,
-    /// Placement decisions under the topology model (unused when flat).
-    pub(crate) placement_policy: Box<dyn PlacementPolicy>,
     /// Scratch per-machine running-task counts, refreshed before each
     /// topology placement decision.
     pub(crate) machine_load: Vec<u32>,
@@ -538,16 +536,15 @@ impl EngineCore {
     }
 
     /// Machines in the simulated slice: the topology's realized count
-    /// when one is configured, explicit under the placement model,
-    /// otherwise implied by token count and machine size. The
+    /// when one is configured, otherwise implied by token count and
+    /// machine size. The
     /// per-machine failure hazard scales by this count, so aggregate
     /// failure behavior tracks the cluster actually simulated —
     /// including heterogeneous topologies.
     pub fn machine_count(&self) -> u32 {
-        match (&self.topology, &self.cfg.placement) {
-            (Some(t), _) => t.machine_count(),
-            (None, Some(p)) => p.machines,
-            (None, None) => self
+        match &self.topology {
+            Some(t) => t.machine_count(),
+            None => self
                 .cfg
                 .total_tokens
                 .div_ceil(self.cfg.failures.tasks_per_machine.max(1)),
@@ -597,7 +594,7 @@ impl EngineCore {
     /// The shared attempt-launch mechanics behind [`start_task`] and
     /// [`start_clone`]: samples the attempt's timing, places it, bumps
     /// the class counters, records the running entry and schedules the
-    /// completion event. RNG draw order (runtime, queue, placement) is
+    /// completion event. RNG draw order (runtime, then queue) is
     /// part of the bit-identical contract.
     ///
     /// [`start_task`]: EngineCore::start_task
@@ -635,25 +632,15 @@ impl EngineCore {
         // Machine placement. Under a topology the policy picks a host
         // and the multiplier *derives* from where the task landed
         // relative to its input replicas (machine class x locality);
-        // under the legacy placement model it is a uniform draw plus a
-        // locality coin-flip; flat mode consumes no extra draws.
-        let (machine, locality_mult) = match (&self.topology, &self.cfg.placement) {
-            (Some(topo), _) => {
+        // neither branch draws RNG.
+        let (machine, locality_mult) = match &self.topology {
+            Some(topo) => {
                 let split = (task.index % topo.data_splits()) as usize;
                 let replicas = &job.replicas[s * topo.data_splits() as usize + split];
-                let m = self.placement_policy.place(
-                    topo,
-                    &self.machine_load,
-                    replicas,
-                    &mut job.rng_queue,
-                );
+                let m = LocalityFirst.place(topo, &self.machine_load, replicas);
                 (Some(m), topo.runtime_multiplier(m, replicas))
             }
-            (None, Some(p)) => {
-                let (m, mult) = p.place(&mut job.rng_queue);
-                (Some(m), mult)
-            }
-            (None, None) => (None, 1.0),
+            None => (None, 1.0),
         };
         let (queue_secs, run_secs) =
             attempt_timing(base_queue, base_run, slowdown, class_mult, locality_mult);
@@ -715,7 +702,7 @@ impl EngineCore {
     }
 
     /// Kills every running task of job `j` hosted on `machine`
-    /// (placement model's machine-failure semantics).
+    /// (topology model's machine-failure semantics).
     pub fn kill_tasks_on_machine(&mut self, j: usize, machine: u32, now: SimTime) {
         let record_profile = self.record_profile;
         let job = &mut self.jobs[j];
@@ -923,8 +910,8 @@ impl EngineCore {
 /// The discrete-event loop composed with its policy layers.
 pub(crate) struct Engine {
     pub(crate) core: EngineCore,
-    pub(crate) scheduler: Box<dyn SchedulerPolicy>,
-    pub(crate) failure: Box<dyn FailureModel>,
+    pub(crate) scheduler: WeightedFair,
+    pub(crate) failure: DefaultFailureModel,
     pub(crate) speculation: Box<dyn SpeculationPolicy>,
 }
 
@@ -936,13 +923,12 @@ impl Engine {
         let seeds = SeedDeriver::new(seed);
         let background = BackgroundModel::new(cfg.background.clone(), seeds.rng("background"));
         let failure = DefaultFailureModel::new(seeds.rng("machine-failures"));
-        let queue = EventQueue::with_backend(cfg.queue_backend);
         let topology = cfg.topology.as_ref().map(ClusterTopology::build);
         Engine {
             core: EngineCore {
                 cfg,
                 jobs: Vec::new(),
-                queue,
+                queue: EventQueue::new(),
                 background,
                 seeds,
                 observer: Box::new(NoopObserver),
@@ -955,11 +941,10 @@ impl Engine {
                 cand_scratch: Vec::new(),
                 spare_buffers: Vec::new(),
                 topology,
-                placement_policy: Box::new(LocalityFirst),
                 machine_load: Vec::new(),
             },
-            scheduler: Box::new(WeightedFair),
-            failure: Box::new(failure),
+            scheduler: WeightedFair,
+            failure,
             // Inert unless `cfg.speculation` is set: with no config the
             // default policy declares no watch period, so no
             // SpeculationTick is ever scheduled and the event stream is
@@ -975,12 +960,8 @@ impl Engine {
         if let Some(mut queue) = ws.event_queue.take() {
             // Reset rewinds time and the sequence counter to a fresh
             // queue's state while keeping the allocated bucket storage.
-            // A pooled queue on a different backend than this config
-            // asks for is dropped instead.
-            if queue.backend() == engine.core.cfg.queue_backend {
-                queue.reset();
-                engine.core.queue = queue;
-            }
+            queue.reset();
+            engine.core.queue = queue;
         }
         engine
     }
@@ -1020,7 +1001,7 @@ impl Engine {
     /// Runs the event loop to completion (all jobs done, queue drained,
     /// or the configured horizon reached).
     ///
-    /// # The dense-kernel batching gate
+    /// # The completion-batching gate
     ///
     /// When a `TaskDone` pops and *all* of the following hold, the loop
     /// drains every same-instant completion as one batch and runs the
@@ -1039,8 +1020,6 @@ impl Engine {
     ///   complete kills the rest), and the watcher tick must interleave
     ///   with completions exactly as the per-event reference does,
     /// - invariant checks are off (they observe the per-pass state),
-    /// - the scheduler declares merged passes safe
-    ///   ([`SchedulerPolicy::batchable`]),
     /// - every running task is Guaranteed-class (a demoting controller
     ///   can strand Spare tasks even with spare starts disabled; their
     ///   evictions would make per-event and merged passes diverge).
@@ -1059,8 +1038,7 @@ impl Engine {
             && !self.core.cfg.background.enabled
             && self.core.cfg.topology.is_none()
             && self.core.cfg.speculation.is_none()
-            && !self.core.invariants_enabled
-            && self.scheduler.batchable();
+            && !self.core.invariants_enabled;
         while let Some((now, event)) = self.core.queue.pop() {
             if now > self.core.cfg.max_sim_time {
                 break;

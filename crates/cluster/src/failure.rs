@@ -1,12 +1,10 @@
-//! The failure-model seam: task hazards, machine failures, data loss.
+//! Task hazards, machine failures, data loss.
 //!
-//! Failures enter the simulation at three points, all routed through
-//! one trait so alternative hazard models (correlated failures,
-//! wear-out curves, fault injection for tests) can replace the default
-//! without touching the event loop:
+//! Failures enter the simulation at three points:
 //!
 //! 1. every task completion rolls for a per-attempt failure;
-//! 2. a Poisson process arms the next machine-failure arrival;
+//! 2. a Poisson process arms the next machine-failure arrival (and,
+//!    under a topology, the next rack-failure arrival);
 //! 3. each machine failure kills resident tasks and may destroy
 //!    completed outputs (forcing recomputation before a barrier).
 
@@ -17,70 +15,47 @@ use rand::Rng;
 
 use crate::engine::EngineCore;
 
-/// Injects failures into a simulation run.
-///
-/// Installed with
-/// [`ClusterSim::set_failure_model`](crate::ClusterSim::set_failure_model);
-/// the default is [`DefaultFailureModel`]. Implementations own their
-/// RNG streams — the engine only owns *when* each hook is called:
-/// [`task_attempt_fails`](FailureModel::task_attempt_fails) on every
-/// non-stale completion,
-/// [`next_failure_delay`](FailureModel::next_failure_delay) at prime
-/// time and after each machine failure, and
-/// [`on_machine_failure`](FailureModel::on_machine_failure) when the
-/// armed arrival fires.
-pub trait FailureModel: Send {
-    /// Whether this task attempt fails on completion. `prob` is the
-    /// configured (or spec-supplied) per-attempt failure probability
-    /// for job `job`.
-    fn task_attempt_fails(&mut self, core: &mut EngineCore, job: usize, prob: f64) -> bool;
-
-    /// Delay until the next machine failure, or `None` if machine
-    /// failures are disabled under the current configuration.
-    fn next_failure_delay(&mut self, core: &EngineCore) -> Option<SimDuration>;
-
-    /// Applies one machine failure: kill resident/running tasks and
-    /// (possibly) destroy completed outputs via the [`EngineCore`]
-    /// mechanics. The engine re-arms the next arrival afterwards.
-    fn on_machine_failure(&mut self, core: &mut EngineCore, now: SimTime);
-
-    /// Delay until the next correlated whole-rack failure, or `None`
-    /// when rack failures are disabled. Racks only exist under a
-    /// topology, so the default is `None` — legacy models see no new
-    /// events and consume no extra RNG draws.
-    fn next_rack_failure_delay(&mut self, _core: &EngineCore) -> Option<SimDuration> {
-        None
-    }
-
-    /// Applies one rack failure. Only called when
-    /// [`next_rack_failure_delay`](FailureModel::next_rack_failure_delay)
-    /// armed an arrival; the default is a no-op.
-    fn on_rack_failure(&mut self, _core: &mut EngineCore, _now: SimTime) {}
-}
-
 /// Jockey's failure model: independent per-attempt task failures, a
 /// per-machine-hazard Poisson machine-failure process whose aggregate
 /// rate scales with the slice's machine count, and Bernoulli data loss
 /// that forces recomputation in incomplete stages.
-pub struct DefaultFailureModel {
+///
+/// The model owns its machine-failure RNG stream; the engine owns
+/// *when* each hook is called: [`task_attempt_fails`] on every
+/// non-stale completion, [`next_failure_delay`] at prime time and after
+/// each machine failure, and [`on_machine_failure`] when the armed
+/// arrival fires (likewise for the rack hooks).
+///
+/// [`task_attempt_fails`]: DefaultFailureModel::task_attempt_fails
+/// [`next_failure_delay`]: DefaultFailureModel::next_failure_delay
+/// [`on_machine_failure`]: DefaultFailureModel::on_machine_failure
+pub(crate) struct DefaultFailureModel {
     rng_machine: StdRng,
 }
 
 impl DefaultFailureModel {
     /// Creates the model over its dedicated machine-failure RNG stream.
-    pub fn new(rng_machine: StdRng) -> Self {
+    pub(crate) fn new(rng_machine: StdRng) -> Self {
         DefaultFailureModel { rng_machine }
     }
-}
 
-impl FailureModel for DefaultFailureModel {
-    fn task_attempt_fails(&mut self, core: &mut EngineCore, job: usize, prob: f64) -> bool {
+    /// Whether this task attempt fails on completion. `prob` is the
+    /// configured (or spec-supplied) per-attempt failure probability
+    /// for job `job`.
+    pub(crate) fn task_attempt_fails(
+        &mut self,
+        core: &mut EngineCore,
+        job: usize,
+        prob: f64,
+    ) -> bool {
         // Drawn from the job's own failure stream so multi-job runs
         // stay independent of event interleaving across jobs.
         bernoulli(&mut core.jobs[job].rng_fail, prob)
     }
 
-    fn next_failure_delay(&mut self, core: &EngineCore) -> Option<SimDuration> {
+    /// Delay until the next machine failure, or `None` if machine
+    /// failures are disabled under the current configuration.
+    pub(crate) fn next_failure_delay(&mut self, core: &EngineCore) -> Option<SimDuration> {
         // The configured rate is a per-machine hazard, so the slice's
         // aggregate Poisson rate scales with its machine count — a
         // 4-machine slice fails less often than a 400-machine one at
@@ -93,7 +68,10 @@ impl FailureModel for DefaultFailureModel {
         Some(exp_duration(&mut self.rng_machine, 3600.0 / rate))
     }
 
-    fn on_machine_failure(&mut self, core: &mut EngineCore, now: SimTime) {
+    /// Applies one machine failure: kills resident/running tasks and
+    /// (possibly) destroys completed outputs via the [`EngineCore`]
+    /// mechanics. The engine re-arms the next arrival afterwards.
+    pub(crate) fn on_machine_failure(&mut self, core: &mut EngineCore, now: SimTime) {
         // Choose a victim job weighted by running-task count.
         let weights: Vec<u32> = core
             .jobs
@@ -129,19 +107,7 @@ impl FailureModel for DefaultFailureModel {
                 let loss = core.cfg.failures.replica_loss_prob;
                 core.destroy_replicas_on_machine(machine, loss, &mut self.rng_machine, now);
             } else {
-                match core.cfg.placement.clone() {
-                    Some(p) => {
-                        // A concrete machine dies: every resident task (of
-                        // every job) is killed.
-                        let machine = self.rng_machine.gen_range(0..p.machines);
-                        for j in 0..core.jobs.len() {
-                            core.kill_tasks_on_machine(j, machine, now);
-                        }
-                    }
-                    None => {
-                        core.kill_running_tasks(victim, tasks_per_machine, now);
-                    }
-                }
+                core.kill_running_tasks(victim, tasks_per_machine, now);
             }
             if bernoulli(&mut self.rng_machine, core.cfg.failures.data_loss_prob) {
                 core.lose_completed_outputs(victim, tasks_per_machine, now);
@@ -149,7 +115,9 @@ impl FailureModel for DefaultFailureModel {
         }
     }
 
-    fn next_rack_failure_delay(&mut self, core: &EngineCore) -> Option<SimDuration> {
+    /// Delay until the next correlated whole-rack failure, or `None`
+    /// when rack failures are disabled.
+    pub(crate) fn next_rack_failure_delay(&mut self, core: &EngineCore) -> Option<SimDuration> {
         // Per-rack hazard, aggregated over the topology's rack count —
         // the rack-level analogue of the per-machine scaling above.
         // Without a topology there are no racks and no draw is made, so
@@ -162,7 +130,9 @@ impl FailureModel for DefaultFailureModel {
         Some(exp_duration(&mut self.rng_machine, 3600.0 / rate))
     }
 
-    fn on_rack_failure(&mut self, core: &mut EngineCore, now: SimTime) {
+    /// Applies one rack failure: every resident task of every machine
+    /// in a uniformly drawn rack dies. No-op without a topology.
+    pub(crate) fn on_rack_failure(&mut self, core: &mut EngineCore, now: SimTime) {
         let (machines, loss) = {
             let Some(topo) = core.topology() else {
                 return;

@@ -12,8 +12,7 @@ use std::sync::Arc;
 /// Distributions are stored as the concrete [`Dist`] enum so the
 /// engine's per-task-attempt draws dispatch by `match` over a
 /// statically-typed RNG instead of through `Arc<dyn Sample>` vtables —
-/// this is the simulator's hottest call. Custom `Sample`
-/// implementations still fit via [`Dist::custom`].
+/// this is the simulator's hottest call.
 ///
 /// Two construction paths exist:
 ///

@@ -52,11 +52,10 @@ pub mod background;
 pub mod config;
 pub mod controller;
 pub mod engine;
-pub mod failure;
+mod failure;
 mod invariants;
 pub mod job;
-pub mod placement;
-pub mod scheduler;
+mod scheduler;
 pub mod sim;
 pub mod speculation;
 pub mod topology;
@@ -69,14 +68,9 @@ pub use config::{
 };
 pub use controller::{ControlDecision, FixedAllocation, JobController, JobStatus};
 pub use engine::{EngineCore, JobRun, RunningTask, TaskState, TaskTable, TokenClass};
-pub use failure::{DefaultFailureModel, FailureModel};
 pub use job::JobSpec;
-pub use placement::PlacementConfig;
-pub use scheduler::{SchedulerPolicy, WeightedFair};
 pub use sim::{ClusterSim, JobResult, RunHooks};
 pub use speculation::{CloneOnSlow, NoSpeculation, SpeculationPolicy};
-pub use topology::{
-    ClusterTopology, LocalityFirst, MachineClass, PlacementPolicy, RandomPlacement, TopologyConfig,
-};
+pub use topology::{ClusterTopology, MachineClass, TopologyConfig};
 pub use trace::RunTrace;
 pub use workspace::SimWorkspace;

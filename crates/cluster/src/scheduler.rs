@@ -1,49 +1,15 @@
-//! The scheduling-policy seam: token and spare-capacity arbitration.
+//! Token and spare-capacity arbitration.
 //!
-//! Every event the engine dispatches funnels into one scheduling pass.
-//! The pass is a *policy*: which ready tasks start, in which token
-//! class, and which spare tasks are evicted when background load
-//! squeezes capacity. [`WeightedFair`] reproduces Jockey's behavior
-//! (guaranteed admission up to each job's guarantee, round-robin spare
-//! distribution, newest-first spare eviction); alternative schedulers —
-//! packing-constrained, priority-based — implement [`SchedulerPolicy`]
-//! and are installed with
-//! [`ClusterSim::set_scheduler`](crate::ClusterSim::set_scheduler).
+//! Every event the engine dispatches funnels into one scheduling pass:
+//! which ready tasks start, in which token class, and which spare
+//! tasks are evicted when background load squeezes capacity.
+//! [`WeightedFair`] reproduces Jockey's behavior (guaranteed admission
+//! up to each job's guarantee, round-robin spare distribution,
+//! newest-first spare eviction).
 
 use jockey_simrt::time::SimTime;
 
 use crate::engine::{EngineCore, TokenClass};
-
-/// Decides which tasks occupy tokens after each simulation event.
-///
-/// Implementations act on the [`EngineCore`] mechanics: inspect jobs
-/// via [`EngineCore::job`], start ready tasks with
-/// [`EngineCore::start_task`], and evict spare tasks with
-/// [`EngineCore::evict_spare`]. The engine calls
-/// [`SchedulerPolicy::schedule`] after every event, so a pass must be
-/// idempotent when nothing changed.
-pub trait SchedulerPolicy: Send {
-    /// One scheduling pass at time `now`.
-    fn schedule(&mut self, core: &mut EngineCore, now: SimTime);
-
-    /// True if one merged pass after a batch of same-instant task
-    /// completions is observably identical to one pass per completion,
-    /// *provided* the engine's own batching gate holds (no spare
-    /// capacity, no background model, no speculation, every running
-    /// task Guaranteed).
-    /// The engine only drains completion batches (the dense-kernel fast
-    /// path, see `DESIGN.md` §15) when this returns true; the default
-    /// is `false` so custom policies — which may be stateful, draw RNG
-    /// per pass, or start tasks in non-FIFO order — keep the exact
-    /// per-event reference semantics. Only return `true` if your policy
-    /// upholds the same proof obligations as [`WeightedFair`]: a pass
-    /// in the gated regime consumes no RNG except through
-    /// [`EngineCore::start_task`], and fills strictly in ready-queue
-    /// FIFO order per job, in job-index order.
-    fn batchable(&self) -> bool {
-        false
-    }
-}
 
 /// Jockey's scheduler: guaranteed admission per job, spare capacity
 /// shared round-robin, and newest-first spare eviction under pressure.
@@ -53,18 +19,18 @@ pub trait SchedulerPolicy: Send {
 /// guarantee, so in-flight work keeps its sampled completion time while
 /// eviction priority tracks the current guarantee.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct WeightedFair;
+pub(crate) struct WeightedFair;
 
-impl SchedulerPolicy for WeightedFair {
-    /// A gated-regime pass reduces to RNG-free class bookkeeping plus a
-    /// FIFO guaranteed fill (spare starts and the background model are
-    /// disabled, evictions impossible), so merged passes start the same
-    /// tasks in the same order as per-event passes.
-    fn batchable(&self) -> bool {
-        true
-    }
-
-    fn schedule(&mut self, core: &mut EngineCore, now: SimTime) {
+impl WeightedFair {
+    /// One scheduling pass at time `now`. The engine calls it after
+    /// every event, so a pass is idempotent when nothing changed.
+    ///
+    /// In the engine's batching regime (no spare capacity, no
+    /// background model, every running task Guaranteed) a pass reduces
+    /// to RNG-free class bookkeeping plus a FIFO guaranteed fill, so
+    /// one merged pass after a batch of same-instant completions starts
+    /// the same tasks in the same order as one pass per completion.
+    pub(crate) fn schedule(&self, core: &mut EngineCore, now: SimTime) {
         core.background.advance_to(now);
         let total = core.cfg.total_tokens;
         let bg_demand = core.background.demand_tokens(now, total);

@@ -5,10 +5,9 @@
 //!
 //! - [`engine`](crate::engine) — the discrete-event loop and the state
 //!   mechanics (start/kill/evict/rollback);
-//! - [`scheduler`](crate::scheduler) — token and spare-capacity
-//!   arbitration behind [`SchedulerPolicy`];
-//! - [`failure`](crate::failure) — task and machine hazards behind
-//!   [`FailureModel`];
+//! - `scheduler` — token and spare-capacity arbitration
+//!   (`WeightedFair`);
+//! - `failure` — task and machine hazards (`DefaultFailureModel`);
 //! - `invariants` — post-step consistency checks;
 //! - [`workspace`](crate::workspace) — buffer pooling for repeated
 //!   runs.
@@ -33,9 +32,7 @@ use jockey_simrt::time::{SimDuration, SimTime};
 use crate::config::ClusterConfig;
 use crate::controller::JobController;
 use crate::engine::{Engine, Event, JobRun};
-use crate::failure::FailureModel;
 use crate::job::JobSpec;
-use crate::scheduler::SchedulerPolicy;
 use crate::trace::RunTrace;
 use crate::workspace::{JobBuffers, SimWorkspace};
 
@@ -146,13 +143,12 @@ impl ClusterSim {
         self.engine.core.invariants_enabled = enabled;
     }
 
-    /// Enables or disables the dense-kernel completion batching
+    /// Enables or disables same-instant completion batching
     /// (default on). When enabled — and the run qualifies: no spare
     /// capacity, no background model, no topology (live machine
     /// placement must see slots free one completion at a time), no
     /// speculation (kill-on-first-finish is completion-order-sensitive),
-    /// invariant checks off, a [`SchedulerPolicy`] that declares
-    /// itself batchable, every running task Guaranteed-class — the run
+    /// invariant checks off, every running task Guaranteed-class — the run
     /// loop drains same-instant task completions as one batch and runs
     /// a single merged scheduling pass. Results are bit-identical to per-event
     /// stepping; only the interleaving of observer/journal lines
@@ -179,19 +175,6 @@ impl ClusterSim {
         self.engine.core.record_trace = enabled;
     }
 
-    /// Replaces the scheduling policy (default:
-    /// [`WeightedFair`](crate::scheduler::WeightedFair)).
-    pub fn set_scheduler(&mut self, scheduler: Box<dyn SchedulerPolicy>) {
-        self.engine.scheduler = scheduler;
-    }
-
-    /// Replaces the failure model (default:
-    /// [`DefaultFailureModel`](crate::failure::DefaultFailureModel),
-    /// seeded from the root seed's `"machine-failures"` stream).
-    pub fn set_failure_model(&mut self, failure: Box<dyn FailureModel>) {
-        self.engine.failure = failure;
-    }
-
     /// Replaces the speculation policy (default:
     /// [`CloneOnSlow`](crate::speculation::CloneOnSlow), which is inert
     /// unless [`ClusterConfig::speculation`] is set).
@@ -200,15 +183,6 @@ impl ClusterSim {
         policy: Box<dyn crate::speculation::SpeculationPolicy>,
     ) {
         self.engine.speculation = policy;
-    }
-
-    /// Replaces the placement policy used when a
-    /// [`TopologyConfig`](crate::topology::TopologyConfig) is
-    /// configured (default:
-    /// [`LocalityFirst`](crate::topology::LocalityFirst)). Ignored in
-    /// the flat (non-topology) model.
-    pub fn set_placement_policy(&mut self, policy: Box<dyn crate::topology::PlacementPolicy>) {
-        self.engine.core.placement_policy = policy;
     }
 
     /// Adds a job starting at time zero. Returns its index.

@@ -1,20 +1,19 @@
 //! Physical cluster topology: racks of machines with heterogeneous
-//! capacity classes, replicated input placement, and pluggable
-//! placement policies.
+//! capacity classes, replicated input placement, and locality-first
+//! task placement.
 //!
-//! The legacy abstraction ([`crate::placement::PlacementConfig`]) draws
-//! a uniform machine id and flips a locality coin per task. This module
-//! replaces the coin with geometry: a [`TopologyConfig`] declares racks
-//! × machine classes (the Google-trace 0.25/0.5/1.0 capacity mix),
-//! every stage's input is cut into `data_splits` splits with
-//! `data_copies` replicas placed on concrete machines, and a
-//! [`PlacementPolicy`] decides where each task runs. A task's runtime
-//! multiplier then *derives* from where it landed: the inverse of its
-//! machine's capacity, times a locality factor (1 on a replica holder,
-//! `rack_penalty` in the same rack as one, `remote_penalty` otherwise).
+//! A [`TopologyConfig`] declares racks × machine classes (the
+//! Google-trace 0.25/0.5/1.0 capacity mix), every stage's input is cut
+//! into `data_splits` splits with `data_copies` replicas placed on
+//! concrete machines, and `LocalityFirst` decides where each task
+//! runs. A task's runtime multiplier then *derives* from where it
+//! landed: the inverse of its machine's capacity, times a locality
+//! factor (1 on a replica holder, `rack_penalty` in the same rack as
+//! one, `remote_penalty` otherwise).
 //!
 //! Topology is opt-in via `ClusterConfig::topology`; when `None` the
-//! engine's event and RNG streams are bit-identical to the flat model.
+//! engine runs the flat model, whose event and RNG streams predate
+//! topology and stay bit-identical.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -253,48 +252,17 @@ impl ClusterTopology {
     }
 }
 
-/// Decides which machine hosts a task, given the realized topology,
-/// the current per-machine running-task counts, and the machines
-/// holding the task's input replicas.
-///
-/// Implementations must be deterministic functions of their arguments
-/// and the RNG stream: the engine hands each job's placement RNG
-/// (`rng_queue`) to `place`, so a policy that draws is still
-/// reproducible per seed.
-pub trait PlacementPolicy: Send {
-    /// Short name for traces and scenario listings.
-    fn name(&self) -> &'static str {
-        "custom"
-    }
-
-    /// Picks the machine for one task attempt.
-    fn place(
-        &self,
-        topo: &ClusterTopology,
-        load: &[u32],
-        replicas: &[u32],
-        rng: &mut StdRng,
-    ) -> u32;
-}
-
-/// The default policy: run on the least-loaded replica holder with a
+/// The placement policy: run on the least-loaded replica holder with a
 /// free slot; failing that, the least-loaded machine overall. Ties
 /// break toward the lowest machine id, so placement consumes no RNG.
 #[derive(Debug, Default)]
-pub struct LocalityFirst;
+pub(crate) struct LocalityFirst;
 
-impl PlacementPolicy for LocalityFirst {
-    fn name(&self) -> &'static str {
-        "locality-first"
-    }
-
-    fn place(
-        &self,
-        topo: &ClusterTopology,
-        load: &[u32],
-        replicas: &[u32],
-        _rng: &mut StdRng,
-    ) -> u32 {
+impl LocalityFirst {
+    /// Picks the machine for one task attempt, given the realized
+    /// topology, the current per-machine running-task counts and the
+    /// machines holding the task's input replicas.
+    pub(crate) fn place(&self, topo: &ClusterTopology, load: &[u32], replicas: &[u32]) -> u32 {
         let slots = topo.config().slots_per_machine;
         let local = replicas
             .iter()
@@ -307,27 +275,6 @@ impl PlacementPolicy for LocalityFirst {
         (0..topo.machine_count())
             .min_by_key(|&m| (load[m as usize], m))
             .expect("topology has at least one machine")
-    }
-}
-
-/// A replica-blind baseline: uniform over all machines. Useful in
-/// scenarios isolating how much locality-aware placement buys.
-#[derive(Debug, Default)]
-pub struct RandomPlacement;
-
-impl PlacementPolicy for RandomPlacement {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn place(
-        &self,
-        topo: &ClusterTopology,
-        _load: &[u32],
-        _replicas: &[u32],
-        rng: &mut StdRng,
-    ) -> u32 {
-        rng.gen_range(0..topo.machine_count())
     }
 }
 
@@ -400,18 +347,17 @@ mod tests {
     #[test]
     fn locality_first_prefers_free_replica_then_least_loaded() {
         let topo = ClusterTopology::build(&TopologyConfig::google_mix(1));
-        let mut rng = SeedDeriver::new(8).rng("place");
         let mut load = vec![0u32; 10];
         let replicas = [4u32, 7];
         // Free replicas: least-loaded replica wins.
         load[4] = 2;
         load[7] = 1;
-        assert_eq!(LocalityFirst.place(&topo, &load, &replicas, &mut rng), 7);
+        assert_eq!(LocalityFirst.place(&topo, &load, &replicas), 7);
         // All replicas saturated (4 slots): falls back to the globally
         // least-loaded machine, lowest id on ties.
         load[4] = 4;
         load[7] = 4;
         load[0] = 1;
-        assert_eq!(LocalityFirst.place(&topo, &load, &replicas, &mut rng), 1);
+        assert_eq!(LocalityFirst.place(&topo, &load, &replicas), 1);
     }
 }

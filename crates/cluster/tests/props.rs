@@ -84,7 +84,6 @@ proptest! {
             0.02,
         );
         let cfg = ClusterConfig {
-            placement: None,
             topology: None,
             speculation: None,
             total_tokens: 40,
@@ -116,7 +115,6 @@ proptest! {
                 replica_loss_prob: 0.0,
             },
             max_sim_time: jockey_simrt::time::SimTime::from_mins(24 * 60),
-            queue_backend: Default::default(),
         };
         let mut sim = ClusterSim::new(cfg, seed);
         sim.add_job(spec, Box::new(FixedAllocation(8)));

@@ -201,50 +201,16 @@ fn staggered_jobs_share_cleanly() {
 }
 
 #[test]
-fn placement_model_slows_remote_tasks() {
-    use jockey_cluster::PlacementConfig;
-    let run = |placement: Option<PlacementConfig>| {
-        let mut cfg = ClusterConfig::dedicated(8);
-        cfg.placement = placement;
-        let mut sim = ClusterSim::new(cfg, 11);
-        sim.add_job(spec(64, 2, 10.0), Box::new(FixedAllocation(8)));
-        sim.run_single()
-    };
-    let local = run(None);
-    let remote_heavy = run(Some(PlacementConfig {
-        machines: 10,
-        locality_fraction: 0.0, // Every placement pays the penalty.
-        remote_penalty: 1.5,
-    }));
-    let base = local.duration().unwrap().as_secs_f64();
-    let slow = remote_heavy.duration().unwrap().as_secs_f64();
-    assert!(
-        (slow / base - 1.5).abs() < 0.05,
-        "expected ~1.5x slowdown, got {}",
-        slow / base
-    );
-    // Fully-local placement behaves exactly like the abstract model.
-    let fully_local = run(Some(PlacementConfig {
-        machines: 10,
-        locality_fraction: 1.0,
-        remote_penalty: 1.5,
-    }));
-    assert_eq!(fully_local.duration(), local.duration());
-}
-
-#[test]
-fn machine_failures_with_placement_kill_co_resident_tasks() {
-    use jockey_cluster::{FailureConfig, PlacementConfig};
+fn machine_failures_with_topology_kill_co_resident_tasks() {
+    use jockey_cluster::{FailureConfig, TopologyConfig};
     let mut cfg = ClusterConfig::dedicated(8);
-    cfg.placement = Some(PlacementConfig {
-        machines: 4, // Few machines: failures hit multiple tasks.
-        locality_fraction: 0.9,
-        remote_penalty: 1.2,
-    });
+    // Few machines (2 racks x 2, 4 slots each): failures hit multiple
+    // tasks.
+    cfg.topology = Some(TopologyConfig::uniform(2, 2));
     cfg.failures = FailureConfig {
         task_failure_prob: Some(0.0),
         machine_failure_rate_per_hour: 120.0,
-        tasks_per_machine: 2, // Ignored by the placement path.
+        tasks_per_machine: 2, // Ignored: the topology sets the count.
         data_loss_prob: 0.0,
         rack_failure_rate_per_hour: 0.0,
         replica_loss_prob: 0.0,

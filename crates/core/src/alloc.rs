@@ -15,25 +15,9 @@ use std::sync::Arc;
 use crate::predict::CompletionModel;
 use crate::utility::UtilityFunction;
 
-/// Chooses a raw token allocation from conditioned inputs.
-///
-/// Implementors must be pure: the same inputs always produce the same
-/// allocation, and calls have no side effects. This is the seam a new
-/// decision rule plugs into (see the README's "plugging in a new
-/// control layer" guide for the runtime-wrapper counterpart).
-pub trait AllocationPolicy: Send + Sync {
-    /// The raw allocation `A^r` for per-stage fractions `fs`, scalar
-    /// progress `progress`, at elapsed job time `elapsed_secs`, with
-    /// model predictions multiplied by `inflation` (the slack factor
-    /// `S`, possibly composed with other conditioning stages).
-    fn raw_allocation(&self, fs: &[f64], progress: f64, elapsed_secs: f64, inflation: f64) -> u32;
-
-    /// The largest allocation worth considering.
-    fn max_allocation(&self) -> u32;
-}
-
 /// The paper's argmin rule over a [`CompletionModel`] and a
-/// dead-zone-shifted [`UtilityFunction`].
+/// dead-zone-shifted [`UtilityFunction`]. Pure: the same inputs always
+/// produce the same allocation, and calls have no side effects.
 pub struct ArgminPolicy {
     model: Arc<dyn CompletionModel>,
     /// The utility already shifted left by the dead zone `D` (§4.3's
@@ -98,10 +82,18 @@ impl ArgminPolicy {
             })
             .collect()
     }
-}
 
-impl AllocationPolicy for ArgminPolicy {
-    fn raw_allocation(&self, fs: &[f64], progress: f64, elapsed_secs: f64, inflation: f64) -> u32 {
+    /// The raw allocation `A^r` for per-stage fractions `fs`, scalar
+    /// progress `progress`, at elapsed job time `elapsed_secs`, with
+    /// model predictions multiplied by `inflation` (the slack factor
+    /// `S`, possibly composed with other conditioning stages).
+    pub fn raw_allocation(
+        &self,
+        fs: &[f64],
+        progress: f64,
+        elapsed_secs: f64,
+        inflation: f64,
+    ) -> u32 {
         let max = self.model.max_allocation();
         let mut best_u = f64::NEG_INFINITY;
         let mut best_a = max;
@@ -118,7 +110,8 @@ impl AllocationPolicy for ArgminPolicy {
         best_a
     }
 
-    fn max_allocation(&self) -> u32 {
+    /// The largest allocation worth considering.
+    pub fn max_allocation(&self) -> u32 {
         self.model.max_allocation()
     }
 }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use jockey_cluster::{ControlDecision, JobController, JobStatus};
 use jockey_simrt::time::SimDuration;
 
-use crate::alloc::{AllocationPolicy, ArgminPolicy};
+use crate::alloc::ArgminPolicy;
 use crate::conditioner::{ahead_of_schedule, behind_schedule, ConditionerPipeline, StageCtx};
 use crate::predict::CompletionModel;
 use crate::progress::IndicatorContext;

@@ -12,10 +12,9 @@
 //! model and pins a configured fair-share guarantee for the rest of the
 //! job.
 
-use jockey_cluster::{ControlDecision, JobController, JobStatus};
+use jockey_cluster::{ControlDecision, JobStatus};
 
-use crate::control::JockeyController;
-use crate::layer::{ControlLayer, Layered};
+use crate::layer::ControlLayer;
 
 /// The §5.6 fallback policy as a stackable [`ControlLayer`].
 pub struct FallbackLayer {
@@ -105,28 +104,11 @@ impl ControlLayer for FallbackLayer {
     }
 }
 
-/// Wraps a controller with the §5.6 fallback policy (kept as a named
-/// convenience; any stack order via [`Layered::with`] works too).
-pub fn with_fallback<C: JobController>(
-    inner: C,
-    fair_share: u32,
-    slip_tolerance: f64,
-    trigger_ticks: u32,
-) -> Layered<C> {
-    Layered::new(inner).with(Box::new(FallbackLayer::new(
-        fair_share,
-        slip_tolerance,
-        trigger_ticks,
-    )))
-}
-
-/// The historical guarded-Jockey shape: a [`JockeyController`] under a
-/// [`FallbackLayer`].
-pub type GuardedController = Layered<JockeyController>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Layered;
+    use jockey_cluster::JobController;
     use jockey_simrt::time::{SimDuration, SimTime};
 
     /// A controller whose completion estimate recedes forever (a
@@ -181,7 +163,8 @@ mod tests {
 
     #[test]
     fn persistent_slips_trigger_fallback() {
-        let mut g = with_fallback(Slipping { pred: 0.0 }, 7, 1.5, 3);
+        let mut g =
+            Layered::new(Slipping { pred: 0.0 }).with(Box::new(FallbackLayer::new(7, 1.5, 3)));
         for minute in 0..3 {
             let d = g.tick(&status(minute));
             assert_eq!(d.guarantee, 50, "minute {minute} fell back early");
@@ -197,7 +180,7 @@ mod tests {
 
     #[test]
     fn stable_predictions_never_fall_back() {
-        let mut g = with_fallback(Stable, 7, 1.5, 3);
+        let mut g = Layered::new(Stable).with(Box::new(FallbackLayer::new(7, 1.5, 3)));
         for minute in 0..50 {
             let d = g.tick(&status(minute));
             assert_eq!(d.guarantee, 50);
@@ -209,7 +192,8 @@ mod tests {
     fn initial_decision_bypasses_the_guard() {
         // Admission-time sizing carries no slip signal; the layer's
         // after_initial hook is a pass-through and records nothing.
-        let mut g = with_fallback(Slipping { pred: 0.0 }, 7, 1.5, 1);
+        let mut g =
+            Layered::new(Slipping { pred: 0.0 }).with(Box::new(FallbackLayer::new(7, 1.5, 1)));
         let d = g.initial(&status(0));
         assert_eq!(d.guarantee, 50);
         assert!(!fallen_back(&g));
@@ -236,15 +220,11 @@ mod tests {
                 }
             }
         }
-        let mut g = with_fallback(
-            Alternating {
-                pred: 0.0,
-                up: false,
-            },
-            7,
-            1.5,
-            3,
-        );
+        let mut g = Layered::new(Alternating {
+            pred: 0.0,
+            up: false,
+        })
+        .with(Box::new(FallbackLayer::new(7, 1.5, 3)));
         for minute in 0..40 {
             g.tick(&status(minute));
         }
@@ -255,6 +235,8 @@ mod tests {
 #[cfg(test)]
 mod release_tests {
     use super::*;
+    use crate::layer::Layered;
+    use jockey_cluster::JobController;
     use jockey_simrt::time::{SimDuration, SimTime};
 
     /// A healthy controller releasing tokens: each tick the guarantee
@@ -293,15 +275,11 @@ mod release_tests {
 
     #[test]
     fn healthy_releases_do_not_trip_the_guard() {
-        let mut g = with_fallback(
-            Releasing {
-                guarantee: 200,
-                pred: 1_000.0,
-            },
-            7,
-            1.5,
-            3,
-        );
+        let mut g = Layered::new(Releasing {
+            guarantee: 200,
+            pred: 1_000.0,
+        })
+        .with(Box::new(FallbackLayer::new(7, 1.5, 3)));
         // Guarantee decreases on every one of these ticks, so no slip
         // may be counted however fast the estimate recedes.
         for minute in 0..30 {

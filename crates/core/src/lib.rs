@@ -20,7 +20,7 @@
 //!   slack, hysteresis and dead zone — composed from the pure
 //!   [`alloc::ArgminPolicy`] decision core and the
 //!   [`conditioner`] stage pipeline.
-//! - [`alloc`]: the side-effect-free **allocation policy** seam
+//! - [`alloc`]: the side-effect-free **allocation policy**
 //!   (progress → candidate utilities → raw argmin).
 //! - [`conditioner`]: §4.3's conditioning mechanisms (slack, dead-zone
 //!   gate, hysteresis EWMA, min clamp) as **composable stages** with
@@ -63,7 +63,6 @@ pub mod arbiter;
 pub mod conditioner;
 pub mod control;
 pub mod cpa;
-mod dense;
 pub mod fallback;
 pub mod layer;
 pub mod online;
@@ -77,9 +76,7 @@ pub mod sketch;
 pub mod utility;
 
 pub use admission::{AdmissionController, AdmissionError, Reservation};
-pub use alloc::{
-    AllocationPolicy, ArgminPolicy, SpeculationLevel, SpeculativeArgmin, SpeculativeDecision,
-};
+pub use alloc::{ArgminPolicy, SpeculationLevel, SpeculativeArgmin, SpeculativeDecision};
 pub use conditioner::{
     ConditionStage, ConditionerPipeline, DeadZoneGate, HysteresisEwma, MinClamp, PipelineTrace,
     SlackStage, StageCtx, StageStep, TickAttribution,
@@ -88,7 +85,7 @@ pub use control::{
     ControlParams, ControlTick, ControlTrace, InvalidControlParams, JockeyController,
 };
 pub use cpa::{CpaModel, InvalidTrainConfig, ModelLoadError, RunObservation, TrainConfig};
-pub use fallback::{with_fallback, FallbackLayer, GuardedController};
+pub use fallback::FallbackLayer;
 pub use layer::{ControlLayer, Layered};
 pub use online::{
     structure_hash, AbsorbOutcome, DriftConfig, DriftDetector, ModelHandle, ModelLifecycleStats,

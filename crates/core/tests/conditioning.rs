@@ -12,7 +12,7 @@ use std::sync::Arc;
 use jockey_cluster::{
     ClusterConfig, ClusterSim, FixedAllocation, JobController, JobSpec, JobStatus,
 };
-use jockey_core::alloc::{AllocationPolicy, ArgminPolicy};
+use jockey_core::alloc::ArgminPolicy;
 use jockey_core::conditioner::{
     ConditionStage, ConditionerPipeline, DeadZoneGate, HysteresisEwma, MinClamp, SlackStage,
     StageCtx,

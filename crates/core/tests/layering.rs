@@ -24,7 +24,7 @@ use jockey_cluster::{
 };
 use jockey_core::control::{ControlParams, JockeyController};
 use jockey_core::cpa::{CpaModel, TrainConfig};
-use jockey_core::fallback::{with_fallback, FallbackLayer};
+use jockey_core::fallback::FallbackLayer;
 use jockey_core::layer::Layered;
 use jockey_core::predict::CompletionModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
@@ -295,7 +295,8 @@ fn fallback_layer_matches_pre_refactor_wrapper_tick_for_tick() {
         0.5,
         3,
     );
-    let mut layered = with_fallback(jockey(model as Arc<dyn CompletionModel>, &ctx), 11, 0.5, 3);
+    let mut layered = Layered::new(jockey(model as Arc<dyn CompletionModel>, &ctx))
+        .with(Box::new(FallbackLayer::new(11, 0.5, 3)));
 
     let expect = drive(&mut reference);
     let got = drive(&mut layered);

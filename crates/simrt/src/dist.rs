@@ -22,9 +22,9 @@
 //! simulator's per-task-attempt draws) use the concrete [`Dist`] enum:
 //! a closed universe of the families above that dispatches by `match`
 //! and samples through a statically-typed RNG (`sample_with`), avoiding
-//! the vtable call and pointer chase of `Arc<dyn Sample>` per draw. The
-//! [`Sample`] trait remains the open extension seam: any custom
-//! implementation still fits a [`Dist`] via [`Dist::custom`].
+//! the vtable call and pointer chase of `Arc<dyn Sample>` per draw.
+//! Every family (and [`Dist`] itself) also implements the object-safe
+//! [`Sample`] trait.
 
 use std::sync::Arc;
 
@@ -418,9 +418,7 @@ impl<D: Sample> Sample for Scaled<D> {
 /// `JobSpec` stores stage runtime/queue models as `Dist` so the
 /// per-task-attempt draw in the cluster engine is a direct call
 /// monomorphized over the engine's `StdRng` ([`Dist::sample_with`]) —
-/// no `Arc<dyn Sample>` pointer chase per attempt. The open [`Sample`]
-/// trait is still the extension seam: anything outside this universe
-/// rides along as [`Dist::Custom`].
+/// no `Arc<dyn Sample>` pointer chase per attempt.
 ///
 /// Construct variants from the concrete family types via `From`/`Into`
 /// (`Dist::from(Uniform::new(1.0, 2.0))`) and combinators via
@@ -465,9 +463,6 @@ pub enum Dist {
         /// Multiplier applied to every sample.
         factor: f64,
     },
-    /// Escape hatch for [`Sample`] implementations outside the closed
-    /// universe (samples through dynamic dispatch).
-    Custom(Arc<dyn Sample>),
 }
 
 impl Dist {
@@ -513,11 +508,6 @@ impl Dist {
         }
     }
 
-    /// Wraps an arbitrary [`Sample`] implementation.
-    pub fn custom(inner: Arc<dyn Sample>) -> Self {
-        Dist::Custom(inner)
-    }
-
     /// Draws one value through a statically-dispatched RNG.
     ///
     /// Monomorphizes over the caller's concrete RNG type; for the same
@@ -546,12 +536,6 @@ impl Dist {
             }
             Dist::Clamped { inner, lo, hi } => inner.sample_with(rng).clamp(*lo, *hi),
             Dist::Scaled { inner, factor } => inner.sample_with(rng) * factor,
-            Dist::Custom(d) => {
-                // `&mut R: RngCore` (blanket impl), so a reborrow
-                // coerces to the trait object the open seam expects.
-                let mut reborrow: &mut R = rng;
-                d.sample(&mut reborrow)
-            }
         }
     }
 
@@ -579,7 +563,6 @@ impl Dist {
             }
             Dist::Clamped { inner, lo, hi } => inner.mean().map(|m| m.clamp(*lo, *hi)),
             Dist::Scaled { inner, factor } => inner.mean().map(|m| m * factor),
-            Dist::Custom(d) => d.mean(),
         }
     }
 }
@@ -614,7 +597,6 @@ impl std::fmt::Debug for Dist {
                 .field("inner", inner)
                 .field("factor", factor)
                 .finish(),
-            Dist::Custom(_) => f.write_str("Custom(..)"),
         }
     }
 }
@@ -680,12 +662,6 @@ impl<D: Into<Dist>> From<Clamped<D>> for Dist {
 impl<D: Into<Dist>> From<Scaled<D>> for Dist {
     fn from(s: Scaled<D>) -> Dist {
         Dist::scaled(s.inner, s.factor)
-    }
-}
-
-impl From<Arc<dyn Sample>> for Dist {
-    fn from(d: Arc<dyn Sample>) -> Dist {
-        Dist::Custom(d)
     }
 }
 
@@ -950,25 +926,6 @@ mod tests {
                 (a, b) => assert_eq!(a, b, "case {i} mean"),
             }
         }
-    }
-
-    /// `Dist::Custom` keeps arbitrary `Sample` impls usable behind the
-    /// concrete seam.
-    #[test]
-    fn dist_custom_escape_hatch() {
-        struct AlwaysSeven;
-        impl Sample for AlwaysSeven {
-            fn sample(&self, _rng: &mut dyn rand::RngCore) -> f64 {
-                7.0
-            }
-            fn mean(&self) -> Option<f64> {
-                Some(7.0)
-            }
-        }
-        let d = Dist::custom(std::sync::Arc::new(AlwaysSeven));
-        assert_eq!(d.sample_with(&mut SeedDeriver::new(0).rng("x")), 7.0);
-        assert_eq!(d.mean(), Some(7.0));
-        assert_eq!(format!("{d:?}"), "Custom(..)");
     }
 
     /// Cloning a `Dist::Empirical` shares the recorded values.

@@ -397,16 +397,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The backend this queue runs on. An adaptive queue reports
-    /// [`QueueBackend::Adaptive`] regardless of which representation it
-    /// currently holds, so pooled queues match their config across runs.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Heap(_) => QueueBackend::BinaryHeap,
-            Backend::Adaptive { .. } => QueueBackend::Adaptive,
-        }
-    }
-
     /// True if an adaptive queue has promoted to the ladder (test/bench
     /// introspection; always false for the heap backend).
     pub fn is_promoted(&self) -> bool {
@@ -811,7 +801,6 @@ mod tests {
         assert!(!q.is_promoted());
         q.schedule(SimTime::from_secs(99), usize::MAX);
         assert!(q.is_promoted());
-        assert_eq!(q.backend(), QueueBackend::Adaptive);
         // Promotion sticks for the rest of the run even as it drains...
         let n = q.len();
         for i in 0..n {

@@ -185,7 +185,6 @@ pub fn base_cluster() -> ClusterConfig {
     use jockey_cluster::{BackgroundConfig, FailureConfig};
     use jockey_simrt::time::SimTime;
     ClusterConfig {
-        placement: None,
         topology: None,
         speculation: None,
         total_tokens: 150,
@@ -219,7 +218,6 @@ pub fn base_cluster() -> ClusterConfig {
             replica_loss_prob: 0.0,
         },
         max_sim_time: SimTime::from_mins(12 * 60),
-        queue_backend: Default::default(),
     }
 }
 

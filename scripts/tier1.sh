@@ -7,6 +7,10 @@ cargo build --workspace --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
+# The benchmark package (its own workspace under perfbench/) calls the
+# library's public API; its tests fail here, not at benchmark time, if
+# a change removes or renames something it uses.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # Benches must keep compiling (full runs stay manual; see
 # BENCH_control_plane.json for the recorded numbers).
 cargo bench --workspace --no-run
@@ -15,12 +19,12 @@ cargo bench --workspace --no-run
 # compiled.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench control_plane
 # Smoke-run the simulation-kernel bench so both queue backends (heap
-# and adaptive), the dense/sparse engine regimes, the dyn/enum
-# sampling pair and the C(p, a) table path all execute.
+# and adaptive) at queue level, the dense/sparse engine regimes on the
+# engine's adaptive queue, the dyn/enum sampling pair and the C(p, a)
+# table path all execute.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench simrt_kernel
-# Smoke-run the engine bench: events_per_sec plus both training paths
-# (train_one_model and the dense-kernel train_one_model_batched)
-# execute end to end on the adaptive-queue default.
+# Smoke-run the engine bench: events_per_sec (plain and speculative)
+# and the train_one_model training path execute end to end.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench engine
 # Smoke-run the service NFR bench: the open-loop driver end to end
 # (multi-threaded admission, churn, drain; recorded numbers live in
