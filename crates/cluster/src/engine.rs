@@ -65,6 +65,18 @@ pub enum TokenClass {
     Clone,
 }
 
+impl TokenClass {
+    /// Slot of this class in a job's per-class running counts.
+    #[inline]
+    pub(crate) fn slot(self) -> usize {
+        match self {
+            TokenClass::Guaranteed => 0,
+            TokenClass::Spare => 1,
+            TokenClass::Clone => 2,
+        }
+    }
+}
+
 /// The runtime multiplier a token class imposes: spare-class attempts
 /// run slowed by `spare_slowdown`; guaranteed attempts and speculative
 /// clones (which exist to *beat* a straggler) run at full speed.
@@ -187,7 +199,6 @@ impl TaskTable {
     }
 
     /// Total task slots in the table.
-    #[cfg(test)]
     pub(crate) fn total(&self) -> usize {
         self.state.len()
     }
@@ -250,6 +261,11 @@ pub struct JobRun {
     pub(crate) done_tasks: u64,
     pub(crate) ready: VecDeque<TaskId>,
     pub(crate) running: Vec<RunningTask>,
+    /// Running entries per [`TokenClass`], indexed by its slot. Kept
+    /// current by the running-list methods (`push_running`,
+    /// `remove_running`, `set_running_class`), the only writers of
+    /// `running`, so class totals never rescan the list.
+    pub(crate) class_counts: [u32; 3],
     pub(crate) guarantee: u32,
     pub(crate) work_done: f64,
     pub(crate) wasted: f64,
@@ -304,16 +320,38 @@ impl JobRun {
         &self.running
     }
 
-    /// Mutable running list; schedulers may reclassify tasks in place.
-    /// Removal must go through [`EngineCore::evict_spare`] (or the kill
-    /// paths) so requeue bookkeeping stays consistent.
-    pub fn running_mut(&mut self) -> &mut [RunningTask] {
-        &mut self.running
-    }
-
     /// Running tasks occupying the given token class.
     pub fn running_in_class(&self, class: TokenClass) -> u32 {
-        self.running.iter().filter(|r| r.class == class).count() as u32
+        self.class_counts[class.slot()]
+    }
+
+    /// Appends a running entry, counting it under its class and, under
+    /// a topology, on its host in `machine_load`.
+    pub(crate) fn push_running(&mut self, r: RunningTask, machine_load: &mut [u32]) {
+        self.class_counts[r.class.slot()] += 1;
+        if let Some(m) = r.machine {
+            machine_load[m as usize] += 1;
+        }
+        self.running.push(r);
+    }
+
+    /// Swap-removes the running entry at `pos`, uncounting it.
+    pub(crate) fn remove_running(&mut self, pos: usize, machine_load: &mut [u32]) -> RunningTask {
+        let r = self.running.swap_remove(pos);
+        self.class_counts[r.class.slot()] -= 1;
+        if let Some(m) = r.machine {
+            machine_load[m as usize] -= 1;
+        }
+        r
+    }
+
+    /// Moves the running entry at `pos` into `class` (a demotion or an
+    /// upgrade; the sampled completion time is unchanged).
+    pub(crate) fn set_running_class(&mut self, pos: usize, class: TokenClass) {
+        let r = &mut self.running[pos];
+        self.class_counts[r.class.slot()] -= 1;
+        self.class_counts[class.slot()] += 1;
+        r.class = class;
     }
 
     /// The lifecycle state of one task.
@@ -399,8 +437,9 @@ pub struct EngineCore {
     /// Realized topology, built once from `cfg.topology`. `None` runs
     /// the legacy flat model bit-identically.
     pub(crate) topology: Option<ClusterTopology>,
-    /// Scratch per-machine running-task counts, refreshed before each
-    /// topology placement decision.
+    /// Running entries per machine across every job, sized to the
+    /// topology's machine count (empty in the flat model) and kept
+    /// current by the running-list methods of [`JobRun`].
     pub(crate) machine_load: Vec<u32>,
 }
 
@@ -479,6 +518,7 @@ impl EngineCore {
             done_tasks: 0,
             ready,
             running,
+            class_counts: [0; 3],
             guarantee: 0,
             work_done: 0.0,
             wasted: 0.0,
@@ -607,19 +647,6 @@ impl EngineCore {
         now: SimTime,
         slowdown: f64,
     ) {
-        // Refresh the per-machine load scratch before borrowing the job
-        // mutably: the placement policy sees every job's residents.
-        if let Some(topo) = &self.topology {
-            self.machine_load.clear();
-            self.machine_load.resize(topo.machine_count() as usize, 0);
-            for job in &self.jobs {
-                for r in &job.running {
-                    if let Some(m) = r.machine {
-                        self.machine_load[m as usize] += 1;
-                    }
-                }
-            }
-        }
         let job = &mut self.jobs[j];
         let s = task.stage.index();
         let attempt = job.tasks.bump_attempts(task);
@@ -651,15 +678,18 @@ impl EngineCore {
             TokenClass::Clone => job.clone_task_count += 1,
         }
         job.set_task_state(task, TaskState::Running { attempt });
-        job.running.push(RunningTask {
-            task,
-            attempt,
-            class,
-            started: now,
-            queue_secs,
-            run_secs,
-            machine,
-        });
+        job.push_running(
+            RunningTask {
+                task,
+                attempt,
+                class,
+                started: now,
+                queue_secs,
+                run_secs,
+                machine,
+            },
+            &mut self.machine_load,
+        );
         observe!(
             self.observer,
             now,
@@ -686,7 +716,7 @@ impl EngineCore {
     /// is a scheduling decision, not a task fault.
     pub fn evict_spare(&mut self, j: usize, pos: usize, now: SimTime) {
         let job = &mut self.jobs[j];
-        let victim = job.running.swap_remove(pos);
+        let victim = job.remove_running(pos, &mut self.machine_load);
         let elapsed = now.saturating_since(victim.started).as_secs_f64();
         job.wasted += elapsed.min(victim.run_secs);
         job.set_task_state(victim.task, TaskState::Ready);
@@ -710,7 +740,7 @@ impl EngineCore {
         let mut i = 0;
         while i < job.running.len() {
             if job.running[i].machine == Some(machine) {
-                let victim = job.running.swap_remove(i);
+                let victim = job.remove_running(i, &mut self.machine_load);
                 let elapsed = now.saturating_since(victim.started).as_secs_f64();
                 job.wasted += elapsed.min(victim.run_secs);
                 if record_profile {
@@ -749,7 +779,7 @@ impl EngineCore {
                 break;
             }
             let pos = rand::Rng::gen_range(&mut job.rng_fail, 0..job.running.len());
-            let victim = job.running.swap_remove(pos);
+            let victim = job.remove_running(pos, &mut self.machine_load);
             let elapsed = now.saturating_since(victim.started).as_secs_f64();
             job.wasted += elapsed.min(victim.run_secs);
             if record_profile {
@@ -924,6 +954,7 @@ impl Engine {
         let background = BackgroundModel::new(cfg.background.clone(), seeds.rng("background"));
         let failure = DefaultFailureModel::new(seeds.rng("machine-failures"));
         let topology = cfg.topology.as_ref().map(ClusterTopology::build);
+        let machine_load = vec![0; topology.as_ref().map_or(0, |t| t.machine_count() as usize)];
         Engine {
             core: EngineCore {
                 cfg,
@@ -941,7 +972,7 @@ impl Engine {
                 cand_scratch: Vec::new(),
                 spare_buffers: Vec::new(),
                 topology,
-                machine_load: Vec::new(),
+                machine_load,
             },
             scheduler: WeightedFair,
             failure,
@@ -1063,14 +1094,13 @@ impl Engine {
         }
     }
 
-    /// Dynamic half of the batching gate: no running task anywhere
-    /// holds a Spare-class token.
+    /// Dynamic half of the batching gate: every running task anywhere
+    /// holds a Guaranteed-class token.
     fn all_running_guaranteed(&self) -> bool {
-        self.core.jobs.iter().all(|job| {
-            job.running
-                .iter()
-                .all(|r| r.class == TokenClass::Guaranteed)
-        })
+        self.core
+            .jobs
+            .iter()
+            .all(|job| job.running_in_class(TokenClass::Guaranteed) as usize == job.running.len())
     }
 
     /// Drains the batch of same-instant `TaskDone` events beginning with
@@ -1387,7 +1417,7 @@ impl Engine {
                 job.running[pos].task == task && job.running[pos].attempt == attempt,
                 "failure model mutated the running list during the completion draw"
             );
-            let running = job.running.swap_remove(pos);
+            let running = job.remove_running(pos, &mut self.core.machine_load);
 
             if record_profile {
                 job.profile
@@ -1438,7 +1468,7 @@ impl Engine {
                     let mut i = 0;
                     while i < job.running.len() {
                         if job.running[i].task == task {
-                            let victim = job.running.swap_remove(i);
+                            let victim = job.remove_running(i, &mut self.core.machine_load);
                             let elapsed = now.saturating_since(victim.started).as_secs_f64();
                             job.wasted += elapsed.min(victim.run_secs);
                             killed += 1;
@@ -1492,25 +1522,28 @@ impl Engine {
         // check in the sibling-free engine, and additionally correct
         // when a failed attempt leaves the state `Running`.)
         if !failed {
-            let graph = self.core.jobs[j].spec.graph.clone();
-            let deps = TaskDeps::new(&graph);
             let mut candidates = std::mem::take(&mut self.core.cand_scratch);
             candidates.clear();
-            deps.push_candidate_dependents(task, stage_now_complete, &mut candidates);
             let record_trace = self.core.record_trace;
             {
+                // Field-wise borrows: the graph is read through the
+                // job's spec while its task table and ready queue change.
                 let job = &mut self.core.jobs[j];
+                let deps = TaskDeps::new(&job.spec.graph);
+                deps.push_candidate_dependents(task, stage_now_complete, &mut candidates);
                 for &c in &candidates {
-                    if job.task_state(c) == TaskState::Pending
+                    if job.tasks.state(c) == TaskState::Pending
                         && deps.is_ready(c, &job.completed, |t| {
                             matches!(job.tasks.state(t), TaskState::Done { .. })
                         })
                     {
-                        job.set_task_state(c, TaskState::Ready);
+                        job.tasks.set_state(c, TaskState::Ready);
                         job.ready.push_back(c);
                     }
                 }
-                if job.done_tasks == job.total_tasks() {
+                // The task table holds one slot per task, so its length
+                // is the job's task total without re-summing stages.
+                if job.done_tasks == job.tasks.total() as u64 {
                     job.finished_at = Some(now);
                     if record_trace {
                         job.trace.guarantee.push(now, f64::from(job.guarantee));

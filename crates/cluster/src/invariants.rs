@@ -7,7 +7,7 @@
 
 use jockey_simrt::time::SimTime;
 
-use crate::engine::{EngineCore, TaskState, TokenClass};
+use crate::engine::{EngineCore, RunningTask, TaskState};
 
 /// Verifies the simulator's core invariants after an event:
 ///
@@ -26,7 +26,10 @@ use crate::engine::{EngineCore, TaskState, TokenClass};
 ///    speculation; per distinct task with sibling attempts racing, and
 ///    every entry — so no orphan clones — anchored to a live attempt),
 ///    and `done_tasks` equals the per-stage sum.
-/// 4. **Monotone stage fractions** — completed counts never decrease
+/// 4. **Running-set accounting** — each job's incremental per-class
+///    running counts, and under a topology the per-machine load the
+///    placement reads, equal a recount of the running lists.
+/// 5. **Monotone stage fractions** — completed counts never decrease
 ///    except through an explicit data-loss rollback (which lowers the
 ///    floor).
 pub(crate) fn check(core: &mut EngineCore, now: SimTime) {
@@ -52,7 +55,10 @@ pub(crate) fn check(core: &mut EngineCore, now: SimTime) {
     let mut spare_running: u32 = 0;
     let mut clone_running: u32 = 0;
     for (j, job) in core.jobs.iter().enumerate() {
-        let g = job.running_in_class(TokenClass::Guaranteed);
+        // Counted from the running list itself, never from the engine's
+        // incremental class counts (those are checked against these
+        // below, under running-set accounting).
+        let [g, sp, c] = class_totals(job.running());
         if g > job.guarantee() {
             violation(
                 core,
@@ -65,8 +71,7 @@ pub(crate) fn check(core: &mut EngineCore, now: SimTime) {
             );
         }
         guar_running += g;
-        spare_running += job.running_in_class(TokenClass::Spare);
-        let c = job.running_in_class(TokenClass::Clone);
+        spare_running += sp;
         match &core.cfg.speculation {
             Some(sp) if c > sp.clone_budget => violation(
                 core,
@@ -199,6 +204,40 @@ pub(crate) fn check(core: &mut EngineCore, now: SimTime) {
         }
     }
 
+    // Running-set accounting: the engine's incremental per-class and
+    // per-machine counts match a recount of the running lists.
+    let mut machine_load = vec![0_u32; core.machine_load.len()];
+    for (j, job) in core.jobs.iter().enumerate() {
+        let counted = class_totals(job.running());
+        if counted != job.class_counts {
+            violation(
+                core,
+                now,
+                "running-set accounting",
+                format!(
+                    "job {j}: class counts {:?} but the running list holds {counted:?} \
+                     (guaranteed, spare, clone)",
+                    job.class_counts
+                ),
+            );
+        }
+        for m in job.running().iter().filter_map(|r| r.machine) {
+            machine_load[m as usize] += 1;
+        }
+    }
+    for (m, (&counted, &kept)) in machine_load.iter().zip(&core.machine_load).enumerate() {
+        if counted != kept {
+            violation(
+                core,
+                now,
+                "running-set accounting",
+                format!(
+                    "machine {m}: load count {kept} but {counted} running entries are hosted there"
+                ),
+            );
+        }
+    }
+
     // Monotone stage fractions.
     for j in 0..core.jobs.len() {
         for s in 0..core.jobs[j].completed.len() {
@@ -216,6 +255,16 @@ pub(crate) fn check(core: &mut EngineCore, now: SimTime) {
         }
         core.completed_floor[j].copy_from_slice(&core.jobs[j].completed);
     }
+}
+
+/// Running entries per token class, `[guaranteed, spare, clone]`,
+/// counted from the list.
+fn class_totals(running: &[RunningTask]) -> [u32; 3] {
+    let mut counts = [0; 3];
+    for r in running {
+        counts[r.class.slot()] += 1;
+    }
+    counts
 }
 
 /// Panics with the violation and the tail of the attached journal.
@@ -240,6 +289,7 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::controller::FixedAllocation;
+    use crate::engine::TokenClass;
     use crate::job::JobSpec;
     use crate::sim::ClusterSim;
     use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
@@ -318,6 +368,34 @@ mod tests {
         // existing guaranteed entries keeps every other account intact.
         sim.engine.core.jobs[0].running[0].class = TokenClass::Clone;
         sim.engine.core.jobs[0].running[1].class = TokenClass::Clone;
+        check(&mut sim.engine.core, now);
+    }
+
+    #[test]
+    #[should_panic(expected = "running-set accounting")]
+    fn invariant_fires_on_class_count_drift() {
+        let (mut sim, _, now) = stepped_sim(false);
+        // A spare count with no spare entry behind it: the recount of
+        // the running list disagrees with the incremental count.
+        sim.engine.core.jobs[0].class_counts[TokenClass::Spare.slot()] += 1;
+        check(&mut sim.engine.core, now);
+    }
+
+    #[test]
+    #[should_panic(expected = "running-set accounting")]
+    fn invariant_fires_on_machine_load_drift() {
+        use crate::topology::TopologyConfig;
+        let mut cfg = ClusterConfig::dedicated(4);
+        cfg.topology = Some(TopologyConfig::uniform(2, 4));
+        let mut sim = ClusterSim::new(cfg, 1);
+        sim.add_job(spec(8, 2, 10.0), Box::new(FixedAllocation(4)));
+        sim.engine.prime();
+        let (now, event) = sim.engine.core.queue.pop().expect("job start");
+        sim.engine.step(now, event, None);
+        let m = sim.engine.core.jobs[0].running()[0]
+            .machine
+            .expect("topology places every task") as usize;
+        sim.engine.core.machine_load[m] -= 1;
         check(&mut sim.engine.core, now);
     }
 

@@ -36,22 +36,20 @@ impl WeightedFair {
         let bg_demand = core.background.demand_tokens(now, total);
         let slowdown = core.background.slowdown(now);
 
-        // Phase 1: per-job class balancing and guaranteed starts. The
-        // guaranteed-class count is established with one scan and then
-        // maintained incrementally, so the fill loop is O(1) per start
-        // instead of rescanning the running list per iteration (the
-        // former inner-loop `running_in_class` scans dominated dense
-        // passes).
+        // Phase 1: per-job class balancing and guaranteed starts. Class
+        // totals are the job's running counts (kept by the engine as
+        // tasks start, stop and change class), so no check here
+        // rescans a running list; only picking *which* task to demote
+        // or upgrade does.
         for j in 0..core.jobs.len() {
             if !core.jobs[j].is_active() {
                 continue;
             }
             let guarantee = core.jobs[j].guarantee;
-            let mut guar = core.jobs[j].running_in_class(TokenClass::Guaranteed);
             {
                 let job = &mut core.jobs[j];
                 // Demote newest guaranteed tasks above the guarantee.
-                while guar > guarantee {
+                while job.running_in_class(TokenClass::Guaranteed) > guarantee {
                     let pos = job
                         .running
                         .iter()
@@ -60,52 +58,44 @@ impl WeightedFair {
                         .max_by_key(|(_, r)| r.started)
                         .map(|(i, _)| i)
                         .expect("counted above");
-                    job.running[pos].class = TokenClass::Spare;
-                    guar -= 1;
+                    job.set_running_class(pos, TokenClass::Spare);
                 }
                 // Upgrade oldest spare tasks into unused guarantee.
-                while guar < guarantee {
+                while job.running_in_class(TokenClass::Guaranteed) < guarantee
+                    && job.running_in_class(TokenClass::Spare) > 0
+                {
                     let pos = job
                         .running
                         .iter()
                         .enumerate()
                         .filter(|(_, r)| r.class == TokenClass::Spare)
-                        .min_by_key(|(_, r)| r.started);
-                    match pos {
-                        Some((i, _)) => {
-                            job.running[i].class = TokenClass::Guaranteed;
-                            guar += 1;
-                        }
-                        None => break,
-                    }
+                        .min_by_key(|(_, r)| r.started)
+                        .map(|(i, _)| i)
+                        .expect("counted above");
+                    job.set_running_class(pos, TokenClass::Guaranteed);
                 }
             }
             // Start new guaranteed tasks.
-            while guar < guarantee {
+            while core.jobs[j].running_in_class(TokenClass::Guaranteed) < guarantee {
                 let Some(task) = core.jobs[j].pop_ready() else {
                     break;
                 };
                 core.start_task(j, task, TokenClass::Guaranteed, now, slowdown);
-                guar += 1;
             }
         }
 
-        // Phase 2: spare capacity accounting (all class totals in one
-        // scan of each running list). Clone-class attempts hold real
-        // tokens, so they shrink the spare budget; they are never
-        // demoted, upgraded, or evicted here — their lifetime is
-        // bounded by kill-on-first-finish.
+        // Phase 2: spare capacity accounting from the per-job class
+        // counts. Clone-class attempts hold real tokens, so they shrink
+        // the spare budget; they are never demoted, upgraded, or
+        // evicted here — their lifetime is bounded by
+        // kill-on-first-finish.
         let mut guar_running: u32 = 0;
         let mut spare_running: u32 = 0;
         let mut clone_running: u32 = 0;
         for job in &core.jobs {
-            for r in &job.running {
-                match r.class {
-                    TokenClass::Guaranteed => guar_running += 1,
-                    TokenClass::Spare => spare_running += 1,
-                    TokenClass::Clone => clone_running += 1,
-                }
-            }
+            guar_running += job.running_in_class(TokenClass::Guaranteed);
+            spare_running += job.running_in_class(TokenClass::Spare);
+            clone_running += job.running_in_class(TokenClass::Clone);
         }
         let spare_budget = i64::from(total)
             - i64::from(bg_demand)

@@ -11,6 +11,17 @@ cargo fmt --all --check
 # library's public API; its tests fail here, not at benchmark time, if
 # a change removes or renames something it uses.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+# Full-scale outcome gate: the benchmark's simulation workloads at
+# seed 1 must keep their outcome digests, so "byte-identical" holds at
+# full scale and not only for the smoke goldens below.
+for gate in train:45c285bffc109a4e slo:d74d82e51fd2a6a7 scenarios:82b130b99cb395b4; do
+  workload="${gate%%:*}"
+  digest="${gate#*:}"
+  out="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 0.1 --trace 0)"
+  grep -q "digest=$digest" <<<"$out" \
+    || { echo "tier1: perfbench $workload digest drifted from $digest" >&2; exit 1; }
+done
 # Benches must keep compiling (full runs stay manual; see
 # BENCH_control_plane.json for the recorded numbers).
 cargo bench --workspace --no-run

@@ -444,6 +444,11 @@ fn cmd_service(flags: &Flags) -> Result<(), String> {
     // straggler tail (--tail-factor, default 2x) without cloning.
     let clone_budget: u32 = flags.get_parsed("speculation", 0)?;
     let tail_factor: f64 = flags.get_parsed("tail-factor", 2.0)?;
+    if !(tail_factor >= 1.0 && tail_factor.is_finite()) {
+        return Err(format!(
+            "--tail-factor must be a finite multiplier >= 1, got {tail_factor}"
+        ));
+    }
     let speculation = (clone_budget > 0).then_some(jockey::workloads::service::SpeculationSpec {
         tail_factor,
         clone_budget,
