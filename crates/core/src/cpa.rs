@@ -42,7 +42,7 @@ use jockey_simrt::time::{SimDuration, SimTime};
 
 use crate::predict::{min_feasible_allocation, CompletionModel};
 use crate::progress::IndicatorContext;
-use crate::sketch::{CellSketch, MIN_SKETCH_CAPACITY};
+use crate::sketch::{CellSketch, MAX_SKETCH_LEVELS, MIN_SKETCH_CAPACITY};
 
 /// Offline training configuration.
 #[derive(Clone, Debug)]
@@ -303,7 +303,13 @@ pub struct CpaModel {
     /// `cells[alloc_idx][bin]`: a mergeable quantile sketch over the
     /// remaining-time samples. Exact (a plain sorted list) unless a
     /// `sketch_capacity` was configured.
-    cells: Vec<Vec<CellSketch>>,
+    ///
+    /// Each allocation row sits behind its own [`Arc`] and is written
+    /// copy-on-write: cloning a model (what [`crate::online::ModelStore`]
+    /// does to publish a snapshot) copies row pointers, not sketches,
+    /// and a later absorb copies only the rows it touches while the
+    /// published snapshot keeps the old ones.
+    cells: Vec<Arc<Vec<CellSketch>>>,
     /// Dense `allocations.len() x bins` lookup table: the configured
     /// percentile of each `(allocation, bin)` cell, with the outward
     /// empty-cell fallback already resolved. [`CpaModel::remaining`] —
@@ -346,10 +352,11 @@ impl CpaModel {
             bins: cfg.progress_bins,
             percentile: cfg.percentile,
             sketch_k: cfg.sketch_capacity,
-            cells: vec![
-                vec![CellSketch::new(cfg.sketch_capacity); cfg.progress_bins];
-                cfg.allocations.len()
-            ],
+            cells: vacant_rows(
+                cfg.allocations.len(),
+                cfg.progress_bins,
+                cfg.sketch_capacity,
+            ),
             table: Vec::new(),
             fresh_monotone: false,
         }
@@ -364,7 +371,7 @@ impl CpaModel {
             bins: self.bins,
             percentile: self.percentile,
             sketch_k: self.sketch_k,
-            cells: vec![vec![CellSketch::new(self.sketch_k); self.bins]; self.allocations.len()],
+            cells: vacant_rows(self.allocations.len(), self.bins, self.sketch_k),
             table: Vec::new(),
             fresh_monotone: false,
         };
@@ -546,8 +553,11 @@ impl CpaModel {
         }
         staged.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
         // Merge each cell's contiguous (already ascending) batch into
-        // its sketch.
+        // its sketch. Cells of one row are contiguous too, so each
+        // touched row is made unique (copied if a snapshot shares it)
+        // once, not once per cell.
         let mut batch: Vec<f64> = Vec::new();
+        let mut row: Option<(usize, &mut Vec<CellSketch>)> = None;
         let mut i = 0;
         while i < staged.len() {
             let key = staged[i].0;
@@ -557,10 +567,14 @@ impl CpaModel {
                 .map_or(staged.len(), |p| i + p);
             batch.clear();
             batch.extend(staged[i..end].iter().map(|e| e.1));
-            self.cells[key.0][key.1].extend_sorted(&batch);
-            if let Some(d) = dirty.as_deref_mut() {
-                d[key.0] = true;
+            if row.as_ref().is_none_or(|&(ai, _)| ai != key.0) {
+                row = Some((key.0, Arc::make_mut(&mut self.cells[key.0])));
+                if let Some(d) = dirty.as_deref_mut() {
+                    d[key.0] = true;
+                }
             }
+            let (_, cells) = row.as_mut().expect("row set above");
+            cells[key.1].extend_sorted(&batch);
             i = end;
         }
         staged.len()
@@ -880,6 +894,9 @@ impl CpaModel {
                 match parts.get(2) {
                     None => levels[0] = values,
                     Some(&"c") => {
+                        if values.len() > MAX_SKETCH_LEVELS {
+                            return Err(bad());
+                        }
                         let mut parsed = Vec::with_capacity(values.len());
                         for c in values {
                             if !(c.is_finite() && c >= 0.0 && c.fract() == 0.0) {
@@ -896,7 +913,7 @@ impl CpaModel {
                         let li: usize = level_key
                             .strip_prefix('l')
                             .and_then(|s| s.parse().ok())
-                            .filter(|&li| li >= 1)
+                            .filter(|&li| (1..MAX_SKETCH_LEVELS).contains(&li))
                             .ok_or_else(bad)?;
                         if levels.len() <= li {
                             levels.resize(li + 1, Vec::new());
@@ -914,7 +931,7 @@ impl CpaModel {
                     .ok_or_else(|| ModelLoadError::BadCell(format!("cell.{ai}.{bin}")))?;
                 alloc_cells.push(sketch);
             }
-            cells.push(alloc_cells);
+            cells.push(Arc::new(alloc_cells));
         }
         let mut model = CpaModel {
             allocations,
@@ -928,6 +945,14 @@ impl CpaModel {
         model.build_table();
         Ok(model)
     }
+}
+
+/// `allocations` rows of `bins` empty sketches, each row its own
+/// [`Arc`] so that a first absorb into a row copies nothing.
+fn vacant_rows(allocations: usize, bins: usize, k: Option<usize>) -> Vec<Arc<Vec<CellSketch>>> {
+    (0..allocations)
+        .map(|_| Arc::new(vec![CellSketch::new(k); bins]))
+        .collect()
 }
 
 /// Why a serialized `C(p, a)` table failed to load
@@ -1781,13 +1806,17 @@ mod persistence_tests {
 
         // Sketch-era malformations: a level-zero suffix (`l0` shadows
         // the base key), a dotted tail that is neither `c` nor `l<i>`,
-        // non-integer compaction counters, and an undersized sketch_k.
+        // non-integer compaction counters, levels or counter lists past
+        // MAX_SKETCH_LEVELS, and an undersized sketch_k.
         for (key, vals) in [
             ("cell.0.1.l0", vec![1.0]),
             ("cell.0.1.x7", vec![1.0]),
             ("cell.0.1.l2.9", vec![1.0]),
             ("cell.0.1.c", vec![1.5]),
             ("cell.0.1.c", vec![-1.0]),
+            ("cell.0.1.l64", vec![1.0]),
+            ("cell.0.1.l1000", vec![1.0]),
+            ("cell.0.1.c", vec![0.0; 65]),
         ] {
             let mut kv = jockey_simrt::table::KvStore::new();
             kv.set_u64("bins", 10);

@@ -198,10 +198,18 @@ struct StoreInner {
 
 /// Owns the evolving master model and publishes immutable snapshots.
 ///
-/// Readers call [`ModelStore::current`] (a lock-held `Arc` clone, no
-/// contention with learners beyond the pointer swap) and never observe
-/// a half-updated table; each absorb bumps [`ModelStore::generation`]
-/// so consumers can cheaply detect staleness.
+/// Readers call [`ModelStore::current`] (a read lock and an `Arc`
+/// clone, no contention with learners beyond the pointer swap) and
+/// never observe a half-updated table; each absorb bumps
+/// [`ModelStore::generation`] so consumers can cheaply detect
+/// staleness. That read is cheap but not free, so a reader that asks
+/// many queries for one decision takes the snapshot once and queries
+/// it (see [`ModelHandle`]).
+///
+/// A publish is a shallow clone of the master: the master and every
+/// snapshot share their sketch rows, and the next absorb copies only
+/// the rows it writes (copy-on-write), so a published snapshot never
+/// changes after it is taken.
 pub struct ModelStore {
     current: RwLock<Arc<CpaModel>>,
     generation: AtomicU64,
@@ -299,16 +307,30 @@ impl ModelStore {
     }
 }
 
-/// A [`CompletionModel`] view over a [`ModelStore`], resolving the
-/// current snapshot per call so every consumer — sizing, refresh,
-/// per-tick control — always reads the latest generation without
-/// holding any reference across ticks.
+/// A [`CompletionModel`] view over a [`ModelStore`]: the store's
+/// learned table, with an optional *floor* model answering wherever the
+/// learned table cannot (infinite predictions from vacant cells,
+/// infeasible sizing). The cold-start posture is "borrowed or floor
+/// first, learned as soon as samples exist", with the floor demoted
+/// automatically because a finite learned answer always wins.
 ///
-/// An optional *floor* model answers wherever the learned table cannot
-/// (infinite predictions from vacant cells, infeasible sizing): the
-/// cold-start posture is "borrowed or floor first, learned as soon as
-/// samples exist", with the floor demoted automatically because a
-/// finite learned answer always wins.
+/// The handle holds no snapshot of its own; what it answers from is
+/// resolved per decision, not per query:
+///
+/// - [`CompletionModel::pinned`] takes the newest published snapshot
+///   once and returns it frozen, blended with the floor. The control
+///   plane pins once per model per arbitration refresh, so a refresh
+///   of a thousand jobs sharing one handle reads the store once and
+///   splits the budget against one generation.
+/// - [`CompletionModel::size_for_deadline`] resolves the newest
+///   snapshot once per sizing call, so every allocation it probes
+///   reads the same generation.
+/// - [`CompletionModel::remaining_secs`] and
+///   [`CompletionModel::max_allocation`] called on the handle itself
+///   resolve the newest snapshot on each call.
+///
+/// Nothing holds a snapshot across decisions, so each decision sees
+/// the generation current when it began.
 #[derive(Clone)]
 pub struct ModelHandle {
     store: Arc<ModelStore>,
@@ -334,23 +356,92 @@ impl ModelHandle {
     pub fn store(&self) -> &Arc<ModelStore> {
         &self.store
     }
+
+    /// The handle's answers against one snapshot of the learned table.
+    fn blend<'a>(&'a self, learned: &'a CpaModel) -> Blend<'a> {
+        Blend {
+            learned,
+            floor: self.floor.as_deref(),
+        }
+    }
 }
 
 impl CompletionModel for ModelHandle {
     fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
-        let v = self.store.current().remaining(progress, allocation);
+        self.blend(&self.store.current())
+            .remaining_secs(fs, progress, allocation)
+    }
+
+    fn max_allocation(&self) -> u32 {
+        self.blend(&self.store.current()).max_allocation()
+    }
+
+    fn size_for_deadline(&self, fs: &[f64], deadline: SimDuration, slack: f64) -> Option<u32> {
+        self.blend(&self.store.current())
+            .size_for_deadline(fs, deadline, slack)
+    }
+
+    fn pinned(&self) -> Option<Arc<dyn CompletionModel>> {
+        Some(Arc::new(Pinned {
+            learned: self.store.current(),
+            floor: self.floor.clone(),
+        }))
+    }
+}
+
+/// A [`ModelHandle`] pinned to the snapshot that was current when
+/// [`CompletionModel::pinned`] was called.
+struct Pinned {
+    learned: Arc<CpaModel>,
+    floor: Option<Arc<dyn CompletionModel>>,
+}
+
+impl Pinned {
+    fn blend(&self) -> Blend<'_> {
+        Blend {
+            learned: &self.learned,
+            floor: self.floor.as_deref(),
+        }
+    }
+}
+
+impl CompletionModel for Pinned {
+    fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
+        self.blend().remaining_secs(fs, progress, allocation)
+    }
+
+    fn max_allocation(&self) -> u32 {
+        self.blend().max_allocation()
+    }
+
+    fn size_for_deadline(&self, fs: &[f64], deadline: SimDuration, slack: f64) -> Option<u32> {
+        self.blend().size_for_deadline(fs, deadline, slack)
+    }
+}
+
+/// The learned-over-floor blend every [`ModelHandle`] answer comes
+/// from: one snapshot of the learned table, with the floor answering
+/// where that table has no finite answer.
+struct Blend<'a> {
+    learned: &'a CpaModel,
+    floor: Option<&'a dyn CompletionModel>,
+}
+
+impl CompletionModel for Blend<'_> {
+    fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
+        let v = self.learned.remaining(progress, allocation);
         if v.is_finite() {
             return v;
         }
-        match &self.floor {
+        match self.floor {
             Some(floor) => floor.remaining_secs(fs, progress, allocation),
             None => v,
         }
     }
 
     fn max_allocation(&self) -> u32 {
-        let learned = self.store.current().max_allocation();
-        match &self.floor {
+        let learned = self.learned.max_allocation();
+        match self.floor {
             Some(floor) => learned.max(floor.max_allocation()),
             None => learned,
         }
@@ -684,6 +775,173 @@ mod tests {
         store.record_completion(run(4, 80.0, f64::NAN));
         let learned = floored.remaining_secs(&[], 0.0, 4);
         assert!(learned <= 80.0 + 1e-9, "learned answer {learned}");
+    }
+
+    /// Every (progress bin, allocation) answer of `model` at the
+    /// configured and at an explicit percentile, as bits.
+    fn answer_bits(model: &CpaModel) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for i in 0..=20 {
+            let p = f64::from(i) / 20.0;
+            for a in 0..=10 {
+                bits.push(model.remaining(p, a).to_bits());
+                bits.push(model.remaining_percentile(p, a, 50.0).to_bits());
+            }
+        }
+        bits
+    }
+
+    /// Publishing shares sketch rows between the master and every
+    /// snapshot: a snapshot taken before an absorb must keep answering
+    /// exactly as it did, whichever rows the absorb (or a drift
+    /// retrain) rewrote afterwards.
+    #[test]
+    fn published_snapshots_are_isolated_from_later_absorbs() {
+        let bounded = TrainConfig {
+            sketch_capacity: Some(8),
+            ..cfg()
+        };
+        let mut model = CpaModel::empty(&bounded);
+        for a in [2_u32, 4, 8] {
+            for i in 0..6 {
+                let r = run(a, 100.0 + f64::from(i), f64::NAN);
+                model.absorb_observations(&r.observations, r.total_secs, r.completed);
+            }
+        }
+        let online = OnlineConfig {
+            drift: DriftConfig {
+                window: 8,
+                min_observations: 4,
+                z_threshold: 1.0,
+                percentile: 90.0,
+            },
+            retain_runs: 4,
+        };
+        let store = ModelStore::new(model, online);
+        let before = store.current();
+        let text = before.to_kv().to_text();
+        let bits = answer_bits(&before);
+
+        // Absorbs into every row, then runs slow enough to fire the
+        // drift detector and rebuild the master from its window.
+        let mut retrained = false;
+        for i in 0..12 {
+            let a = [2_u32, 4, 8][i % 3];
+            retrained |= store
+                .record_completion(run(a, 400.0, 100.0))
+                .drift_retrained;
+        }
+        assert!(retrained, "the drift retrain path never ran");
+        assert_ne!(store.current().to_kv().to_text(), text, "nothing changed");
+
+        assert_eq!(before.to_kv().to_text(), text);
+        assert_eq!(answer_bits(&before), bits);
+    }
+
+    /// Floor used by the pinning tests: answers every allocation, up to
+    /// a larger cap than the learned grid.
+    struct Flat;
+    impl CompletionModel for Flat {
+        fn remaining_secs(&self, _fs: &[f64], p: f64, a: u32) -> f64 {
+            (1.0 - p) * 1000.0 / f64::from(a.max(1))
+        }
+        fn max_allocation(&self) -> u32 {
+            12
+        }
+    }
+
+    /// A store whose learned model knows allocations 4 and 8 but has
+    /// nothing at 2, so queries at and near 2 fall back to the floor.
+    fn partly_learned_store() -> Arc<ModelStore> {
+        let mut model = CpaModel::empty(&cfg());
+        for a in [4_u32, 8] {
+            let r = run(a, 400.0 / f64::from(a), f64::NAN);
+            model.absorb_observations(&r.observations, r.total_secs, r.completed);
+        }
+        Arc::new(ModelStore::new(model, OnlineConfig::default()))
+    }
+
+    #[test]
+    fn pinned_view_answers_as_the_handle_does() {
+        let store = partly_learned_store();
+        for handle in [
+            ModelHandle::new(store.clone()),
+            ModelHandle::with_floor(store.clone(), Arc::new(Flat)),
+        ] {
+            let pinned = handle.pinned().expect("a handle pins");
+            assert_eq!(pinned.max_allocation(), handle.max_allocation());
+            let mut floored = 0;
+            for i in 0..=20 {
+                let p = f64::from(i) / 20.0;
+                for a in 0..=14 {
+                    let (x, y) = (
+                        pinned.remaining_secs(&[p], p, a),
+                        handle.remaining_secs(&[p], p, a),
+                    );
+                    assert_eq!(x.to_bits(), y.to_bits(), "p={p} a={a}");
+                    if !store.current().remaining(p, a).is_finite() && x.is_finite() {
+                        floored += 1;
+                    }
+                }
+            }
+            assert_eq!(floored > 0, handle.floor.is_some(), "floor fallbacks");
+            for secs in (0..=600).step_by(15) {
+                let d = SimDuration::from_secs(secs);
+                assert_eq!(
+                    pinned.size_for_deadline(&[0.0], d, 1.2),
+                    handle.size_for_deadline(&[0.0], d, 1.2),
+                    "deadline {secs}s"
+                );
+            }
+        }
+
+        // The view stays on the generation it pinned; the handle moves
+        // on with the store.
+        let handle = ModelHandle::with_floor(store.clone(), Arc::new(Flat));
+        let pinned = handle.pinned().expect("a handle pins");
+        let old = pinned.remaining_secs(&[0.0], 0.0, 2);
+        store.record_completion(run(2, 50.0, f64::NAN));
+        assert_eq!(
+            pinned.remaining_secs(&[0.0], 0.0, 2).to_bits(),
+            old.to_bits()
+        );
+        assert_ne!(
+            handle.remaining_secs(&[0.0], 0.0, 2).to_bits(),
+            old.to_bits()
+        );
+    }
+
+    #[test]
+    fn arbitrate_splits_pinned_jobs_as_it_splits_the_handle() {
+        use crate::arbiter::{arbitrate, ArbiterJob};
+        use crate::utility::UtilityFunction;
+
+        let store = partly_learned_store();
+        let handle: Arc<dyn CompletionModel> =
+            Arc::new(ModelHandle::with_floor(store, Arc::new(Flat)));
+        let pinned = handle.pinned().expect("a handle pins");
+        let jobs = |model: &Arc<dyn CompletionModel>| -> Vec<ArbiterJob> {
+            (0..12_u32)
+                .map(|i| ArbiterJob {
+                    model: model.clone(),
+                    utility: UtilityFunction::deadline(SimDuration::from_secs(
+                        200 + u64::from(i) * 37,
+                    )),
+                    progress: f64::from(i % 5) / 5.0,
+                    stage_fraction: vec![f64::from(i % 5) / 5.0],
+                    elapsed_secs: f64::from(i % 4) * 30.0,
+                    slack: 1.2,
+                })
+                .collect()
+        };
+        for budget in [12, 20, 40, 90] {
+            let split = arbitrate(&jobs(&handle), budget);
+            assert_eq!(arbitrate(&jobs(&pinned), budget), split, "budget {budget}");
+            assert!(split.iter().sum::<u32>() <= budget);
+            if budget > 12 {
+                assert!(split.iter().any(|&a| a > 1), "budget {budget}: {split:?}");
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,7 @@
 //!   occupant's serial; a recycled slot id never inherits the previous
 //!   occupant's allocation from a stale snapshot.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -601,6 +602,13 @@ impl ControlPlane {
         let mut active = Vec::with_capacity(slots.len());
         let mut jobs = Vec::with_capacity(slots.len());
         let mut serial = vec![0_u64; slots.len()];
+        // One frozen view per distinct model per refresh: the jobs of a
+        // service family share one handle, so the split reads its store
+        // once, not once per C(p, a) query, and sees one generation.
+        // Models that do not pin are used as they are and never enter
+        // the map, so a fleet of per-job closed-form models hashes
+        // nothing.
+        let mut pins: HashMap<*const (), Arc<dyn CompletionModel>> = HashMap::new();
         for (i, slot) in slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
             serial[i] = slot.serial;
@@ -609,8 +617,16 @@ impl ControlPlane {
                 continue;
             }
             active.push(i);
+            let key = Arc::as_ptr(&slot.model).cast::<()>();
+            let model = match pins.get(&key) {
+                Some(pinned) => pinned.clone(),
+                None => match slot.model.pinned() {
+                    Some(pinned) => pins.entry(key).or_insert(pinned).clone(),
+                    None => slot.model.clone(),
+                },
+            };
             jobs.push(ArbiterJob {
-                model: slot.model.clone(),
+                model,
                 utility: s.utility.clone(),
                 progress: s.progress,
                 stage_fraction: s.stage_fraction.clone(),
@@ -855,6 +871,63 @@ mod tests {
         assert_eq!(stats.ticks, 20 * n as u64);
         // Roughly one refresh per round — far fewer than one per tick.
         assert!(stats.refreshes <= 25 && stats.refreshes >= 10, "{stats:?}");
+    }
+
+    /// A [`Toy`] that counts the refreshes that pin it.
+    struct PinCounter {
+        work: f64,
+        pins: AtomicU64,
+    }
+
+    impl CompletionModel for PinCounter {
+        fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
+            Toy { work: self.work }.remaining_secs(fs, progress, allocation)
+        }
+        fn max_allocation(&self) -> u32 {
+            100
+        }
+        fn pinned(&self) -> Option<Arc<dyn CompletionModel>> {
+            self.pins.fetch_add(1, Ordering::Relaxed);
+            Some(Arc::new(Toy { work: self.work }))
+        }
+    }
+
+    #[test]
+    fn each_refresh_pins_each_shared_model_once() {
+        let plane = ControlPlane::new(200);
+        let shared: Vec<Arc<PinCounter>> = (0..2)
+            .map(|_| {
+                Arc::new(PinCounter {
+                    work: 36_000.0,
+                    pins: AtomicU64::new(0),
+                })
+            })
+            .collect();
+        // Four jobs on the first model, two on the second.
+        let mut handles: Vec<JobHandle> = (0..6)
+            .map(|i| {
+                let model: Arc<dyn CompletionModel> = shared[usize::from(i >= 4)].clone();
+                plane
+                    .try_add_job(
+                        &format!("job-{i}"),
+                        model,
+                        toy_indicator(),
+                        SimDuration::from_mins(60),
+                        1.0,
+                    )
+                    .expect("admitted")
+            })
+            .collect();
+        for minute in 0..5 {
+            for h in &mut handles {
+                h.tick(&status(minute, 0.02 * minute as f64, 4));
+            }
+        }
+        let refreshes = plane.stats().refreshes;
+        assert!(refreshes >= 4, "{:?}", plane.stats());
+        for model in &shared {
+            assert_eq!(model.pins.load(Ordering::Relaxed), refreshes);
+        }
     }
 
     #[test]

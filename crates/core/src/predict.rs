@@ -16,6 +16,8 @@
 //! longest path from `s` to the end of the job, and `T_s` the stage's
 //! total CPU time — all estimable from a prior run.
 
+use std::sync::Arc;
+
 use jockey_jobgraph::graph::JobGraph;
 use jockey_jobgraph::profile::JobProfile;
 use jockey_simrt::time::SimDuration;
@@ -49,6 +51,20 @@ pub trait CompletionModel: Send + Sync {
         min_feasible_allocation(self.max_allocation(), false, |a| {
             self.remaining_secs(fs, 0.0, a) * slack <= d
         })
+    }
+
+    /// A frozen view to answer one batch of queries from — one
+    /// arbitration refresh — or `None` (the default) when the model
+    /// already answers from fixed state and is queried directly.
+    ///
+    /// A model that resolves shared state on every query, such as
+    /// [`crate::online::ModelHandle`] reading its store's newest
+    /// snapshot, returns that state resolved once: the batch pays the
+    /// resolution once instead of per query, and every answer in it
+    /// comes from the same generation. The view must answer exactly
+    /// what the model would have answered at the moment it was taken.
+    fn pinned(&self) -> Option<Arc<dyn CompletionModel>> {
+        None
     }
 }
 

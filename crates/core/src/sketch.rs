@@ -56,6 +56,10 @@ pub struct CellSketch {
 /// rank error per compaction rivals the buffer itself.
 pub const MIN_SKETCH_CAPACITY: usize = 8;
 
+/// Most levels a sketch may have: a level-`i` item weighs `2^i`
+/// samples and counts are `u64`.
+pub const MAX_SKETCH_LEVELS: usize = 64;
+
 impl CellSketch {
     /// An empty sketch. `capacity == None` is exact mode.
     ///
@@ -83,7 +87,8 @@ impl CellSketch {
 
     /// Reconstructs a sketch from serialized parts. Levels are
     /// re-sorted defensively (already-sorted input round-trips
-    /// bit-identically). Returns `None` when the shapes disagree.
+    /// bit-identically). Returns `None` when the shapes disagree or
+    /// there are more than [`MAX_SKETCH_LEVELS`] levels.
     pub fn from_parts(
         capacity: Option<usize>,
         mut levels: Vec<Vec<f64>>,
@@ -95,7 +100,7 @@ impl CellSketch {
         if levels.is_empty() {
             levels.push(Vec::new());
         }
-        if compactions.len() > levels.len() {
+        if compactions.len() > levels.len() || levels.len() > MAX_SKETCH_LEVELS {
             return None;
         }
         compactions.resize(levels.len(), 0);
@@ -210,18 +215,41 @@ impl CellSketch {
             // frozen-mode answers stay bit-for-bit identical.
             return percentile_sorted(&self.levels[0], q);
         }
+        // Rank on the expanded multiset of `total` samples, exactly as
+        // percentile_sorted ranks a slice of length `total`.
+        let total = self.count();
+        let rank = q / 100.0 * (total - 1) as f64;
+        let lo = rank.floor() as u64;
+        let hi = rank.ceil() as u64;
+        let (vlo, vhi) = merged_values_at(&self.levels, lo, hi);
+        vlo + (vhi - vlo) * (rank - lo as f64)
+    }
+
+    /// The pre-merge-walk multi-level quantile: expand every level into
+    /// `(value, weight)` pairs, sort, and index. Kept as the oracle the
+    /// merge walk is held to bit for bit.
+    #[cfg(test)]
+    fn quantile_by_sort(&self, q: f64) -> f64 {
         let mut items: Vec<(f64, u64)> = Vec::with_capacity(self.item_count());
         for (i, level) in self.levels.iter().enumerate() {
             items.extend(level.iter().map(|&v| (v, 1_u64 << i)));
         }
         items.sort_by(|a, b| a.0.total_cmp(&b.0));
         let total: u64 = items.iter().map(|&(_, w)| w).sum();
-        // Rank on the expanded multiset of `total` samples, exactly as
-        // percentile_sorted ranks a slice of length `total`.
         let rank = q / 100.0 * (total - 1) as f64;
         let lo = rank.floor() as u64;
         let hi = rank.ceil() as u64;
-        let (vlo, vhi) = (value_at(&items, lo), value_at(&items, hi));
+        let value_at = |j: u64| {
+            let mut cum = 0_u64;
+            for &(v, w) in &items {
+                cum += w;
+                if j < cum {
+                    return v;
+                }
+            }
+            items.last().expect("non-empty items").0
+        };
+        let (vlo, vhi) = (value_at(lo), value_at(hi));
         vlo + (vhi - vlo) * (rank - lo as f64)
     }
 
@@ -264,17 +292,41 @@ impl CellSketch {
     }
 }
 
-/// Index into the expanded weighted multiset: the value of the item
-/// covering expanded position `j` (0-based).
-fn value_at(items: &[(f64, u64)], j: u64) -> f64 {
+/// The values of the items covering expanded positions `lo <= hi`
+/// (0-based) of the weighted multiset `levels` (level `i` items weigh
+/// `2^i`, at most [`MAX_SKETCH_LEVELS`] levels), found by one merge
+/// walk over the already-sorted levels — no buffer, no sort. Equal
+/// values are bit-identical under `total_cmp`, so the order in which
+/// the walk visits ties cannot change an answer. A position past the
+/// end answers the largest item.
+fn merged_values_at(levels: &[Vec<f64>], lo: u64, hi: u64) -> (f64, f64) {
+    let mut cursor = [0_usize; MAX_SKETCH_LEVELS];
     let mut cum = 0_u64;
-    for &(v, w) in items {
-        cum += w;
-        if j < cum {
-            return v;
+    let mut vlo = None;
+    let mut last = f64::NAN;
+    loop {
+        // The smallest head across levels (lowest level on ties).
+        let mut next: Option<(usize, f64)> = None;
+        for (i, level) in levels.iter().enumerate() {
+            if let Some(&v) = level.get(cursor[i]) {
+                if next.is_none_or(|(_, best)| v.total_cmp(&best).is_lt()) {
+                    next = Some((i, v));
+                }
+            }
+        }
+        let Some((i, v)) = next else {
+            return (vlo.unwrap_or(last), last);
+        };
+        cursor[i] += 1;
+        cum += 1_u64 << i;
+        last = v;
+        if vlo.is_none() && lo < cum {
+            vlo = Some(v);
+        }
+        if hi < cum {
+            return (vlo.unwrap_or(v), v);
         }
     }
-    items.last().expect("non-empty items").0
 }
 
 /// Merges two ascending-sorted slices into a new ascending-sorted
@@ -300,6 +352,7 @@ fn merge_sorted(a: &[f64], b: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use jockey_simrt::rng::SeedDeriver;
+    use proptest::prelude::*;
     use rand::Rng;
 
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
@@ -406,6 +459,10 @@ mod tests {
         // Shape mismatches are rejected, not mangled.
         assert!(CellSketch::from_parts(Some(8), vec![vec![1.0]], vec![0, 0, 0]).is_none());
         assert!(CellSketch::from_parts(Some(2), vec![vec![1.0]], vec![0]).is_none());
+        // A level past the last one a u64 count can weigh.
+        let mut deep = vec![Vec::new(); MAX_SKETCH_LEVELS + 1];
+        deep[MAX_SKETCH_LEVELS] = vec![1.0];
+        assert!(CellSketch::from_parts(Some(8), deep, Vec::new()).is_none());
     }
 
     #[test]
@@ -416,5 +473,72 @@ mod tests {
         s.push(3.5);
         assert_eq!(s.quantile(0.0), 3.5);
         assert_eq!(s.quantile(100.0), 3.5);
+    }
+
+    /// One sample, drawn so that duplicates and both signed zeros are
+    /// common.
+    fn sample() -> impl Strategy<Value = f64> {
+        (0_u32..8, -100.0_f64..100.0).prop_map(|(pick, v)| match pick {
+            0 => -0.0,
+            1 => 0.0,
+            2 => 1.0,
+            3 => 50.0,
+            _ => v,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The merge walk over sorted levels answers bit for bit what
+        /// the expand-and-sort oracle answers, on bounded sketches with
+        /// several compacted levels, built from single pushes and
+        /// sorted batches alike.
+        #[test]
+        fn merge_walk_quantile_matches_the_sort_oracle(
+            k in 8_usize..=16,
+            values in proptest::collection::vec(sample(), 1..800),
+            batch in 1_usize..40,
+            q in 0.0_f64..=100.0,
+        ) {
+            let mut s = CellSketch::new(Some(k));
+            for (i, chunk) in values.chunks(batch).enumerate() {
+                if i % 2 == 0 {
+                    chunk.iter().for_each(|&v| s.push(v));
+                } else {
+                    let mut sorted = chunk.to_vec();
+                    sorted.sort_by(f64::total_cmp);
+                    s.extend_sorted(&sorted);
+                }
+            }
+            prop_assert_eq!(s.count(), values.len() as u64);
+            for q in [0.0, 100.0, 50.0, 95.0, q] {
+                prop_assert_eq!(
+                    s.quantile(q).to_bits(),
+                    s.quantile_by_sort(q).to_bits(),
+                    "q={} levels={}",
+                    q,
+                    s.levels().len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_walk_separates_signed_zeros_across_levels() {
+        // -0.0 sorts below +0.0 under total_cmp; a sketch whose upper
+        // level holds one and level 0 the other must answer the same
+        // bits the oracle does at every rank (interpolation itself may
+        // turn -0.0 into +0.0; both paths share that arithmetic).
+        let s = CellSketch::from_parts(Some(8), vec![vec![0.0, 0.0], vec![-0.0]], vec![1, 0])
+            .expect("valid parts");
+        for q in [0.0, 25.0, 50.0, 75.0, 100.0] {
+            assert_eq!(
+                s.quantile(q).to_bits(),
+                s.quantile_by_sort(q).to_bits(),
+                "q={q}"
+            );
+        }
+        assert_eq!(s.quantile(100.0).to_bits(), 0.0_f64.to_bits());
     }
 }

@@ -223,3 +223,36 @@ fn stationary_online_service_never_fires_the_drift_detector() {
         report.completed
     );
 }
+
+/// A pinned golden for the online admission service that, unlike the
+/// benchmark's digest (one instance per core), does not depend on the
+/// machine: one worker, `ModelMode::Online`, the family's true work
+/// drifting 1.5x at the halfway point. With one worker every count is
+/// a pure function of the seed, so any change to sizing, arbitration,
+/// absorb or publish that moves an outcome shows up here.
+#[test]
+fn online_drift_service_counts_are_pinned() {
+    let cfg = ServiceConfig {
+        budget: 150,
+        workers: 1,
+        concurrent_per_worker: 100,
+        submissions_per_worker: 2_000,
+        model: ModelMode::Online,
+        drift: Some(DriftSpec {
+            factor: 1.5,
+            at_frac: 0.5,
+        }),
+        seed: 7,
+        ..ServiceConfig::default()
+    };
+    let r = run_service(&cfg);
+    assert_eq!(r.submitted, 2_000);
+    assert_eq!(r.admitted, 1_242);
+    assert_eq!(r.rejected_capacity, 758);
+    assert_eq!(r.rejected_infeasible, 0);
+    assert_eq!(r.completed, 1_242);
+    assert_eq!(r.slo_met, 1_242);
+    assert_eq!(r.deadline_changes, 178);
+    assert_eq!(r.stats.model_generations_swapped, 1_242);
+    assert_eq!(r.stats.drift_detections, 10);
+}

@@ -111,7 +111,53 @@ impl Flags {
             None => Ok(default),
             Some(raw) => raw
                 .parse()
-                .map_err(|_| format!("flag --{name} expects a number, got {raw:?}")),
+                .map_err(|_| format!("flag {} expects a number, got {raw:?}", flag(name))),
+        }
+    }
+
+    /// A required flag holding a finite number `> 0`; `what` names the
+    /// value in the "missing" message.
+    fn positive_f64(&self, name: &str, what: &str) -> Result<f64, String> {
+        if self.get(name).is_none() {
+            return Err(format!("missing {} <{what}>", flag(name)));
+        }
+        let v: f64 = self.get_parsed(name, 0.0)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!(
+                "flag {} must be a finite number > 0, got {v}",
+                flag(name)
+            ))
+        }
+    }
+
+    /// An optional flag holding a finite number in `[lo, hi]`.
+    fn f64_in(&self, name: &str, default: f64, lo: f64, hi: f64) -> Result<f64, String> {
+        let v: f64 = self.get_parsed(name, default)?;
+        if v.is_finite() && (lo..=hi).contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!(
+                "flag {} must be a finite number in [{lo}, {hi}], got {v}",
+                flag(name)
+            ))
+        }
+    }
+
+    /// An integer flag that must be at least 1 when given; `default`
+    /// answers when it is absent (`None` makes the flag required, with
+    /// `what` naming the value in the "missing" message).
+    fn positive_u32(&self, name: &str, default: Option<u32>, what: &str) -> Result<u32, String> {
+        let Some(raw) = self.get(name) else {
+            return default.ok_or_else(|| format!("missing {} <{what}>", flag(name)));
+        };
+        match raw.parse::<u32>() {
+            Ok(v) if v >= 1 => Ok(v),
+            _ => Err(format!(
+                "flag {} must be an integer >= 1, got {raw:?}",
+                flag(name)
+            )),
         }
     }
 
@@ -120,6 +166,16 @@ impl Flags {
             .get(index)
             .map(String::as_str)
             .ok_or_else(|| format!("missing {what}"))
+    }
+}
+
+/// A flag as typed on the command line: `-a` for one-letter names,
+/// `--deadline` otherwise.
+fn flag(name: &str) -> String {
+    if name.chars().count() == 1 {
+        format!("-{name}")
+    } else {
+        format!("--{name}")
     }
 }
 
@@ -243,7 +299,7 @@ fn cmd_compile(flags: &Flags) -> Result<(), String> {
 fn cmd_profile(flags: &Flags) -> Result<(), String> {
     let script = flags.positional(0, "script path")?;
     let out = flags.get("o").ok_or("missing -o <bundle.job>")?.to_string();
-    let tokens: u32 = flags.get_parsed("tokens", 40)?;
+    let tokens = flags.positive_u32("tokens", Some(40), "tokens")?;
     let seed: u64 = flags.get_parsed("seed", 42)?;
 
     let compiled = compile_file(script)?;
@@ -297,11 +353,8 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
 
 fn cmd_predict(flags: &Flags) -> Result<(), String> {
     let path = flags.positional(0, "bundle path")?;
-    let tokens: u32 = flags.get_parsed("a", 0)?;
-    if tokens == 0 {
-        return Err("missing -a <tokens>".into());
-    }
-    let progress: f64 = flags.get_parsed("p", 0.0)?;
+    let tokens = flags.positive_u32("a", None, "tokens")?;
+    let progress = flags.f64_in("p", 0.0, 0.0, 1.0)?;
     let (bundle, _, _) = load_bundle(path)?;
     let model = CpaModel::from_kv(&section(&bundle, "model"))
         .map_err(|e| format!("bundle model: {e}; run `jockey-cli train` first"))?;
@@ -322,10 +375,7 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
 
 fn cmd_feasible(flags: &Flags) -> Result<(), String> {
     let path = flags.positional(0, "bundle path")?;
-    let deadline_mins: f64 = flags.get_parsed("deadline", 0.0)?;
-    if deadline_mins <= 0.0 {
-        return Err("missing --deadline <minutes>".into());
-    }
+    let deadline_mins = flags.positive_f64("deadline", "minutes")?;
     let (bundle, graph, profile) = load_bundle(path)?;
     let model = CpaModel::from_kv(&section(&bundle, "model"))
         .map_err(|e| format!("bundle model: {e}; run `jockey-cli train` first"))?;
@@ -350,12 +400,9 @@ fn cmd_feasible(flags: &Flags) -> Result<(), String> {
 
 fn cmd_run(flags: &Flags) -> Result<(), String> {
     let path = flags.positional(0, "bundle path")?;
-    let deadline_mins: f64 = flags.get_parsed("deadline", 0.0)?;
-    if deadline_mins <= 0.0 {
-        return Err("missing --deadline <minutes>".into());
-    }
+    let deadline_mins = flags.positive_f64("deadline", "minutes")?;
     let seed: u64 = flags.get_parsed("seed", 42)?;
-    let util: f64 = flags.get_parsed("util", 0.9)?;
+    let util = flags.f64_in("util", 0.9, 0.0, 1.0)?;
     let policy = match flags.get("policy").unwrap_or("jockey") {
         "jockey" => Policy::Jockey,
         "no-adapt" => Policy::JockeyNoAdapt,
@@ -386,7 +433,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     let deadline = SimDuration::from_mins_f64(deadline_mins);
     let controller = setup.controller(policy, deadline, ControlParams::default());
     let mut cluster = ClusterConfig::production();
-    cluster.background.mean_util = util.clamp(0.0, 1.0);
+    cluster.background.mean_util = util;
     let mut sim = ClusterSim::new(cluster, seed);
     sim.add_job(JobSpec::from_profile(graph, &profile), controller);
     let result = sim.run_single();

@@ -3,6 +3,32 @@
 
 use std::process::Command;
 
+/// Runs `jockey-cli <args>` and asserts a clean usage error that names
+/// `flag`. Flag values are checked before any file is read, so the
+/// bundle and script paths need not exist.
+fn assert_usage_error(args: &[&str], flag: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_jockey-cli"))
+        .args(args)
+        .output()
+        .expect("jockey-cli starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{args:?}: expected a usage error; stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    // The usage text that follows names every flag; the error line
+    // itself must name the bad one, and not as a missing flag.
+    let error = stderr.lines().next().unwrap_or_default();
+    assert!(error.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(
+        error.contains(&format!("flag {flag} ")),
+        "{args:?}: {error}"
+    );
+    assert!(!error.contains("missing"), "{args:?}: {error}");
+}
+
 /// Runs `jockey-cli service --speculation 2 --tail-factor <value>` and
 /// asserts a clean usage error.
 fn assert_tail_factor_rejected(value: &str) {
@@ -28,4 +54,58 @@ fn service_rejects_a_negative_tail_factor() {
 #[test]
 fn service_rejects_a_nan_tail_factor() {
     assert_tail_factor_rejected("nan");
+}
+
+#[test]
+fn run_rejects_a_nan_deadline() {
+    assert_usage_error(&["run", "none.job", "--deadline", "nan"], "--deadline");
+}
+
+#[test]
+fn run_rejects_a_negative_deadline() {
+    assert_usage_error(&["run", "none.job", "--deadline", "-3"], "--deadline");
+}
+
+#[test]
+fn run_rejects_a_nan_util() {
+    assert_usage_error(
+        &["run", "none.job", "--deadline", "10", "--util", "nan"],
+        "--util",
+    );
+}
+
+#[test]
+fn run_rejects_a_util_above_one() {
+    assert_usage_error(
+        &["run", "none.job", "--deadline", "10", "--util", "1.5"],
+        "--util",
+    );
+}
+
+#[test]
+fn profile_rejects_zero_tokens() {
+    assert_usage_error(
+        &["profile", "none.scope", "-o", "none.job", "--tokens", "0"],
+        "--tokens",
+    );
+}
+
+#[test]
+fn feasible_rejects_a_nan_deadline() {
+    assert_usage_error(&["feasible", "none.job", "--deadline", "nan"], "--deadline");
+}
+
+#[test]
+fn predict_rejects_progress_above_one() {
+    assert_usage_error(&["predict", "none.job", "-a", "4", "-p", "2"], "-p");
+}
+
+#[test]
+fn predict_rejects_a_nan_progress() {
+    assert_usage_error(&["predict", "none.job", "-a", "4", "-p", "nan"], "-p");
+}
+
+#[test]
+fn predict_rejects_zero_tokens() {
+    assert_usage_error(&["predict", "none.job", "-a", "0"], "-a");
 }
