@@ -12,8 +12,8 @@
 //!   (absorb, drift bookkeeping, snapshot clone, generation bump), what
 //!   the service driver pays per completion;
 //! - `window-retrain`: the drift response — `vacant_copy` plus
-//!   re-absorbing the retained window — i.e. the worst-case bounded
-//!   work a drift fire performs inline;
+//!   re-absorbing the retained window with `CpaModel::absorb_runs` —
+//!   i.e. the worst-case bounded work a drift fire performs inline;
 //! - `full-retrain`: `CpaModel::train` at the same grid, the cost the
 //!   online path avoids.
 //!
@@ -165,10 +165,14 @@ fn main() {
     let mut window_us = Vec::with_capacity(train_iters.max(16));
     for _ in 0..train_iters.max(16) {
         let t0 = Instant::now();
+        // As `ModelStore::record_completion` does on a fire: fold the
+        // window run by run, build the query table once.
         let mut fresh = model.vacant_copy();
-        for run in &window {
-            fresh.absorb_observations(&run.observations, run.total_secs, run.completed);
-        }
+        fresh.absorb_runs(
+            window
+                .iter()
+                .map(|run| (run.observations.as_slice(), run.total_secs, run.completed)),
+        );
         window_us.push(1e6 * t0.elapsed().as_secs_f64());
         assert!(fresh.sample_count() > 0);
     }

@@ -448,11 +448,16 @@ mod tests {
     #[test]
     fn invariant_checks_can_be_disabled() {
         let (mut sim, _, _) = stepped_sim(false);
-        assert!(
+        // Checks default to on in debug builds and off in release ones.
+        assert_eq!(
             sim.engine.core.invariants_enabled,
-            "test builds default to enabled"
+            cfg!(debug_assertions),
+            "the default follows the build profile"
         );
+        sim.set_invariant_checks(true);
+        assert!(sim.engine.core.invariants_enabled);
         sim.set_invariant_checks(false);
+        assert!(!sim.engine.core.invariants_enabled);
         sim.engine.core.jobs[0].guarantee = 0; // Would trip token conservation.
         let (now, event) = sim.engine.core.queue.pop().expect("events remain");
         sim.engine.step(now, event, None); // Must not panic with checks off.

@@ -33,16 +33,6 @@ pub struct ArbiterJob {
     pub slack: f64,
 }
 
-impl ArbiterJob {
-    fn utility_at(&self, allocation: u32) -> f64 {
-        let remaining = self.slack
-            * self
-                .model
-                .remaining_secs(&self.stage_fraction, self.progress, allocation);
-        self.utility.eval(self.elapsed_secs + remaining)
-    }
-}
-
 /// Greedily splits `budget` tokens across `jobs` by marginal utility.
 ///
 /// Every job receives at least one token — the **1-token floor**: a
@@ -52,10 +42,10 @@ impl ArbiterJob {
 /// keep `jobs.len() <= budget`; the [`crate::plane::ControlPlane`]
 /// does so through admission and counts any breach in
 /// [`crate::plane::PlaneStats::over_committed_rounds`]. Remaining
-/// tokens go one at a time to the job with the highest marginal utility
-/// gain; allocation stops early when no job's utility improves by more
-/// than `1e-12` (granting tokens that help nobody would only hurt the
-/// rest of the cluster). Each job is also capped at its model's
+/// tokens go to the job with the highest marginal utility gain;
+/// allocation stops early when no job's average gain per token exceeds
+/// `1e-12` (granting tokens that help nobody would only hurt the rest
+/// of the cluster). Each job is also capped at its model's
 /// [`CompletionModel::max_allocation`].
 ///
 /// Returns the per-job allocations, in input order.
@@ -72,17 +62,18 @@ impl ArbiterJob {
 /// improvement — exactly the shape a drifted `C(p, a)` produces, where
 /// it starves jobs below the allocation admission reserved for them.
 ///
-/// A job's candidate jump changes only when *it* is granted tokens, so
-/// the grant loop keeps one candidate per job in a max-heap and
-/// re-inserts only the winner's next jump: O((jobs + budget) × (log
-/// jobs + cap)) per split, where cap is the model allocation grid —
-/// still far below the naive O(budget × jobs × cap) full rescan at a
-/// 10k-job fleet. Ties are broken by the lowest job index, then the
-/// smallest jump, matching the single-token rescan on concave inputs.
-/// Allocation stops early when no job's average gain per token exceeds
-/// `1e-12` (granting tokens that help nobody would only hurt the rest
-/// of the cluster). Each job is capped at its model's
-/// [`CompletionModel::max_allocation`].
+/// Each job's utility is evaluated once per call, at every allocation
+/// its scans can reach — from the floor up to its cap or one past the
+/// spare pool, whichever is lower — with one
+/// [`CompletionModel::remaining_curve`] call; every scan reads that
+/// memo. A job's candidate jump changes only when *it* is granted
+/// tokens, so the grant loop keeps one candidate per job in a max-heap
+/// and re-inserts only the winner's next jump: O(jobs × reach) curve
+/// work plus O(budget × (log jobs + reach)) for the grants, where
+/// reach is the smaller of the model's allocation cap and the pool —
+/// far below the naive O(budget × jobs × cap) full rescan at a 10k-job
+/// fleet. Ties are broken by the lowest job index, then the smallest
+/// jump, matching the single-token rescan on concave inputs.
 ///
 /// # Panics
 ///
@@ -99,21 +90,47 @@ pub fn arbitrate(jobs: &[ArbiterJob], budget: u32) -> Vec<u32> {
     );
     let mut alloc: Vec<u32> = vec![1; jobs.len()];
     let mut remaining = budget - jobs.len() as u32;
+    if remaining == 0 {
+        return alloc;
+    }
 
-    // Best jump from allocation `a`, scanning at most `limit` tokens
-    // ahead: the (average gain per token, jump size) pair with the
-    // highest rate. Non-finite gains are floored to -inf so a NaN
-    // utility can never win tokens. Ties keep the smallest jump so
-    // concave curves degrade to the single-token greedy.
-    let best_jump = |job: &ArbiterJob, a: u32, limit: u32| -> Option<(f64, u32)> {
-        let cap = job.model.max_allocation();
-        if a >= cap || limit == 0 {
+    // `utility[offsets[i]..offsets[i + 1]]` holds job `i`'s utility at
+    // allocations 1, 2, …: all a job can ever be granted (the pool, on
+    // top of its floor, within its cap). The first scan from the floor
+    // reads every entry, so the whole curve is filled up front.
+    let mut offsets = Vec::with_capacity(jobs.len() + 1);
+    offsets.push(0);
+    for job in jobs {
+        let reach = job.model.max_allocation().min(remaining + 1);
+        offsets.push(offsets[offsets.len() - 1] + reach as usize);
+    }
+    let mut utility = vec![0.0; offsets[jobs.len()]];
+    for (i, job) in jobs.iter().enumerate() {
+        let curve = &mut utility[offsets[i]..offsets[i + 1]];
+        job.model
+            .remaining_curve(&job.stage_fraction, job.progress, 1, curve);
+        for v in curve.iter_mut() {
+            *v = job.utility.eval(job.elapsed_secs + job.slack * *v);
+        }
+    }
+    let curve = |i: usize| &utility[offsets[i]..offsets[i + 1]];
+
+    // Best jump from allocation `a` along utility curve `u`, scanning
+    // at most `limit` tokens ahead: the (average gain per token, jump
+    // size) pair with the highest rate. Non-finite gains are floored to
+    // -inf so a NaN utility can never win tokens. Ties keep the
+    // smallest jump so concave curves degrade to the single-token
+    // greedy.
+    let best_jump = |u: &[f64], a: u32, limit: u32| -> Option<(f64, u32)> {
+        let reach = u.len() as u32;
+        if a >= reach || limit == 0 {
             return None; // At cap (or dry pool): no further candidate.
         }
-        let base = job.utility_at(a);
+        let base = u[a as usize - 1];
+        let ahead = &u[a as usize..(a + limit.min(reach - a)) as usize];
         let mut best: Option<(f64, u32)> = None;
-        for k in 1..=limit.min(cap - a) {
-            let g = job.utility_at(a + k) - base;
+        for (k, &next) in (1..).zip(ahead) {
+            let g = next - base;
             let rate = if g.is_finite() {
                 g / f64::from(k)
             } else {
@@ -133,8 +150,8 @@ pub fn arbitrate(jobs: &[ArbiterJob], budget: u32) -> Vec<u32> {
     // re-scanned under the tighter limit when popped.
     let mut heap: BinaryHeap<(OrderedGain, Reverse<usize>, u32)> =
         BinaryHeap::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        if let Some((rate, k)) = best_jump(job, 1, remaining) {
+    for i in 0..jobs.len() {
+        if let Some((rate, k)) = best_jump(curve(i), 1, remaining) {
             heap.push((OrderedGain(rate), Reverse(i), k));
         }
     }
@@ -147,14 +164,14 @@ pub fn arbitrate(jobs: &[ArbiterJob], budget: u32) -> Vec<u32> {
         }
         if k > remaining {
             // Sized against a larger pool: re-scan within what's left.
-            if let Some((r, k2)) = best_jump(&jobs[i], alloc[i], remaining) {
+            if let Some((r, k2)) = best_jump(curve(i), alloc[i], remaining) {
                 heap.push((OrderedGain(r), Reverse(i), k2));
             }
             continue;
         }
         alloc[i] += k;
         remaining -= k;
-        if let Some((r, k2)) = best_jump(&jobs[i], alloc[i], remaining) {
+        if let Some((r, k2)) = best_jump(curve(i), alloc[i], remaining) {
             heap.push((OrderedGain(r), Reverse(i), k2));
         }
     }
@@ -320,30 +337,48 @@ mod tests {
         arbitrate(&jobs, 1);
     }
 
-    /// The naive O(budget × jobs) rescan the heap version replaced:
-    /// re-evaluates every job's marginal gain on every grant, taking the
-    /// first index among ties.
+    /// A job's utility at `allocation`, queried from its model directly.
+    fn utility_at(job: &ArbiterJob, allocation: u32) -> f64 {
+        let remaining = job.slack
+            * job
+                .model
+                .remaining_secs(&job.stage_fraction, job.progress, allocation);
+        job.utility.eval(job.elapsed_secs + remaining)
+    }
+
+    /// The naive full rescan the heap version replaced: on every grant,
+    /// re-evaluates every job's best jump within the pool left, one
+    /// model query per allocation and no memo, and grants the highest
+    /// average gain per token (first index, then smallest jump, among
+    /// ties). On concave curves every best jump is one token and this
+    /// is the classic single-token greedy.
     fn arbitrate_rescan(jobs: &[ArbiterJob], budget: u32) -> Vec<u32> {
         let mut alloc: Vec<u32> = vec![1; jobs.len()];
         let mut remaining = budget - jobs.len() as u32;
-        let mut current_u: Vec<f64> = jobs.iter().map(|j| j.utility_at(1)).collect();
         while remaining > 0 {
-            let mut best: Option<(usize, f64, f64)> = None;
+            let mut best: Option<(f64, usize, u32)> = None;
             for (i, job) in jobs.iter().enumerate() {
-                if alloc[i] >= job.model.max_allocation() {
+                let cap = job.model.max_allocation();
+                if alloc[i] >= cap {
                     continue;
                 }
-                let u_next = job.utility_at(alloc[i] + 1);
-                let gain = u_next - current_u[i];
-                if best.is_none_or(|(_, g, _)| gain > g) {
-                    best = Some((i, gain, u_next));
+                let base = utility_at(job, alloc[i]);
+                for k in 1..=remaining.min(cap - alloc[i]) {
+                    let g = utility_at(job, alloc[i] + k) - base;
+                    let rate = if g.is_finite() {
+                        g / f64::from(k)
+                    } else {
+                        f64::NEG_INFINITY
+                    };
+                    if best.is_none_or(|(r, _, _)| rate > r) {
+                        best = Some((rate, i, k));
+                    }
                 }
             }
             match best {
-                Some((i, gain, u_next)) if gain > 1e-12 => {
-                    alloc[i] += 1;
-                    current_u[i] = u_next;
-                    remaining -= 1;
+                Some((rate, i, k)) if rate > 1e-12 => {
+                    alloc[i] += k;
+                    remaining -= k;
                 }
                 _ => break,
             }
@@ -375,6 +410,68 @@ mod tests {
                 })
                 .collect();
             let budget = n as u32 + next(60) as u32;
+            assert_eq!(
+                arbitrate(&jobs, budget),
+                arbitrate_rescan(&jobs, budget),
+                "trial {trial}: {n} jobs, budget {budget}"
+            );
+        }
+    }
+
+    /// Property: on arbitrary per-allocation curves — NaN and infinite
+    /// predictions, utilities that reach ±inf, caps above and below the
+    /// pool, and zero-gain plateaus in front of large drops — the
+    /// memoised heap split equals the per-query full rescan.
+    #[test]
+    fn memoised_split_matches_the_rescan_on_arbitrary_curves() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for trial in 0..400 {
+            let n = 1 + next(8) as usize;
+            let jobs: Vec<ArbiterJob> = (0..n)
+                .map(|_| {
+                    let cap = 1 + next(24) as usize;
+                    let mut cur = 500.0 + next(9_000) as f64;
+                    let remaining = (0..cap)
+                        .map(|_| match next(12) {
+                            0 => f64::NAN,
+                            1 => f64::INFINITY,
+                            2 => f64::NEG_INFINITY,
+                            // A plateau: the same answer as the last
+                            // allocation, a zero-gain step.
+                            3 | 4 => cur,
+                            // A drop, large or small.
+                            _ => {
+                                cur = (cur - next(3_000) as f64).max(1.0);
+                                cur
+                            }
+                        })
+                        .collect();
+                    // Deadline utilities fall to -inf past the last
+                    // knot; a rising final slope reaches +inf.
+                    let utility = if next(4) == 0 {
+                        UtilityFunction::from_knots(vec![(0.0, 0.0), (1_000.0, 1.0)])
+                    } else {
+                        UtilityFunction::deadline(SimDuration::from_secs_f64(
+                            600.0 + next(6_000) as f64,
+                        ))
+                    };
+                    ArbiterJob {
+                        model: Arc::new(Table { remaining }),
+                        utility,
+                        progress: 0.0,
+                        stage_fraction: vec![],
+                        elapsed_secs: next(1_200) as f64,
+                        slack: 1.0 + next(3) as f64 / 10.0,
+                    }
+                })
+                .collect();
+            let budget = n as u32 + next(40) as u32;
             assert_eq!(
                 arbitrate(&jobs, budget),
                 arbitrate_rescan(&jobs, budget),

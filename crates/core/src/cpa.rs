@@ -483,13 +483,29 @@ impl CpaModel {
         total_secs: f64,
         completed: bool,
     ) -> usize {
-        let completed_alloc = if completed {
-            obs.last().map(|o| o.allocation)
-        } else {
-            None
-        };
+        self.absorb_runs([(obs, total_secs, completed)])
+    }
+
+    /// Folds several runs, each `(observations, total_secs, completed)`
+    /// as [`CpaModel::absorb_observations`] takes them, in the order
+    /// given, then rebuilds the query-table rows they touched once. The
+    /// result is identical to absorbing them one call at a time: rows
+    /// are a function of the cells alone, and the cells see the same
+    /// batches in the same order. Returns the number of samples added.
+    pub fn absorb_runs<'r>(
+        &mut self,
+        runs: impl IntoIterator<Item = (&'r [RunObservation], f64, bool)>,
+    ) -> usize {
         let mut dirty = vec![false; self.allocations.len()];
-        let added = self.fold_run(obs, total_secs, completed_alloc, Some(&mut dirty));
+        let mut added = 0;
+        for (obs, total_secs, completed) in runs {
+            let completed_alloc = if completed {
+                obs.last().map(|o| o.allocation)
+            } else {
+                None
+            };
+            added += self.fold_run(obs, total_secs, completed_alloc, Some(&mut dirty));
+        }
         self.rebuild_rows(&dirty);
         added
     }
@@ -726,25 +742,37 @@ impl CpaModel {
     /// computation over raw samples. Answers are bit-identical to
     /// [`CpaModel::remaining_percentile`] at the configured percentile.
     pub fn remaining(&self, progress: f64, allocation: u32) -> f64 {
+        let mut out = [0.0];
+        self.remaining_curve(progress, allocation, &mut out);
+        out[0]
+    }
+
+    /// [`CpaModel::remaining`] at allocations `first, first + 1, …`,
+    /// written to `out` in order: one progress-bin lookup and one grid
+    /// search for `first`, then a grid cursor that only moves forward.
+    pub fn remaining_curve(&self, progress: f64, first: u32, out: &mut [f64]) {
         let bin = self.bin_of(progress);
         let at = |ai: usize| self.table[ai * self.bins + bin];
         let grid = &self.allocations;
-        if allocation <= grid[0] {
-            return at(0);
+        let last = grid.len() - 1;
+        // `hi` is the first grid index with `grid[hi] >= allocation`.
+        let mut hi = grid.partition_point(|&g| g < first);
+        for (allocation, v) in (first..).zip(out.iter_mut()) {
+            *v = if allocation <= grid[0] {
+                at(0)
+            } else if allocation >= grid[last] {
+                at(last)
+            } else {
+                while grid[hi] < allocation {
+                    hi += 1;
+                }
+                // `grid[hi - 1] < allocation <= grid[hi]`: interpolate
+                // between the surrounding grid points.
+                let (ga, gb) = (grid[hi - 1], grid[hi]);
+                let w = f64::from(allocation - ga) / f64::from(gb - ga);
+                lerp_grid(at(hi - 1), at(hi), w)
+            };
         }
-        if allocation >= *grid.last().expect("non-empty grid") {
-            return at(grid.len() - 1);
-        }
-        // Find surrounding grid points.
-        let hi = grid.partition_point(|&g| g < allocation);
-        let lo = hi - 1;
-        let (ga, gb) = (grid[lo], grid[hi]);
-        if ga == allocation {
-            return at(lo);
-        }
-        let (va, vb) = (at(lo), at(hi));
-        let w = f64::from(allocation - ga) / f64::from(gb - ga);
-        lerp_grid(va, vb, w)
     }
 
     /// `C(p, a)` at an explicit percentile.
@@ -993,6 +1021,10 @@ impl std::error::Error for ModelLoadError {}
 impl CompletionModel for CpaModel {
     fn remaining_secs(&self, _fs: &[f64], progress: f64, allocation: u32) -> f64 {
         self.remaining(progress, allocation)
+    }
+
+    fn remaining_curve(&self, _fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
+        CpaModel::remaining_curve(self, progress, first, out);
     }
 
     fn max_allocation(&self) -> u32 {
@@ -1651,6 +1683,89 @@ mod absorb_tests {
         assert_eq!(v.sketch_capacity(), m.sketch_capacity());
         assert_eq!(v.sample_count(), 0);
         assert_eq!(v.fresh_latency(8), f64::INFINITY);
+    }
+
+    /// Property: a curve from any start equals the single query and the
+    /// percentile scan at the configured percentile, bit for bit — on
+    /// the default 13-point grid, a dense grid and a one-point grid;
+    /// with some allocation rows vacant (their `INFINITY`, and the NaN
+    /// `lerp_grid` repairs between a vacant and a learned row); at
+    /// progress outside `[0, 1]`; from every start `0..=max + 3`.
+    #[test]
+    fn remaining_curve_matches_single_queries_bit_for_bit() {
+        let grids: [Vec<u32>; 3] = [
+            TrainConfig::default().allocations,
+            (1..=40).collect(),
+            vec![7],
+        ];
+        let mut rng = SeedDeriver::new(5).rng("curve-grids");
+        let (mut finite, mut infinite) = (0_usize, 0_usize);
+        for (gi, grid) in grids.iter().enumerate() {
+            for trial in 0..6_u64 {
+                let c = TrainConfig {
+                    progress_bins: 10,
+                    sketch_capacity: (trial % 2 == 1).then_some(8),
+                    ..TrainConfig::fast(grid.clone())
+                };
+                let mut m = CpaModel::empty(&c);
+                // Trial 0 stays wholly vacant; the others learn a
+                // random subset of rows.
+                for (i, &a) in grid.iter().enumerate() {
+                    if trial > 0 && rng.gen_bool(0.5) {
+                        let (obs, total) = synth_run(1_000 * gi as u64 + 40 * trial + i as u64, a);
+                        m.absorb_observations(&obs, total, true);
+                    }
+                }
+                let max = *grid.last().expect("non-empty grid");
+                for step in 0..=24 {
+                    let progress = -0.1 + 1.2 * f64::from(step) / 24.0;
+                    for first in 0..=max + 3 {
+                        let mut out = vec![0.0; (max + 4 - first) as usize];
+                        m.remaining_curve(progress, first, &mut out);
+                        for (a, v) in (first..).zip(&out) {
+                            let one = m.remaining(progress, a);
+                            let scan = m.remaining_percentile(progress, a, m.percentile());
+                            assert_eq!(
+                                (v.to_bits(), v.to_bits()),
+                                (one.to_bits(), scan.to_bits()),
+                                "grid {gi} trial {trial} p={progress} first={first} a={a}"
+                            );
+                            if v.is_finite() {
+                                finite += 1;
+                            } else {
+                                infinite += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            finite > 0 && infinite > 0,
+            "{finite} finite, {infinite} not"
+        );
+    }
+
+    /// Folding several runs and building once leaves the model that
+    /// absorbing them one call at a time leaves, on bounded sketches.
+    #[test]
+    fn absorb_runs_matches_one_absorb_per_run() {
+        let c = cfg(Some(8));
+        let all = runs(47, 40, &c.allocations);
+        let mut one_by_one = CpaModel::empty(&c);
+        for (obs, total) in &all {
+            one_by_one.absorb_observations(obs, *total, true);
+        }
+        let mut batched = CpaModel::empty(&c);
+        let added = batched.absorb_runs(
+            all.iter()
+                .map(|(obs, total)| (obs.as_slice(), *total, true)),
+        );
+        assert_eq!(added, one_by_one.sample_count());
+        assert!(batched.rank_error_bound() > 0, "the sketches compacted");
+        assert_eq!(batched.to_kv().to_text(), one_by_one.to_kv().to_text());
+        assert_eq!(batched.table, one_by_one.table);
+        assert_eq!(batched.fresh_monotone, one_by_one.fresh_monotone);
     }
 }
 

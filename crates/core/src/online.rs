@@ -280,11 +280,15 @@ impl ModelStore {
             // "Retrain" = re-absorb the retained window into a vacant
             // copy: the stale history beyond the window is dropped and
             // the model snaps to current behaviour, without a single
-            // simulation run.
+            // simulation run. The window folds run by run, oldest first,
+            // and the query table is rebuilt once at the end.
             let mut fresh = inner.master.vacant_copy();
-            for r in &inner.recent {
-                fresh.absorb_observations(&r.observations, r.total_secs, r.completed);
-            }
+            fresh.absorb_runs(
+                inner
+                    .recent
+                    .iter()
+                    .map(|r| (r.observations.as_slice(), r.total_secs, r.completed)),
+            );
             inner.master = fresh;
         }
 
@@ -325,9 +329,11 @@ impl ModelStore {
 /// - [`CompletionModel::size_for_deadline`] resolves the newest
 ///   snapshot once per sizing call, so every allocation it probes
 ///   reads the same generation.
-/// - [`CompletionModel::remaining_secs`] and
+/// - [`CompletionModel::remaining_secs`],
+///   [`CompletionModel::remaining_curve`] and
 ///   [`CompletionModel::max_allocation`] called on the handle itself
-///   resolve the newest snapshot on each call.
+///   resolve the newest snapshot on each call; a curve comes from one
+///   snapshot.
 ///
 /// Nothing holds a snapshot across decisions, so each decision sees
 /// the generation current when it began.
@@ -372,6 +378,11 @@ impl CompletionModel for ModelHandle {
             .remaining_secs(fs, progress, allocation)
     }
 
+    fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
+        self.blend(&self.store.current())
+            .remaining_curve(fs, progress, first, out);
+    }
+
     fn max_allocation(&self) -> u32 {
         self.blend(&self.store.current()).max_allocation()
     }
@@ -410,6 +421,10 @@ impl CompletionModel for Pinned {
         self.blend().remaining_secs(fs, progress, allocation)
     }
 
+    fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
+        self.blend().remaining_curve(fs, progress, first, out);
+    }
+
     fn max_allocation(&self) -> u32 {
         self.blend().max_allocation()
     }
@@ -429,13 +444,20 @@ struct Blend<'a> {
 
 impl CompletionModel for Blend<'_> {
     fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
-        let v = self.learned.remaining(progress, allocation);
-        if v.is_finite() {
-            return v;
-        }
-        match self.floor {
-            Some(floor) => floor.remaining_secs(fs, progress, allocation),
-            None => v,
+        let mut out = [0.0];
+        self.remaining_curve(fs, progress, allocation, &mut out);
+        out[0]
+    }
+
+    /// The learned curve where it is finite, the floor (if any) where
+    /// the learned model has no answer.
+    fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
+        self.learned.remaining_curve(progress, first, out);
+        let Some(floor) = self.floor else { return };
+        for (a, v) in (first..).zip(out.iter_mut()) {
+            if !v.is_finite() {
+                *v = floor.remaining_secs(fs, progress, a);
+            }
         }
     }
 
@@ -940,6 +962,100 @@ mod tests {
             assert!(split.iter().sum::<u32>() <= budget);
             if budget > 12 {
                 assert!(split.iter().any(|&a| a > 1), "budget {budget}: {split:?}");
+            }
+        }
+    }
+
+    /// The drift retrain folds the retained window run by run and
+    /// builds the query table once; the master it leaves must be the
+    /// one absorbing the window one run at a time would leave, cells
+    /// and table alike, on bounded sketches that compact.
+    #[test]
+    fn drift_retrain_matches_the_per_run_rebuild() {
+        // Two progress bins crowd each run's samples into few cells, so
+        // a 24-run window overflows their sketches.
+        let bounded = TrainConfig {
+            sketch_capacity: Some(8),
+            progress_bins: 2,
+            ..cfg()
+        };
+        let mut model = CpaModel::empty(&bounded);
+        for a in [2_u32, 4, 8] {
+            for i in 0..6 {
+                let r = run(a, 100.0 + f64::from(i), f64::NAN);
+                model.absorb_observations(&r.observations, r.total_secs, r.completed);
+            }
+        }
+        let online = OnlineConfig {
+            drift: DriftConfig {
+                window: 8,
+                min_observations: 4,
+                z_threshold: 1.0,
+                percentile: 90.0,
+            },
+            retain_runs: 24,
+        };
+        let store = ModelStore::new(model, online);
+        let mut fires = 0;
+        for i in 0..60_u32 {
+            let a = [2_u32, 4, 8][i as usize % 3];
+            let total = 300.0 + f64::from(i * 7 % 50);
+            if !store
+                .record_completion(run(a, total, 100.0))
+                .drift_retrained
+            {
+                continue;
+            }
+            fires += 1;
+            let inner = store.inner.lock().unwrap();
+            let mut per_run = inner.master.vacant_copy();
+            for r in &inner.recent {
+                per_run.absorb_observations(&r.observations, r.total_secs, r.completed);
+            }
+            assert!(per_run.rank_error_bound() > 0, "the window compacted");
+            assert_eq!(inner.master.to_kv().to_text(), per_run.to_kv().to_text());
+            assert_eq!(answer_bits(&inner.master), answer_bits(&per_run));
+        }
+        assert!(fires >= 2, "drift fired {fires} times");
+    }
+
+    /// The blended curve, and the single query it answers, equal the
+    /// blend computed from the learned model's percentile scan bit for
+    /// bit, from the handle and from a pinned view, with and without a
+    /// floor: the learned answer where it is finite, the floor's
+    /// elsewhere.
+    #[test]
+    fn blended_curve_matches_the_percentile_scan_blend() {
+        let store = partly_learned_store();
+        let learned = store.current();
+        for floor in [None, Some(Arc::new(Flat) as Arc<dyn CompletionModel>)] {
+            let handle = match &floor {
+                None => ModelHandle::new(store.clone()),
+                Some(f) => ModelHandle::with_floor(store.clone(), f.clone()),
+            };
+            let pinned = handle.pinned().expect("a handle pins");
+            let max = handle.max_allocation();
+            for i in -2..=22 {
+                let p = f64::from(i) / 20.0;
+                let blend = |a: u32| {
+                    let v = learned.remaining_percentile(p, a, learned.percentile());
+                    match &floor {
+                        Some(f) if !v.is_finite() => f.remaining_secs(&[p], p, a),
+                        _ => v,
+                    }
+                };
+                for first in 0..=max + 3 {
+                    let mut out = vec![0.0; (max + 4 - first) as usize];
+                    for model in [&handle as &dyn CompletionModel, pinned.as_ref()] {
+                        model.remaining_curve(&[p], p, first, &mut out);
+                        for (a, v) in (first..).zip(&out) {
+                            let want = blend(a).to_bits();
+                            assert_eq!(v.to_bits(), want, "p={p} first={first} a={a}");
+                            let one = model.remaining_secs(&[p], p, a);
+                            assert_eq!(one.to_bits(), want, "p={p} a={a}");
+                        }
+                    }
+                }
             }
         }
     }

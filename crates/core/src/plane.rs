@@ -122,6 +122,17 @@ impl Snapshot {
     }
 }
 
+/// The refresh's gather buffers, kept under the refresh gate and
+/// overwritten by each refresh, so re-gathering a fleet of the same
+/// size reuses every job's stage-fraction and utility storage.
+#[derive(Default)]
+struct Gather {
+    /// One arbitration input per active job, in slot order.
+    jobs: Vec<ArbiterJob>,
+    /// The slot id of each entry of `jobs`.
+    active: Vec<usize>,
+}
+
 /// Counters describing how much arbitration work the plane performed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlaneStats {
@@ -177,8 +188,9 @@ pub struct ControlPlane {
     /// The published allocation snapshot.
     snapshot: RwLock<Arc<Snapshot>>,
     /// Refresh election: the ticking job that wins this `try_lock`
-    /// recomputes the split; losers use the current snapshot.
-    refresh_gate: Mutex<()>,
+    /// recomputes the split, gathering into the buffers the gate
+    /// guards; losers use the current snapshot.
+    refresh_gate: Mutex<Gather>,
     /// Ticks since the last completed refresh.
     ticks_since_refresh: AtomicU64,
     /// Bumped by every deadline change, *after* the slot update. A tick
@@ -222,7 +234,7 @@ impl ControlPlane {
                 alloc: Vec::new(),
                 serial: Vec::new(),
             })),
-            refresh_gate: Mutex::new(()),
+            refresh_gate: Mutex::new(Gather::default()),
             ticks_since_refresh: AtomicU64::new(0),
             strict_gen: AtomicU64::new(0),
             applied_strict: AtomicU64::new(0),
@@ -555,17 +567,20 @@ impl ControlPlane {
             // `applied_strict` past `goal`, so we refresh again behind
             // it.
             while self.applied_strict.load(Ordering::Acquire) < goal {
-                let _gate = self
+                // A panicking refresher cannot leave the gather
+                // half-updated for the next one: every refresh
+                // overwrites each entry it reads.
+                let mut gather = self
                     .refresh_gate
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
                 if self.applied_strict.load(Ordering::Acquire) < goal {
-                    self.refresh_locked(&slots);
+                    self.refresh_locked(&slots, &mut gather);
                 }
             }
         } else if due {
-            if let Ok(_gate) = self.refresh_gate.try_lock() {
-                self.refresh_locked(&slots);
+            if let Ok(mut gather) = self.refresh_gate.try_lock() {
+                self.refresh_locked(&slots, &mut gather);
             }
         }
 
@@ -586,10 +601,10 @@ impl ControlPlane {
     /// recording the generation observed *before* gathering so a
     /// deadline change landing mid-refresh leaves
     /// `applied_strict < strict_gen` and forces a follow-up.
-    fn refresh_locked(&self, slots: &[Option<Arc<JobSlot>>]) {
+    fn refresh_locked(&self, slots: &[Option<Arc<JobSlot>>], gather: &mut Gather) {
         let strict = self.strict_gen.load(Ordering::Acquire);
         self.ticks_since_refresh.store(0, Ordering::Release);
-        self.refresh(slots);
+        self.refresh(slots, gather);
         self.applied_strict.store(strict, Ordering::Release);
     }
 
@@ -597,10 +612,29 @@ impl ControlPlane {
     /// publishes it. Runs while holding only the refresh gate: slot
     /// locks are taken one at a time to copy state out, and the
     /// expensive marginal-utility scan touches no lock at all.
-    fn refresh(&self, slots: &[Option<Arc<JobSlot>>]) {
+    fn refresh(&self, slots: &[Option<Arc<JobSlot>>], gather: &mut Gather) {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
-        let mut active = Vec::with_capacity(slots.len());
-        let mut jobs = Vec::with_capacity(slots.len());
+        let snapshot = self.split(slots, gather);
+        // `arbitrate` needs at least one token per job. Admission keeps
+        // the active fleet within the budget (every reservation is at
+        // least one token), so this count stays zero; a non-zero value
+        // flags a broken floor instead of absorbing it silently.
+        if gather.jobs.len() as u32 > self.budget {
+            self.over_committed_rounds.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut guard = self
+            .snapshot
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        *guard = Arc::new(snapshot);
+    }
+
+    /// Gathers every active slot into `gather` and splits the budget
+    /// across them. The gather's buffers are overwritten in place, so
+    /// each refresh reuses the storage earlier refreshes grew.
+    fn split(&self, slots: &[Option<Arc<JobSlot>>], gather: &mut Gather) -> Snapshot {
+        let Gather { jobs, active } = gather;
+        active.clear();
         let mut serial = vec![0_u64; slots.len()];
         // One frozen view per distinct model per refresh: the jobs of a
         // service family share one handle, so the split reads its store
@@ -609,6 +643,7 @@ impl ControlPlane {
         // the map, so a fleet of per-job closed-form models hashes
         // nothing.
         let mut pins: HashMap<*const (), Arc<dyn CompletionModel>> = HashMap::new();
+        let mut n = 0;
         for (i, slot) in slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
             serial[i] = slot.serial;
@@ -625,35 +660,40 @@ impl ControlPlane {
                     None => slot.model.clone(),
                 },
             };
-            jobs.push(ArbiterJob {
-                model,
-                utility: s.utility.clone(),
-                progress: s.progress,
-                stage_fraction: s.stage_fraction.clone(),
-                elapsed_secs: s.elapsed_secs,
-                slack: slot.slack,
-            });
+            if let Some(job) = jobs.get_mut(n) {
+                job.model = model;
+                job.utility.clone_from(&s.utility);
+                job.progress = s.progress;
+                job.stage_fraction.clone_from(&s.stage_fraction);
+                job.elapsed_secs = s.elapsed_secs;
+                job.slack = slot.slack;
+            } else {
+                jobs.push(ArbiterJob {
+                    model,
+                    utility: s.utility.clone(),
+                    progress: s.progress,
+                    stage_fraction: s.stage_fraction.clone(),
+                    elapsed_secs: s.elapsed_secs,
+                    slack: slot.slack,
+                });
+            }
+            n += 1;
         }
+        jobs.truncate(n);
         let mut alloc = vec![1_u32; slots.len()];
         if !jobs.is_empty() {
-            // `arbitrate` needs at least one token per job. Admission
-            // keeps the active fleet within the budget (every
-            // reservation is at least one token), so this count stays
-            // zero; a non-zero value flags a broken floor instead of
-            // absorbing it silently.
-            if jobs.len() as u32 > self.budget {
-                self.over_committed_rounds.fetch_add(1, Ordering::Relaxed);
-            }
             let budget = self.budget.max(jobs.len() as u32);
-            for (pos, share) in arbitrate(&jobs, budget).into_iter().enumerate() {
+            for (pos, share) in arbitrate(jobs, budget).into_iter().enumerate() {
                 alloc[active[pos]] = share;
             }
         }
-        let mut guard = self
-            .snapshot
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        *guard = Arc::new(Snapshot { alloc, serial });
+        // Between refreshes the gather holds each slot's own model, not
+        // a pinned view, so no published model snapshot outlives the
+        // refresh that read it.
+        for (job, &i) in jobs.iter_mut().zip(active.iter()) {
+            job.model = slots[i].as_ref().expect("gathered slot").model.clone();
+        }
+        Snapshot { alloc, serial }
     }
 
     fn set_deadline(&self, id: usize, new_deadline: SimDuration) {
@@ -1013,6 +1053,110 @@ mod tests {
         drop(anchor);
         assert_eq!(plane.active_jobs(), 0);
         assert_eq!(plane.stats().over_committed_rounds, 0);
+    }
+
+    /// remaining = work * (1 - fs[0]) / a: reads the stage fractions
+    /// where [`Toy`] reads the progress.
+    struct Staged {
+        work: f64,
+    }
+
+    impl CompletionModel for Staged {
+        fn remaining_secs(&self, fs: &[f64], _progress: f64, allocation: u32) -> f64 {
+            self.work * (1.0 - fs[0]) / f64::from(allocation.max(1))
+        }
+        fn max_allocation(&self) -> u32 {
+            100
+        }
+    }
+
+    /// A gather reused across refreshes splits exactly as a fresh one
+    /// while the fleet shrinks, grows and recycles slot ids, jobs
+    /// change deadlines, and one pinning model is shared beside per-job
+    /// ones; between refreshes it holds no pinned view.
+    #[test]
+    fn reused_gather_splits_as_a_fresh_one_across_churn() {
+        let plane = ControlPlane::new(60);
+        let shared: Arc<dyn CompletionModel> = Arc::new(PinCounter {
+            work: 20_000.0,
+            pins: AtomicU64::new(0),
+        });
+        let mut state = 0x5851_f42d_4c95_7f2d_u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mut reused = Gather::default();
+        let mut handles: Vec<JobHandle> = Vec::new();
+        let (mut smallest, mut largest, mut recycled) = (usize::MAX, 0, 0);
+        for round in 0..200_u64 {
+            // Bursts of admissions and of departures.
+            let phase = (round / 20) % 2 == 0;
+            if phase || handles.is_empty() {
+                for _ in 0..=next(3) {
+                    let model: Arc<dyn CompletionModel> = if next(2) == 0 {
+                        shared.clone()
+                    } else {
+                        Arc::new(Staged {
+                            work: 2_000.0 + next(30_000) as f64,
+                        })
+                    };
+                    let slots_before = plane.slot_count();
+                    if let Ok(h) = plane.try_add_job(
+                        &format!("job-{round}"),
+                        model,
+                        toy_indicator(),
+                        SimDuration::from_mins(30 + next(90)),
+                        1.0 + next(3) as f64 / 10.0,
+                    ) {
+                        recycled += usize::from(h.id() < slots_before);
+                        handles.push(h);
+                    }
+                }
+            } else {
+                for _ in 0..=next(3) {
+                    if !handles.is_empty() {
+                        let i = next(handles.len() as u64) as usize;
+                        handles.swap_remove(i);
+                    }
+                }
+            }
+            for h in &mut handles {
+                if next(8) == 0 {
+                    h.deadline_changed(SimDuration::from_mins(20 + next(100)));
+                }
+                let frac = if next(30) == 0 {
+                    1.0
+                } else {
+                    next(95) as f64 / 100.0
+                };
+                h.tick(&status(round, frac, 1 + next(8) as u32));
+            }
+            handles.retain(|h| !h.is_released());
+
+            let slots = plane.slots.read().unwrap().clone();
+            let fresh = plane.split(&slots, &mut Gather::default());
+            let again = plane.split(&slots, &mut reused);
+            assert_eq!(again.alloc, fresh.alloc, "round {round}");
+            assert_eq!(again.serial, fresh.serial, "round {round}");
+            assert_eq!(reused.jobs.len(), handles.len(), "round {round}");
+            for (job, &i) in reused.jobs.iter().zip(&reused.active) {
+                let own = &slots[i].as_ref().expect("gathered slot").model;
+                assert!(
+                    Arc::ptr_eq(&job.model, own),
+                    "round {round}: pinned view kept"
+                );
+            }
+            smallest = smallest.min(handles.len());
+            largest = largest.max(handles.len());
+        }
+        assert!(
+            smallest <= 2 && largest >= 12,
+            "fleet {smallest}..={largest}"
+        );
+        assert!(recycled > 0, "no slot id was recycled");
     }
 
     #[test]

@@ -37,6 +37,21 @@ pub trait CompletionModel: Send + Sync {
     /// bound for the control loop).
     fn max_allocation(&self) -> u32;
 
+    /// The remaining-time curve over consecutive allocations: writes
+    /// `remaining_secs(fs, progress, first + i)` to `out[i]` for every
+    /// `i`, each value equal to the single query bit for bit.
+    ///
+    /// One call answers what an arbitration refresh asks of a job —
+    /// every allocation its grant scans can reach — so a model whose
+    /// per-query work repeats (a table lookup, a grid search) does that
+    /// work once per curve. The default asks the single query per
+    /// allocation.
+    fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
+        for (a, v) in (first..).zip(out.iter_mut()) {
+            *v = self.remaining_secs(fs, progress, a);
+        }
+    }
+
     /// The smallest allocation whose slack-inflated fresh prediction
     /// (progress 0, per-stage fractions `fs`) meets `deadline`, if any
     /// does — the a-priori sizing used by admission control.

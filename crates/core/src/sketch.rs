@@ -221,7 +221,9 @@ impl CellSketch {
         let rank = q / 100.0 * (total - 1) as f64;
         let lo = rank.floor() as u64;
         let hi = rank.ceil() as u64;
-        let (vlo, vhi) = merged_values_at(&self.levels, lo, hi);
+        // Walk from the end nearer the ranks.
+        let from_top = lo >= total / 2;
+        let (vlo, vhi) = merged_values_at(&self.levels, total, lo, hi, from_top);
         vlo + (vhi - vlo) * (rank - lo as f64)
     }
 
@@ -293,38 +295,72 @@ impl CellSketch {
 }
 
 /// The values of the items covering expanded positions `lo <= hi`
-/// (0-based) of the weighted multiset `levels` (level `i` items weigh
-/// `2^i`, at most [`MAX_SKETCH_LEVELS`] levels), found by one merge
-/// walk over the already-sorted levels — no buffer, no sort. Equal
-/// values are bit-identical under `total_cmp`, so the order in which
-/// the walk visits ties cannot change an answer. A position past the
-/// end answers the largest item.
-fn merged_values_at(levels: &[Vec<f64>], lo: u64, hi: u64) -> (f64, f64) {
-    let mut cursor = [0_usize; MAX_SKETCH_LEVELS];
+/// (0-based) of the weighted multiset `levels` of `total` samples
+/// (level `i` items weigh `2^i`, at most [`MAX_SKETCH_LEVELS`] levels),
+/// found by one merge walk over the already-sorted levels — no buffer,
+/// no sort. The walk starts from the smallest items, or with
+/// `from_top` from the largest: a caller walking from the end nearer
+/// the ranks visits about 5% of the weight for a p95. Equal values are
+/// bit-identical under `total_cmp`, so the order in which the walk
+/// visits ties cannot change an answer, and both directions answer
+/// alike. A position past the end answers the largest item.
+fn merged_values_at(
+    levels: &[Vec<f64>],
+    total: u64,
+    lo: u64,
+    hi: u64,
+    from_top: bool,
+) -> (f64, f64) {
+    // The two targets as positions in walk order, nearer one first.
+    let (near, far) = if from_top {
+        (
+            (total - 1).saturating_sub(hi),
+            (total - 1).saturating_sub(lo),
+        )
+    } else {
+        (lo, hi)
+    };
+    // Items taken so far from each level's walk end.
+    let mut taken = [0_usize; MAX_SKETCH_LEVELS];
     let mut cum = 0_u64;
-    let mut vlo = None;
+    let mut v_near = None;
     let mut last = f64::NAN;
     loop {
-        // The smallest head across levels (lowest level on ties).
+        // The next head across levels in walk order (lowest level on
+        // ties).
         let mut next: Option<(usize, f64)> = None;
         for (i, level) in levels.iter().enumerate() {
-            if let Some(&v) = level.get(cursor[i]) {
-                if next.is_none_or(|(_, best)| v.total_cmp(&best).is_lt()) {
-                    next = Some((i, v));
+            let head = if from_top {
+                level.len().checked_sub(taken[i] + 1).map(|j| level[j])
+            } else {
+                level.get(taken[i]).copied()
+            };
+            let Some(v) = head else { continue };
+            let first = next.is_none_or(|(_, best)| {
+                let ord = v.total_cmp(&best);
+                if from_top {
+                    ord.is_gt()
+                } else {
+                    ord.is_lt()
                 }
+            });
+            if first {
+                next = Some((i, v));
             }
         }
         let Some((i, v)) = next else {
-            return (vlo.unwrap_or(last), last);
+            // Only the ascending walk can run out: past the end.
+            return (v_near.unwrap_or(last), last);
         };
-        cursor[i] += 1;
+        taken[i] += 1;
         cum += 1_u64 << i;
         last = v;
-        if vlo.is_none() && lo < cum {
-            vlo = Some(v);
+        if v_near.is_none() && near < cum {
+            v_near = Some(v);
         }
-        if hi < cum {
-            return (vlo.unwrap_or(v), v);
+        if far < cum {
+            let v_near = v_near.unwrap_or(v);
+            return if from_top { (v, v_near) } else { (v_near, v) };
         }
     }
 }
@@ -490,10 +526,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The merge walk over sorted levels answers bit for bit what
-        /// the expand-and-sort oracle answers, on bounded sketches with
-        /// several compacted levels, built from single pushes and
-        /// sorted batches alike.
+        /// The merge walk over sorted levels, from either end, answers
+        /// bit for bit what the expand-and-sort oracle answers, on
+        /// bounded sketches with several compacted levels, built from
+        /// single pushes and sorted batches alike.
         #[test]
         fn merge_walk_quantile_matches_the_sort_oracle(
             k in 8_usize..=16,
@@ -512,14 +548,29 @@ mod tests {
                 }
             }
             prop_assert_eq!(s.count(), values.len() as u64);
-            for q in [0.0, 100.0, 50.0, 95.0, q] {
+            let total = s.count();
+            for q in [0.0, 100.0, 50.0, 95.0, 5.0, q] {
+                let oracle = s.quantile_by_sort(q).to_bits();
                 prop_assert_eq!(
                     s.quantile(q).to_bits(),
-                    s.quantile_by_sort(q).to_bits(),
+                    oracle,
                     "q={} levels={}",
                     q,
                     s.levels().len()
                 );
+                // Both walk directions, whichever `quantile` picks.
+                let rank = q / 100.0 * (total - 1) as f64;
+                let (lo, hi) = (rank.floor() as u64, rank.ceil() as u64);
+                for from_top in [false, true] {
+                    let (vlo, vhi) = merged_values_at(s.levels(), total, lo, hi, from_top);
+                    prop_assert_eq!(
+                        (vlo + (vhi - vlo) * (rank - lo as f64)).to_bits(),
+                        oracle,
+                        "q={} from_top={}",
+                        q,
+                        from_top
+                    );
+                }
             }
         }
     }

@@ -12,12 +12,29 @@ use jockey_simrt::time::SimDuration;
 /// A piecewise-linear utility over completion time (seconds from job
 /// start). Between knots the function interpolates linearly; beyond the
 /// last knot it extrapolates the final segment's slope.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct UtilityFunction {
     /// `(completion_secs, utility)` knots, strictly increasing in time.
     knots: Vec<(f64, f64)>,
     /// The deadline this function encodes, if built from one.
     deadline: Option<SimDuration>,
+}
+
+/// Written out so `clone_from` copies the knots into the target's
+/// existing buffer: the control plane's refresh re-gathers every job's
+/// utility into reused storage without allocating.
+impl Clone for UtilityFunction {
+    fn clone(&self) -> Self {
+        UtilityFunction {
+            knots: self.knots.clone(),
+            deadline: self.deadline,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.knots.clone_from(&source.knots);
+        self.deadline = source.deadline;
+    }
 }
 
 impl UtilityFunction {

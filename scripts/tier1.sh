@@ -22,6 +22,19 @@ for gate in train:45c285bffc109a4e slo:d74d82e51fd2a6a7 scenarios:82b130b99cb395
   grep -q "digest=$digest" <<<"$out" \
     || { echo "tier1: perfbench $workload digest drifted from $digest" >&2; exit 1; }
 done
+# The service workload runs one plane per available core and digests
+# every plane's counts, so its digest depends on the core count. Pinned
+# to one CPU it runs one plane, and the digest is the same on every
+# machine (859b6d06a5aa0f45 is the two-plane digest of a 2-core run).
+service_digest=5c311e8762d1906d
+command -v taskset >/dev/null \
+  || { echo "tier1: the service digest gate needs taskset (util-linux)" >&2; exit 1; }
+# The first CPU this shell may run on (the list reads like "0-3,8").
+cpu="$(taskset -pc $$ | sed 's/.*: *//; s/[-,].*//')"
+out="$(taskset -c "$cpu" cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload service --seed 1 --seconds 0.1 --trace 0)"
+grep -q "digest=$service_digest" <<<"$out" \
+  || { echo "tier1: perfbench service digest drifted from $service_digest" >&2; exit 1; }
 # Benches must keep compiling (full runs stay manual; see
 # BENCH_control_plane.json for the recorded numbers).
 cargo bench --workspace --no-run
