@@ -15,7 +15,8 @@
 //!   the engine always uses (here promoted to its bucket ladder);
 //!   `engine_dense/adaptive` and `engine_sparse/adaptive` measure it at
 //!   engine level in the two regimes the hybrid has to win (or at
-//!   least tie) in.
+//!   least tie) in. `queue_depth/{heap,adaptive}/{32..256}` runs the
+//!   same hold model at depths around the promotion threshold.
 //! - `sample/{dyn,enum}`: per-task-attempt draws from a realistic
 //!   distribution mix through the `dyn Sample` vtable vs. the
 //!   monomorphized [`Dist::sample_with`] match.
@@ -45,11 +46,15 @@ const QUEUE_DEPTH: usize = 4_096;
 /// Hold-model rounds per iteration (each = one pop + one schedule).
 const QUEUE_ROUNDS: usize = 8_192;
 
-/// Runs the hold model on one backend: `QUEUE_DEPTH` events are
+/// Pending-event counts of the `queue_depth` rows, around the adaptive
+/// queue's promotion threshold.
+const CROSSOVER_DEPTHS: [usize; 5] = [32, 64, 128, 192, 256];
+
+/// Runs the hold model on one backend: `depth` events are
 /// pre-scheduled, then each round pops the earliest event and schedules
 /// a successor a pseudo-random near-future delta ahead — the engine's
 /// task-completion pattern.
-fn queue_hold_model(backend: QueueBackend) -> u64 {
+fn queue_hold_model(backend: QueueBackend, depth: usize) -> u64 {
     let mut queue = EventQueue::with_backend(backend);
     // A cheap deterministic delta stream (xorshift) keeps the workload
     // identical across backends without RNG overhead in the loop.
@@ -60,7 +65,7 @@ fn queue_hold_model(backend: QueueBackend) -> u64 {
         state ^= state << 17;
         state % limit
     };
-    for i in 0..QUEUE_DEPTH as u64 {
+    for i in 0..depth as u64 {
         queue.schedule(SimTime::ZERO + SimDuration::from_millis(delta(60_000)), i);
     }
     let mut acc = 0_u64;
@@ -77,11 +82,32 @@ fn bench_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue");
     g.sample_size(if smoke { 3 } else { 20 });
     g.bench_function("heap", |b| {
-        b.iter(|| queue_hold_model(QueueBackend::BinaryHeap));
+        b.iter(|| queue_hold_model(QueueBackend::BinaryHeap, QUEUE_DEPTH));
     });
     g.bench_function("adaptive", |b| {
-        b.iter(|| queue_hold_model(QueueBackend::Adaptive));
+        b.iter(|| queue_hold_model(QueueBackend::Adaptive, QUEUE_DEPTH));
     });
+    g.finish();
+}
+
+/// The hold model at the depths around the promotion threshold, on the
+/// binary reference heap and the adaptive queue: below the threshold
+/// the adaptive queue runs its 4-ary heap, from it on the bucket
+/// ladder. A build with the threshold moved out of reach, or down to
+/// one event, times one representation at every depth, which is how
+/// the threshold's crossover is measured.
+fn bench_queue_depth(c: &mut Criterion) {
+    let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
+    let mut g = c.benchmark_group("queue_depth");
+    g.sample_size(if smoke { 3 } else { 30 });
+    for depth in CROSSOVER_DEPTHS {
+        g.bench_function(format!("heap/{depth}"), |b| {
+            b.iter(|| queue_hold_model(QueueBackend::BinaryHeap, depth));
+        });
+        g.bench_function(format!("adaptive/{depth}"), |b| {
+            b.iter(|| queue_hold_model(QueueBackend::Adaptive, depth));
+        });
+    }
     g.finish();
 }
 
@@ -258,6 +284,7 @@ fn bench_remaining(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_queue,
+    bench_queue_depth,
     bench_engine_dense,
     bench_engine_sparse,
     bench_sampling,

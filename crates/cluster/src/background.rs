@@ -125,6 +125,11 @@ impl BackgroundModel {
 
     /// Tokens demanded by background jobs out of `total`.
     pub fn demand_tokens(&self, now: SimTime, total: u32) -> u32 {
+        // Disabled, the utilization is 0: skip the software `round` in
+        // every scheduling pass of a dedicated (training) cluster.
+        if !self.cfg.enabled {
+            return 0;
+        }
         (self.utilization(now) * f64::from(total)).round() as u32
     }
 

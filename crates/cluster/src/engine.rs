@@ -140,12 +140,23 @@ pub enum TaskState {
 pub struct TaskTable {
     state: Vec<TaskState>,
     attempts: Vec<u32>,
+    /// Per task, the position of its newest running-list entry in the
+    /// job's `running` list, or [`TaskTable::NOT_RUNNING`]. Written
+    /// only by [`JobRun::push_running`] and [`JobRun::remove_running`],
+    /// so a completion finds its entry without scanning. Exact without
+    /// speculation (a task holds at most one entry); with sibling
+    /// attempts racing it may lose track of a surviving sibling, and
+    /// lookups fall back to the scan.
+    running_pos: Vec<u32>,
     /// Prefix sums of per-stage task counts; `offsets[num_stages]` is
     /// the total slot count.
     offsets: Vec<u32>,
 }
 
 impl TaskTable {
+    /// [`TaskTable::running_pos`] of a task with no indexed entry.
+    const NOT_RUNNING: u32 = u32::MAX;
+
     /// Rebuilds the table for `graph` (all tasks `Pending`, zero
     /// attempts), reusing the existing allocations.
     pub(crate) fn reset_for(&mut self, graph: &jockey_jobgraph::graph::JobGraph) {
@@ -160,10 +171,12 @@ impl TaskTable {
         self.state.resize(total as usize, TaskState::Pending);
         self.attempts.clear();
         self.attempts.resize(total as usize, 0);
+        self.running_pos.clear();
+        self.running_pos.resize(total as usize, Self::NOT_RUNNING);
     }
 
     #[inline]
-    fn slot(&self, t: TaskId) -> usize {
+    pub(crate) fn slot(&self, t: TaskId) -> usize {
         self.offsets[t.stage.index()] as usize + t.index as usize
     }
 
@@ -201,6 +214,25 @@ impl TaskTable {
     /// Total task slots in the table.
     pub(crate) fn total(&self) -> usize {
         self.state.len()
+    }
+
+    /// Position of the task's indexed running-list entry, if any.
+    #[inline]
+    pub(crate) fn running_pos(&self, t: TaskId) -> Option<usize> {
+        self.running_pos_at(self.slot(t))
+    }
+
+    /// [`TaskTable::running_pos`] by task slot.
+    #[inline]
+    pub(crate) fn running_pos_at(&self, slot: usize) -> Option<usize> {
+        let p = self.running_pos[slot];
+        (p != Self::NOT_RUNNING).then_some(p as usize)
+    }
+
+    #[inline]
+    fn set_running_pos(&mut self, t: TaskId, pos: Option<usize>) {
+        let i = self.slot(t);
+        self.running_pos[i] = pos.map_or(Self::NOT_RUNNING, |p| p as u32);
     }
 }
 
@@ -326,23 +358,51 @@ impl JobRun {
     }
 
     /// Appends a running entry, counting it under its class and, under
-    /// a topology, on its host in `machine_load`.
+    /// a topology, on its host in `machine_load`, and indexes it as its
+    /// task's entry.
     pub(crate) fn push_running(&mut self, r: RunningTask, machine_load: &mut [u32]) {
         self.class_counts[r.class.slot()] += 1;
         if let Some(m) = r.machine {
             machine_load[m as usize] += 1;
         }
+        self.tasks.set_running_pos(r.task, Some(self.running.len()));
         self.running.push(r);
     }
 
-    /// Swap-removes the running entry at `pos`, uncounting it.
+    /// Swap-removes the running entry at `pos`, uncounting it, and
+    /// re-points the index of the entry the swap moved into `pos`.
     pub(crate) fn remove_running(&mut self, pos: usize, machine_load: &mut [u32]) -> RunningTask {
         let r = self.running.swap_remove(pos);
         self.class_counts[r.class.slot()] -= 1;
         if let Some(m) = r.machine {
             machine_load[m as usize] -= 1;
         }
+        if self.tasks.running_pos(r.task) == Some(pos) {
+            self.tasks.set_running_pos(r.task, None);
+        }
+        // The former last entry now sits at `pos`.
+        let moved_from = self.running.len();
+        if let Some(m) = self.running.get(pos) {
+            let moved = m.task;
+            if self.tasks.running_pos(moved) == Some(moved_from) {
+                self.tasks.set_running_pos(moved, Some(pos));
+            }
+        }
         r
+    }
+
+    /// Position of the running entry of `task`'s attempt `attempt`:
+    /// the index answers in O(1); a speculative run scans when the
+    /// index holds a different sibling (or none).
+    fn find_running(&self, task: TaskId, attempt: u32, speculating: bool) -> Option<usize> {
+        match self.tasks.running_pos(task) {
+            Some(p) if self.running[p].attempt == attempt => Some(p),
+            _ if speculating => self
+                .running
+                .iter()
+                .position(|r| r.task == task && r.attempt == attempt),
+            _ => None,
+        }
     }
 
     /// Moves the running entry at `pos` into `class` (a demotion or an
@@ -1371,16 +1431,14 @@ impl Engine {
         let speculating = self.core.cfg.speculation.is_some();
         let pos = {
             let job = &self.core.jobs[j];
+            let pos = job.find_running(task, attempt, speculating);
             // Stale completion (task was evicted/killed since scheduling)?
             // The task state holds the *newest* attempt; under
             // speculation an older sibling attempt is still live as
             // long as its running-list entry survives.
             let live = match job.task_state(task) {
                 TaskState::Running { attempt: a } if a == attempt => true,
-                TaskState::Running { .. } if speculating => job
-                    .running
-                    .iter()
-                    .any(|r| r.task == task && r.attempt == attempt),
+                TaskState::Running { .. } if speculating => pos.is_some(),
                 _ => false,
             };
             if !live {
@@ -1394,13 +1452,7 @@ impl Engine {
                 );
                 return false;
             }
-            // One scan both proves presence and locates the entry (the
-            // reference scanned twice).
-            match job
-                .running
-                .iter()
-                .position(|r| r.task == task && r.attempt == attempt)
-            {
+            match pos {
                 Some(pos) => pos,
                 None => return false,
             }

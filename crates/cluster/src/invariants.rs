@@ -28,7 +28,9 @@ use crate::engine::{EngineCore, RunningTask, TaskState};
 ///    and `done_tasks` equals the per-stage sum.
 /// 4. **Running-set accounting** — each job's incremental per-class
 ///    running counts, and under a topology the per-machine load the
-///    placement reads, equal a recount of the running lists.
+///    placement reads, equal a recount of the running lists, and the
+///    task table's running-position index points at entries of the
+///    right task (and, without speculation, at every entry).
 /// 5. **Monotone stage fractions** — completed counts never decrease
 ///    except through an explicit data-loss rollback (which lowers the
 ///    floor).
@@ -224,6 +226,43 @@ pub(crate) fn check(core: &mut EngineCore, now: SimTime) {
         for m in job.running().iter().filter_map(|r| r.machine) {
             machine_load[m as usize] += 1;
         }
+        // The running-position index: every indexed position holds an
+        // entry of its task, and without speculation (at most one entry
+        // per task) every entry is indexed at its own position.
+        for slot in 0..job.tasks.total() {
+            let Some(pos) = job.tasks.running_pos_at(slot) else {
+                continue;
+            };
+            let held = job.running().get(pos).map(|r| job.tasks.slot(r.task));
+            if held != Some(slot) {
+                violation(
+                    core,
+                    now,
+                    "running-set accounting",
+                    format!(
+                        "job {j}: task slot {slot} is indexed at running position {pos}, which \
+                         holds {held:?}"
+                    ),
+                );
+            }
+        }
+        if core.cfg.speculation.is_none() {
+            for (pos, r) in job.running().iter().enumerate() {
+                let indexed = job.tasks.running_pos(r.task);
+                if indexed != Some(pos) {
+                    violation(
+                        core,
+                        now,
+                        "running-set accounting",
+                        format!(
+                            "job {j}: running entry {pos} (s{}/{}) is indexed at {indexed:?}",
+                            r.task.stage.index(),
+                            r.task.index
+                        ),
+                    );
+                }
+            }
+        }
     }
     for (m, (&counted, &kept)) in machine_load.iter().zip(&core.machine_load).enumerate() {
         if counted != kept {
@@ -396,6 +435,21 @@ mod tests {
             .machine
             .expect("topology places every task") as usize;
         sim.engine.core.machine_load[m] -= 1;
+        check(&mut sim.engine.core, now);
+    }
+
+    #[test]
+    #[should_panic(expected = "running-set accounting")]
+    fn invariant_fires_on_running_position_drift() {
+        let (mut sim, _, now) = stepped_sim(false);
+        let job = &mut sim.engine.core.jobs[0];
+        assert!(
+            job.running.len() >= 2,
+            "four tokens keep several tasks running"
+        );
+        // Swap two entries behind the index's back, as a swap-remove
+        // that forgot to re-point the moved entry would leave it.
+        job.running.swap(0, 1);
         check(&mut sim.engine.core, now);
     }
 

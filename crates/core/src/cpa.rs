@@ -29,7 +29,7 @@
 //! simulation runs and absorbs them into an empty model.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use jockey_cluster::{
     ClusterConfig, ClusterSim, FixedAllocation, JobSpec, RunHooks, RunTrace, SimWorkspace,
@@ -60,9 +60,10 @@ pub struct TrainConfig {
     pub percentile: f64,
     /// Simulation horizon per training run.
     pub max_sim_time: SimTime,
-    /// Worker threads for training; `None` (the default) uses one per
-    /// allocation. The trained model is identical for any value — RNG
-    /// streams derive from grid position, never from thread scheduling.
+    /// Worker threads for training; `None` (the default) uses the
+    /// machine's available parallelism. The trained model is identical
+    /// for any value — RNG streams derive from grid position, never
+    /// from thread scheduling.
     pub threads: Option<usize>,
     /// Per-cell quantile-sketch capacity. `None` (the default) keeps
     /// every sample — cells are exact sorted lists and the model is
@@ -217,10 +218,50 @@ impl std::error::Error for InvalidTrainConfig {}
 /// Default training worker count when [`TrainConfig::threads`] is
 /// `None`: the machine's available parallelism. Training results are
 /// byte-identical for any thread count, so this only tunes wall-clock
-/// time — on a 1-core machine it keeps the sharded loops inline
+/// time — on a 1-core machine it keeps the training loops inline
 /// instead of paying spawn/join overhead for no concurrency.
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Calls `work(&mut state, i, &mut items[i])` for every item on up to
+/// `threads` workers, each building its own `state` with `init`.
+/// Workers pull the next unclaimed item from one shared queue, so the
+/// load balances itself whatever the items cost; one worker runs
+/// inline, without spawning. Which worker handles an item is
+/// scheduling-dependent, so `work` must depend only on `i` and the
+/// item for the result to be thread-count independent.
+fn for_each_pulled<T, S>(
+    items: &mut [T],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize, &mut T) + Sync,
+) where
+    T: Send,
+{
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        let mut state = init();
+        for (i, item) in items.iter_mut().enumerate() {
+            work(&mut state, i, item);
+        }
+        return;
+    }
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut state = init();
+                loop {
+                    // The guard drops at the end of this statement, so
+                    // no worker holds the queue while it works.
+                    let next = queue.lock().expect("training queue poisoned").next();
+                    let Some((i, item)) = next else { break };
+                    work(&mut state, i, item);
+                }
+            });
+        }
+    });
 }
 
 /// Maps progress `p` (clamped to `[0, 1]`) onto one of `bins` buckets.
@@ -283,6 +324,7 @@ impl ProgressSink for SampleCollector<'_> {
 }
 
 /// The samples harvested from one simulated training run.
+#[derive(Default)]
 struct RunHarvest {
     /// `(elapsed_secs, progress)` pairs at each control tick.
     samples: Vec<(f64, f64)>,
@@ -383,9 +425,11 @@ impl CpaModel {
     /// `spec`'s graph) at every allocation in the grid, indexing
     /// progress with `indicator`.
     ///
-    /// Training is deterministic in `seed` and parallelized across the
-    /// allocation grid. It is a thin wrapper over the online path: the
-    /// harvested runs are absorbed, one by one, into an empty model —
+    /// Training is deterministic in `seed` and parallelized twice: the
+    /// workers simulate the `allocations × runs_per_allocation` grid
+    /// cell by cell, then fold the allocation rows. It is a thin
+    /// wrapper over the online path: the harvested runs are absorbed,
+    /// one by one, into an empty model —
     /// with the default exact sketches this reproduces the historical
     /// trained bytes bit-for-bit, and with a bounded `sketch_capacity`
     /// it matches within the sketch's documented rank-error bound.
@@ -403,67 +447,66 @@ impl CpaModel {
         cfg.validate();
         let seeds = SeedDeriver::new(seed).child("cpa-train");
         let spec = Arc::new(JobSpec::from_profile(graph.clone(), profile));
+        let threads = cfg.threads.unwrap_or_else(default_threads);
 
-        // The grid is sharded into contiguous chunks, one worker thread
-        // per chunk, each reusing a single SimWorkspace across all its
-        // runs. Every shard's RNG seeds derive from (allocation index,
-        // run index), so the trained cells are byte-identical for any
-        // thread count — including the single-shard case, which runs
-        // inline to spare a 1-core machine the spawn/join jitter.
-        let n = cfg.allocations.len();
-        let threads = cfg
-            .threads
-            .unwrap_or_else(default_threads)
-            .clamp(1, n.max(1));
-        let chunk = n.div_ceil(threads);
-        let mut harvests: Vec<Vec<RunHarvest>> = Vec::new();
-        harvests.resize_with(n, Vec::new);
-        let shard = |ci: usize, chunk_harvests: &mut [Vec<RunHarvest>]| {
-            let mut ws = SimWorkspace::new();
-            for (k, harvest) in chunk_harvests.iter_mut().enumerate() {
-                let ai = ci * chunk + k;
-                *harvest = train_one_allocation(
-                    &spec,
-                    indicator,
-                    cfg.allocations[ai],
-                    cfg,
-                    seeds.child_indexed("alloc", ai as u64),
-                    &mut ws,
-                );
-            }
-        };
-        if threads == 1 {
-            shard(0, &mut harvests);
-        } else {
-            std::thread::scope(|scope| {
-                for (ci, chunk_harvests) in harvests.chunks_mut(chunk).enumerate() {
-                    let shard = &shard;
-                    scope.spawn(move || shard(ci, chunk_harvests));
-                }
-            });
-        }
+        // Simulate: the grid is `allocations x runs_per_allocation`
+        // cells, and workers pull cells one at a time, each reusing its
+        // own SimWorkspace. Every cell's RNG seed derives from its grid
+        // position (allocation index, then run index), so the harvests
+        // are byte-identical for any thread count.
+        let runs = cfg.runs_per_allocation;
+        let mut harvests: Vec<RunHarvest> = Vec::new();
+        harvests.resize_with(cfg.allocations.len() * runs, RunHarvest::default);
+        for_each_pulled(
+            &mut harvests,
+            threads,
+            SimWorkspace::new,
+            |ws, cell, harvest| {
+                let (ai, run) = (cell / runs, cell % runs);
+                let run_seed = seeds
+                    .child_indexed("alloc", ai as u64)
+                    .seed_indexed("run", run as u64);
+                *harvest = train_one_run(&spec, indicator, cfg.allocations[ai], cfg, run_seed, ws);
+            },
+        );
 
-        // Absorb every harvested run, in grid-then-run order, into an
-        // empty model. Deterministic and thread-count independent: the
-        // per-cell sample multiset does not depend on absorb order, and
-        // sorted merges keep each exact cell identical to a one-shot
-        // concat-then-sort of the same samples.
+        // Fold: a run at grid allocation `ai` only touches row `ai`, so
+        // rows fold in parallel. Each row absorbs its runs in run order
+        // — the same batches in the same order as one serial
+        // grid-then-run pass — and then computes its query-table row,
+        // which reads no other row.
         let mut model = CpaModel::empty_unbuilt(cfg);
-        let mut obs: Vec<RunObservation> = Vec::new();
-        for (ai, runs) in harvests.iter().enumerate() {
-            let allocation = cfg.allocations[ai];
-            for run in runs {
-                obs.clear();
-                obs.extend(run.samples.iter().map(|&(t, p)| RunObservation {
-                    elapsed_secs: t,
-                    progress: p,
-                    allocation,
-                }));
-                let completed_alloc = run.completed.then_some(allocation);
-                model.fold_run(&obs, run.total_secs, completed_alloc, None);
-            }
-        }
-        model.build_table();
+        let bins = model.bins;
+        model.table = vec![0.0; cfg.allocations.len() * bins];
+        let mut rows: Vec<_> = model
+            .cells
+            .iter_mut()
+            .zip(model.table.chunks_mut(bins))
+            .zip(harvests.chunks(runs))
+            .collect();
+        for_each_pulled(
+            &mut rows,
+            threads,
+            || (FoldScratch::default(), Vec::new()),
+            |(scratch, obs), ai, ((row, table_row), row_runs)| {
+                let allocation = cfg.allocations[ai];
+                for run in row_runs.iter() {
+                    obs.clear();
+                    obs.extend(run.samples.iter().map(|&(t, p)| RunObservation {
+                        elapsed_secs: t,
+                        progress: p,
+                        allocation,
+                    }));
+                    let completed_alloc = run.completed.then_some(allocation);
+                    scratch.stage(&cfg.allocations, bins, obs, run.total_secs, completed_alloc);
+                    scratch.merge(std::slice::from_mut(*row), ai, None);
+                }
+                for (bin, v) in table_row.iter_mut().enumerate() {
+                    *v = grid_remaining(row, bin, cfg.percentile);
+                }
+            },
+        );
+        model.check_fresh_monotone();
         model
     }
 
@@ -497,6 +540,7 @@ impl CpaModel {
         runs: impl IntoIterator<Item = (&'r [RunObservation], f64, bool)>,
     ) -> usize {
         let mut dirty = vec![false; self.allocations.len()];
+        let mut scratch = FoldScratch::default();
         let mut added = 0;
         for (obs, total_secs, completed) in runs {
             let completed_alloc = if completed {
@@ -504,7 +548,14 @@ impl CpaModel {
             } else {
                 None
             };
-            added += self.fold_run(obs, total_secs, completed_alloc, Some(&mut dirty));
+            scratch.stage(
+                &self.allocations,
+                self.bins,
+                obs,
+                total_secs,
+                completed_alloc,
+            );
+            added += scratch.merge(&mut self.cells, 0, Some(&mut dirty));
         }
         self.rebuild_rows(&dirty);
         added
@@ -536,81 +587,6 @@ impl CpaModel {
             })
             .collect();
         self.absorb_observations(&obs, total_secs, completed)
-    }
-
-    /// Shared absorb core: stages samples per cell, merges each staged
-    /// batch into its sketch, and marks touched allocations dirty.
-    /// Does *not* rebuild the query table — callers either rebuild the
-    /// dirty rows (online absorb) or the whole table once (training).
-    fn fold_run(
-        &mut self,
-        obs: &[RunObservation],
-        total_secs: f64,
-        completed_alloc: Option<u32>,
-        mut dirty: Option<&mut Vec<bool>>,
-    ) -> usize {
-        // Stage every sample as a `(cell, remaining)` pair and sort once
-        // by cell then value: each cell's batch comes out contiguous and
-        // ascending, and cells are visited in the same ascending
-        // `(allocation, bin)` order a keyed map would yield — so the
-        // sketches absorb byte-identical batches, without a map node and
-        // a vector allocation per touched cell.
-        let mut staged: Vec<((usize, usize), f64)> = Vec::with_capacity(obs.len() + 1);
-        staged.extend(obs.iter().map(|o| {
-            let ai = self.grid_index_nearest(o.allocation);
-            let bin = progress_bin(o.progress, self.bins);
-            ((ai, bin), (total_secs - o.elapsed_secs).max(0.0))
-        }));
-        // Completion itself: zero remaining at full progress (only for
-        // runs that actually completed).
-        if let Some(a) = completed_alloc {
-            let ai = self.grid_index_nearest(a);
-            staged.push(((ai, self.bins - 1), 0.0));
-        }
-        staged.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
-        // Merge each cell's contiguous (already ascending) batch into
-        // its sketch. Cells of one row are contiguous too, so each
-        // touched row is made unique (copied if a snapshot shares it)
-        // once, not once per cell.
-        let mut batch: Vec<f64> = Vec::new();
-        let mut row: Option<(usize, &mut Vec<CellSketch>)> = None;
-        let mut i = 0;
-        while i < staged.len() {
-            let key = staged[i].0;
-            let end = staged[i..]
-                .iter()
-                .position(|e| e.0 != key)
-                .map_or(staged.len(), |p| i + p);
-            batch.clear();
-            batch.extend(staged[i..end].iter().map(|e| e.1));
-            if row.as_ref().is_none_or(|&(ai, _)| ai != key.0) {
-                row = Some((key.0, Arc::make_mut(&mut self.cells[key.0])));
-                if let Some(d) = dirty.as_deref_mut() {
-                    d[key.0] = true;
-                }
-            }
-            let (_, cells) = row.as_mut().expect("row set above");
-            cells[key.1].extend_sorted(&batch);
-            i = end;
-        }
-        staged.len()
-    }
-
-    /// The grid index nearest to `allocation` (lower index wins ties).
-    fn grid_index_nearest(&self, allocation: u32) -> usize {
-        let grid = &self.allocations;
-        let hi = grid.partition_point(|&g| g < allocation);
-        if hi == 0 {
-            return 0;
-        }
-        if hi == grid.len() {
-            return grid.len() - 1;
-        }
-        if allocation - grid[hi - 1] <= grid[hi] - allocation {
-            hi - 1
-        } else {
-            hi
-        }
     }
 
     /// Precomputes the dense query table from the raw cells: one
@@ -714,22 +690,7 @@ impl CpaModel {
     /// searching outward from the progress bin for the nearest
     /// non-empty cell.
     fn remaining_at_grid(&self, ai: usize, bin: usize, percentile: f64) -> f64 {
-        let cells = &self.cells[ai];
-        // Search outward: prefer the queried bin, then neighbors.
-        for d in 0..self.bins {
-            let candidates = [
-                bin.checked_sub(d),
-                bin.checked_add(d).filter(|&b| b < self.bins),
-            ];
-            for b in candidates.into_iter().flatten() {
-                if !cells[b].is_empty() {
-                    return cells[b].quantile(percentile);
-                }
-            }
-        }
-        // No samples at this allocation at all: treat it as unusably
-        // slow, never as instantaneous.
-        f64::INFINITY
+        grid_remaining(&self.cells[ai], bin, percentile)
     }
 
     /// `C(p, a)` at the model's configured percentile, linearly
@@ -975,6 +936,125 @@ impl CpaModel {
     }
 }
 
+/// The grid index nearest to `allocation` (lower index wins ties).
+fn nearest_grid_index(grid: &[u32], allocation: u32) -> usize {
+    let hi = grid.partition_point(|&g| g < allocation);
+    if hi == 0 {
+        return 0;
+    }
+    if hi == grid.len() {
+        return grid.len() - 1;
+    }
+    if allocation - grid[hi - 1] <= grid[hi] - allocation {
+        hi - 1
+    } else {
+        hi
+    }
+}
+
+/// The remaining-time estimate of one allocation row at `bin`,
+/// searching outward from the bin for the nearest non-empty cell.
+fn grid_remaining(cells: &[CellSketch], bin: usize, percentile: f64) -> f64 {
+    let bins = cells.len();
+    // Search outward: prefer the queried bin, then neighbors.
+    for d in 0..bins {
+        let candidates = [bin.checked_sub(d), bin.checked_add(d).filter(|&b| b < bins)];
+        for b in candidates.into_iter().flatten() {
+            if !cells[b].is_empty() {
+                return cells[b].quantile(percentile);
+            }
+        }
+    }
+    // No samples at this allocation at all: treat it as unusably
+    // slow, never as instantaneous.
+    f64::INFINITY
+}
+
+/// The absorb path's staging buffers: one run's samples are staged,
+/// then merged into the sketches. Reused across runs, so folding a
+/// run allocates only when a buffer grows.
+#[derive(Default)]
+struct FoldScratch {
+    /// `(cell, remaining)` pairs of the staged run, sorted by cell then
+    /// value.
+    staged: Vec<((usize, usize), f64)>,
+    /// One cell's batch of values, handed to its sketch.
+    batch: Vec<f64>,
+}
+
+impl FoldScratch {
+    /// Stages one completed (or horizon-censored) run: each
+    /// observation contributes `(total_secs − elapsed).max(0)` to the
+    /// cell at its nearest grid allocation and progress bin, and a run
+    /// that completed at `completed_alloc` adds a zero-remaining sample
+    /// at full progress.
+    fn stage(
+        &mut self,
+        grid: &[u32],
+        bins: usize,
+        obs: &[RunObservation],
+        total_secs: f64,
+        completed_alloc: Option<u32>,
+    ) {
+        // Stage every sample as a `(cell, remaining)` pair and sort once
+        // by cell then value: each cell's batch comes out contiguous and
+        // ascending, and cells are visited in the same ascending
+        // `(allocation, bin)` order a keyed map would yield — so the
+        // sketches absorb byte-identical batches, without a map node and
+        // a vector allocation per touched cell.
+        self.staged.clear();
+        self.staged.extend(obs.iter().map(|o| {
+            let ai = nearest_grid_index(grid, o.allocation);
+            let bin = progress_bin(o.progress, bins);
+            ((ai, bin), (total_secs - o.elapsed_secs).max(0.0))
+        }));
+        if let Some(a) = completed_alloc {
+            self.staged
+                .push(((nearest_grid_index(grid, a), bins - 1), 0.0));
+        }
+        // Two pairs compare equal only when their values have the same
+        // bits (`total_cmp`), so the unstable sort's output is the
+        // stable sort's, without its buffer.
+        self.staged
+            .sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
+    }
+
+    /// Merges the staged run into `rows`, which hold grid rows
+    /// `first_row..`, marks each touched row in `dirty`, and returns
+    /// the number of samples merged. Cells of one row are contiguous,
+    /// so each touched row is made unique (copied if a snapshot shares
+    /// it) once, not once per cell.
+    fn merge(
+        &mut self,
+        rows: &mut [Arc<Vec<CellSketch>>],
+        first_row: usize,
+        mut dirty: Option<&mut Vec<bool>>,
+    ) -> usize {
+        let staged = &self.staged;
+        let mut row: Option<(usize, &mut Vec<CellSketch>)> = None;
+        let mut i = 0;
+        while i < staged.len() {
+            let key = staged[i].0;
+            let end = staged[i..]
+                .iter()
+                .position(|e| e.0 != key)
+                .map_or(staged.len(), |p| i + p);
+            self.batch.clear();
+            self.batch.extend(staged[i..end].iter().map(|e| e.1));
+            if row.as_ref().is_none_or(|&(ai, _)| ai != key.0) {
+                row = Some((key.0, Arc::make_mut(&mut rows[key.0 - first_row])));
+                if let Some(d) = dirty.as_deref_mut() {
+                    d[key.0] = true;
+                }
+            }
+            let (_, cells) = row.as_mut().expect("row set above");
+            cells[key.1].extend_sorted(&self.batch);
+            i = end;
+        }
+        staged.len()
+    }
+}
+
 /// `allocations` rows of `bins` empty sketches, each row its own
 /// [`Arc`] so that a first absorb into a row copies nothing.
 fn vacant_rows(allocations: usize, bins: usize, k: Option<usize>) -> Vec<Arc<Vec<CellSketch>>> {
@@ -1036,68 +1116,63 @@ impl CompletionModel for CpaModel {
     }
 }
 
-/// Simulates every training run for one allocation and returns the
-/// per-run harvests. The hot path is allocation-lean: the shared spec
-/// is never deep-cloned, per-job state vectors are rented from `ws`,
+/// Simulates one training run at `allocation` and returns its
+/// harvest. The hot path is allocation-lean: the shared spec is never
+/// deep-cloned, per-job state vectors are rented from `ws`,
 /// trace/profile recording is off, and snapshots flow through a
-/// borrowed [`SampleCollector`] into one reused buffer.
-fn train_one_allocation(
+/// borrowed [`SampleCollector`] into the harvest's sample buffer.
+fn train_one_run(
     spec: &Arc<JobSpec>,
     indicator: &IndicatorContext,
     allocation: u32,
     cfg: &TrainConfig,
-    seeds: SeedDeriver,
+    seed: u64,
     ws: &mut SimWorkspace,
-) -> Vec<RunHarvest> {
-    let mut harvests = Vec::with_capacity(cfg.runs_per_allocation);
-    for run in 0..cfg.runs_per_allocation {
-        let mut samples: Vec<(f64, f64)> = Vec::new();
-        let mut sim_cfg = ClusterConfig::dedicated_with_failures(allocation);
-        sim_cfg.control_period = cfg.sample_period;
-        sim_cfg.max_sim_time = cfg.max_sim_time;
-        sim_cfg.topology = cfg.topology.clone();
-        if let Some(sp) = &cfg.speculation {
-            // The clone budget rides on top of the allocation: training
-            // at `a` under speculation level `s` simulates exactly the
-            // `a + clone_budget(s)` token footprint the 2D controller
-            // reserves, with the extra tokens idle unless a straggler
-            // draws a clone onto them.
-            sim_cfg.total_tokens = allocation + sp.clone_budget;
-            sim_cfg.max_guarantee = allocation;
-            sim_cfg.speculation = Some(sp.clone());
-        }
-        let mut sim =
-            ClusterSim::with_workspace(sim_cfg, seeds.seed_indexed("run", run as u64), ws);
-        sim.set_record_trace(false);
-        sim.set_record_profile(false);
-        sim.add_job_shared(spec.clone(), Box::new(FixedAllocation(allocation)));
-        let result = {
-            let mut collector = SampleCollector {
-                indicator,
-                samples: &mut samples,
-            };
-            sim.run_single_hooked(RunHooks {
-                sink: Some(&mut collector),
-                reclaim: Some(ws),
-            })
-        };
-        // A run that hit the simulation horizon is censored: its true
-        // completion is *at least* the horizon. Using the horizon as
-        // the completion time yields pessimistic-but-finite samples, so
-        // starved allocations read as "very slow" rather than leaving
-        // empty cells that would be misread as "instant".
-        let completed = result.duration().is_some();
-        let total_secs = match result.duration() {
-            Some(d) => d.as_secs_f64(),
-            None => cfg.max_sim_time.as_secs_f64(),
-        };
-        harvests.push(RunHarvest {
-            samples,
-            total_secs,
-            completed,
-        });
+) -> RunHarvest {
+    let mut samples: Vec<(f64, f64)> = Vec::new();
+    let mut sim_cfg = ClusterConfig::dedicated_with_failures(allocation);
+    sim_cfg.control_period = cfg.sample_period;
+    sim_cfg.max_sim_time = cfg.max_sim_time;
+    sim_cfg.topology = cfg.topology.clone();
+    if let Some(sp) = &cfg.speculation {
+        // The clone budget rides on top of the allocation: training at
+        // `a` under speculation level `s` simulates exactly the
+        // `a + clone_budget(s)` token footprint the 2D controller
+        // reserves, with the extra tokens idle unless a straggler draws
+        // a clone onto them.
+        sim_cfg.total_tokens = allocation + sp.clone_budget;
+        sim_cfg.max_guarantee = allocation;
+        sim_cfg.speculation = Some(sp.clone());
     }
-    harvests
+    let mut sim = ClusterSim::with_workspace(sim_cfg, seed, ws);
+    sim.set_record_trace(false);
+    sim.set_record_profile(false);
+    sim.add_job_shared(spec.clone(), Box::new(FixedAllocation(allocation)));
+    let result = {
+        let mut collector = SampleCollector {
+            indicator,
+            samples: &mut samples,
+        };
+        sim.run_single_hooked(RunHooks {
+            sink: Some(&mut collector),
+            reclaim: Some(ws),
+        })
+    };
+    // A run that hit the simulation horizon is censored: its true
+    // completion is *at least* the horizon. Using the horizon as the
+    // completion time yields pessimistic-but-finite samples, so starved
+    // allocations read as "very slow" rather than leaving empty cells
+    // that would be misread as "instant".
+    let completed = result.duration().is_some();
+    let total_secs = match result.duration() {
+        Some(d) => d.as_secs_f64(),
+        None => cfg.max_sim_time.as_secs_f64(),
+    };
+    RunHarvest {
+        samples,
+        total_secs,
+        completed,
+    }
 }
 
 /// Runs the job once on an effectively unconstrained cluster and
@@ -1276,23 +1351,53 @@ mod tests {
         assert_eq!(a.fresh_latency(3), b.fresh_latency(3));
     }
 
-    /// Satellite: the trained cells must be bit-identical whether the
-    /// grid is sharded over one thread or many — seeding is positional,
-    /// never scheduling-dependent.
+    /// The trained cells and query table must be bit-identical whatever
+    /// the worker count — seeding is positional, never
+    /// scheduling-dependent — on the flat, topology and speculation
+    /// training paths. The counts cover the inline path (1), uneven
+    /// splits of the 12 grid cells (2, 3, 5), more workers than cells
+    /// (13) and the machine default.
     #[test]
     fn train_is_thread_count_independent() {
-        let (graph, profile) = fixture();
+        // Random runtimes, so every cell's draws depend on its seed.
+        let (graph, profile) = straggler_fixture();
+        let base = TrainConfig::fast(vec![2, 4, 8]);
+        assert_eq!(base.allocations.len() * base.runs_per_allocation, 12);
+        let mut topology = base.clone();
+        topology.topology = Some(jockey_cluster::TopologyConfig::uniform(2, 4));
+        let mut speculation = base.clone();
+        speculation.speculation = Some(jockey_cluster::SpeculationConfig::clone_on_slow(1.5, 2));
         let ind = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
-        let with_threads = |threads: Option<usize>| {
-            let mut cfg = TrainConfig::fast(vec![2, 4, 8]);
-            cfg.threads = threads;
-            CpaModel::train(&graph, &profile, &ind, &cfg, 7)
-        };
-        let one = with_threads(Some(1));
-        let three = with_threads(Some(3));
-        let auto = with_threads(None);
-        assert_eq!(one.cells, three.cells, "1 thread vs 3 threads");
-        assert_eq!(one.cells, auto.cells, "1 thread vs one-per-allocation");
+        for (name, cfg) in [
+            ("flat", base),
+            ("topology", topology),
+            ("speculation", speculation),
+        ] {
+            let with_threads = |threads: Option<usize>| {
+                let mut cfg = cfg.clone();
+                cfg.threads = threads;
+                CpaModel::train(&graph, &profile, &ind, &cfg, 7)
+            };
+            let one = with_threads(Some(1));
+            assert!(one.sample_count() > 0, "{name}: trained model is empty");
+            for threads in [Some(2), Some(3), Some(5), Some(13), None] {
+                let other = with_threads(threads);
+                assert_eq!(
+                    one.cells, other.cells,
+                    "{name}: cells, 1 vs {threads:?} threads"
+                );
+                let bits = |m: &CpaModel| m.table.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&one),
+                    bits(&other),
+                    "{name}: table, 1 vs {threads:?} threads"
+                );
+                assert_eq!(
+                    one.fresh_monotone, other.fresh_monotone,
+                    "{name}: monotone flag"
+                );
+            }
+        }
     }
 
     /// A profile with a genuine straggler tail: most map attempts take
@@ -1581,11 +1686,11 @@ mod absorb_tests {
     fn absorb_snaps_allocations_to_nearest_grid_point() {
         let c = cfg(None);
         let mut m = CpaModel::empty(&c);
-        assert_eq!(m.grid_index_nearest(1), 0); // below the grid
-        assert_eq!(m.grid_index_nearest(3), 0); // tie 2 vs 4 -> lower
-        assert_eq!(m.grid_index_nearest(5), 1); // nearest 4
-        assert_eq!(m.grid_index_nearest(7), 2); // nearest 8
-        assert_eq!(m.grid_index_nearest(40), 3); // above the grid
+        assert_eq!(nearest_grid_index(m.allocations(), 1), 0); // below the grid
+        assert_eq!(nearest_grid_index(m.allocations(), 3), 0); // tie 2 vs 4 -> lower
+        assert_eq!(nearest_grid_index(m.allocations(), 5), 1); // nearest 4
+        assert_eq!(nearest_grid_index(m.allocations(), 7), 2); // nearest 8
+        assert_eq!(nearest_grid_index(m.allocations(), 40), 3); // above the grid
 
         let obs = [RunObservation {
             elapsed_secs: 0.0,

@@ -75,7 +75,7 @@ fn training_spec() -> Arc<JobSpec> {
 }
 
 /// One training-shaped run: pooled workspace, recording off, borrowed
-/// sink — exactly the shape of `train_one_allocation`'s inner loop.
+/// sink — exactly the shape of `cpa::train_one_run`.
 fn one_run(spec: &Arc<JobSpec>, ws: &mut SimWorkspace, seed: u64) {
     let mut cfg = ClusterConfig::dedicated_with_failures(12);
     cfg.control_period = SimDuration::from_secs(15);

@@ -8,7 +8,7 @@
 //!
 //! Two backends implement the same contract (see [`QueueBackend`]):
 //!
-//! - **Adaptive** (the default): starts on the binary heap (cheapest at
+//! - **Adaptive** (the default): starts on a 4-ary min-heap (cheapest at
 //!   low occupancy) and promotes itself to the bucket ladder the first
 //!   time the pending-event count crosses
 //!   [`ADAPTIVE_PROMOTE_LEN`](EventQueue::ADAPTIVE_PROMOTE_LEN), so
@@ -57,6 +57,15 @@ struct Scheduled<E> {
     event: E,
 }
 
+impl<E> Scheduled<E> {
+    /// The `(time, seq)` order as one integer: time in the high half,
+    /// sequence in the low half.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.at.as_millis()) << 64) | u128::from(self.seq)
+    }
+}
+
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -82,10 +91,100 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// A 4-ary min-heap on `(time, seq)`: the adaptive queue's
+/// representation below the promotion threshold.
+///
+/// Each node has four children, so the tree is half as deep as a
+/// binary heap's and a pop moves an element through half as many
+/// levels. A pop walks the vacancy left at the root down along the
+/// smallest children to the bottom, picking each level's smallest of
+/// four by a two-round tournament, then lets the former last leaf rise
+/// back to its place. `seq` is unique, so the key order is total and
+/// the pop order equals the binary reference heap's exactly.
+struct QuadHeap<E> {
+    items: Vec<Scheduled<E>>,
+}
+
+impl<E> QuadHeap<E> {
+    const ARITY: usize = 4;
+
+    fn new() -> Self {
+        QuadHeap { items: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    fn peek(&self) -> Option<&Scheduled<E>> {
+        self.items.first()
+    }
+
+    fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    fn push(&mut self, s: Scheduled<E>) {
+        self.items.push(s);
+        self.sift_up(self.items.len() - 1);
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        let last = self.items.pop()?;
+        if self.items.is_empty() {
+            return Some(last);
+        }
+        let top = std::mem::replace(&mut self.items[0], last);
+        self.sift_down_root();
+        Some(top)
+    }
+
+    /// Moves the element at `pos` up until its parent is smaller.
+    fn sift_up(&mut self, mut pos: usize) {
+        let key = self.items[pos].key();
+        while pos > 0 {
+            let parent = (pos - 1) / Self::ARITY;
+            if self.items[parent].key() < key {
+                break;
+            }
+            self.items.swap(pos, parent);
+            pos = parent;
+        }
+    }
+
+    /// Restores the order after a pop moved the last leaf to the root.
+    /// A former leaf is usually among the largest keys, so instead of
+    /// testing it at every level on the way down, the root swaps with
+    /// its smallest child all the way to the bottom and then sifts up,
+    /// which is rarely more than a level.
+    fn sift_down_root(&mut self) {
+        let n = self.items.len();
+        let items = &mut self.items[..];
+        let mut pos = 0;
+        let mut first = 1;
+        while first + Self::ARITY <= n {
+            let c = &items[first..first + Self::ARITY];
+            let (k0, k1, k2, k3) = (c[0].key(), c[1].key(), c[2].key(), c[3].key());
+            let (a, ka) = if k1 < k0 { (1, k1) } else { (0, k0) };
+            let (b, kb) = if k3 < k2 { (3, k3) } else { (2, k2) };
+            let best = first + if kb < ka { b } else { a };
+            items.swap(pos, best);
+            pos = best;
+            first = Self::ARITY * pos + 1;
+        }
+        // The last internal node may have one to three children.
+        if let Some(best) = (first..n).min_by_key(|&c| items[c].key()) {
+            items.swap(pos, best);
+            pos = best;
+        }
+        self.sift_up(pos);
+    }
+}
+
 /// Which data structure an [`EventQueue`] runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// Occupancy-triggered hybrid: runs on the binary heap while few
+    /// Occupancy-triggered hybrid: runs on a 4-ary heap while few
     /// events are pending and promotes itself (once per run; `reset`
     /// demotes) to the bucket ladder when the pending count crosses
     /// [`EventQueue::ADAPTIVE_PROMOTE_LEN`]. The default: neither the
@@ -324,11 +423,11 @@ impl<E> BucketLadder<E> {
 enum Backend<E> {
     Heap(BinaryHeap<Scheduled<E>>),
     /// The adaptive hybrid. Events live in exactly one of the two
-    /// structures: the heap until promotion, the ladder after. Both
-    /// allocations persist across `reset` so pooled queues keep their
-    /// storage whichever regime the next run lands in.
+    /// structures: the 4-ary heap until promotion, the ladder after.
+    /// Both allocations persist across `reset` so pooled queues keep
+    /// their storage whichever regime the next run lands in.
     Adaptive {
-        heap: BinaryHeap<Scheduled<E>>,
+        heap: QuadHeap<E>,
         ladder: BucketLadder<E>,
         promoted: bool,
     },
@@ -366,13 +465,23 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Pending-event count at which an [`QueueBackend::Adaptive`] queue
-    /// promotes from the binary heap to the bucket ladder. Chosen above
+    /// promotes from its 4-ary heap to the bucket ladder. Chosen above
     /// the sparse engine regime (~60–70 in-flight completions at 60
-    /// tokens, where the heap measures ~10% faster) and well below the
-    /// dense regime (hundreds of in-flight tasks, where the ladder wins
-    /// ~2x on the hold model). Promotion is one-way per run: occupancy
-    /// hovering around the threshold must not thrash representations,
-    /// so only `reset` demotes.
+    /// tokens) and well below the dense regime (hundreds of in-flight
+    /// tasks, where the ladder wins ~2x on the hold model). Promotion
+    /// is one-way per run: occupancy hovering around the threshold must
+    /// not thrash representations, so only `reset` demotes.
+    ///
+    /// Re-measured for the 4-ary heap on the `queue_depth` hold model
+    /// of `benches/simrt_kernel.rs` (nproc 2, 2026-10-19), with builds
+    /// that pin each representation at every depth; criterion means
+    /// of two alternating runs, µs per 8192 rounds, heap vs ladder:
+    /// 32: 444, 477 vs 513, 496; 64: 443, 469 vs 525, 533; 128: 505,
+    /// 537 vs 569, 541; 192: 521, 545 vs 564, 588; 256: 480, 536 vs
+    /// 680, 606. The heap holds at least even through 256, but the same
+    /// hold model with 32-byte payloads (the engine's event size) put
+    /// the ladder ahead at 64–128 on minima (40–43 vs 45–51 ns per
+    /// round). With no clear crossover the threshold stays at 128.
     pub const ADAPTIVE_PROMOTE_LEN: usize = 128;
 
     /// Creates an empty queue positioned at [`SimTime::ZERO`], using the
@@ -386,7 +495,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             backend: match backend {
                 QueueBackend::Adaptive => Backend::Adaptive {
-                    heap: BinaryHeap::new(),
+                    heap: QuadHeap::new(),
                     ladder: BucketLadder::new(),
                     promoted: false,
                 },
@@ -442,7 +551,7 @@ impl<E> EventQueue<E> {
                         ladder.window_end_ms = ladder
                             .cursor_ms
                             .saturating_add(NUM_BUCKETS as u64 * BUCKET_WIDTH_MS);
-                        for ev in heap.drain() {
+                        for ev in heap.items.drain(..) {
                             ladder.push(ev);
                         }
                         *promoted = true;
@@ -575,7 +684,7 @@ mod tests {
     fn ladder<E>() -> EventQueue<E> {
         EventQueue {
             backend: Backend::Adaptive {
-                heap: BinaryHeap::new(),
+                heap: QuadHeap::new(),
                 ladder: BucketLadder::new(),
                 promoted: true,
             },

@@ -54,7 +54,7 @@ impl SimTime {
     ///
     /// Negative inputs saturate to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime((secs.max(0.0) * 1_000.0).round() as u64)
+        SimTime(round_to_u64(secs.max(0.0) * 1_000.0))
     }
 
     /// Raw milliseconds since run start.
@@ -114,7 +114,7 @@ impl SimDuration {
     ///
     /// Negative inputs saturate to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration((secs.max(0.0) * 1_000.0).round() as u64)
+        SimDuration(round_to_u64(secs.max(0.0) * 1_000.0))
     }
 
     /// Creates a duration from fractional minutes.
@@ -157,13 +157,31 @@ impl SimDuration {
         if scaled >= u64::MAX as f64 {
             SimDuration::MAX
         } else {
-            SimDuration(scaled.round() as u64)
+            SimDuration(round_to_u64(scaled))
         }
     }
 
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
+    }
+}
+
+/// `x.round() as u64` for a non-negative (or NaN) `x`, bit for bit,
+/// without the call into the software `round` that the baseline x86-64
+/// target makes: the cast truncates in one instruction, and the
+/// fraction `x - trunc(x)` is exact for every non-negative double
+/// (below 1 it is `x` itself; from 1 to 2^52 the two operands are
+/// within a factor of two; above, `x` is already an integer). Rounding
+/// half away from zero is then a comparison with 0.5, and the
+/// saturating add keeps the cast's saturation at `u64::MAX`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -275,6 +293,60 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The inline rounding equals `f64::round` followed by the
+    /// saturating cast on every non-negative input: half-way cases,
+    /// the neighbours of each, the 2^52/2^53/2^64 boundaries,
+    /// infinities, NaN, subnormals, and a sweep of random bit patterns
+    /// and of millisecond-scale values.
+    #[test]
+    fn round_to_u64_matches_round_then_cast() {
+        let check = |x: f64| {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        };
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5, // 2^52 - 0.5
+            4_503_599_627_370_496.0, // 2^52
+            9_007_199_254_740_992.0, // 2^53
+            9_007_199_254_740_994.0,
+            9_223_372_036_854_775_808.0,  // 2^63
+            18_446_744_073_709_549_568.0, // largest double below 2^64
+            18_446_744_073_709_551_616.0, // 2^64
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for k in 0..2_000_u32 {
+            edges.push(f64::from(k) + 0.5);
+            edges.push(f64::from(k) * 1_000.0 + 0.5);
+        }
+        for x in edges {
+            check(x);
+            check(f64::from_bits(x.to_bits().saturating_add(1)));
+            check(f64::from_bits(x.to_bits().saturating_sub(1)));
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            check(f64::from_bits(state >> 1)); // sign bit clear
+            check((state >> 11) as f64 / (1_u64 << 20) as f64);
+        }
+    }
 
     #[test]
     fn construction_round_trips() {

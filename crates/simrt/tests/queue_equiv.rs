@@ -11,7 +11,8 @@
 //! reach the ladder at low occupancy, a queue pair is first loaded with
 //! [`EventQueue::ADAPTIVE_PROMOTE_LEN`] far-future sentinels: they sit
 //! in the ladder's overflow heap past every program event, so the
-//! program itself runs on sparsely filled buckets.
+//! program itself runs on sparsely filled buckets. Fewer sentinels
+//! leave the adaptive queue on its 4-ary heap at a chosen depth.
 
 use jockey_simrt::event::{EventQueue, QueueBackend};
 use jockey_simrt::time::{SimDuration, SimTime};
@@ -45,10 +46,19 @@ fn pair(sentinels: usize) -> (EventQueue<u32>, EventQueue<u32>) {
     (adaptive, heap)
 }
 
-/// The two starting points every program runs from: a fresh adaptive
-/// queue (heap first, promoting if the program grows deep enough) and
-/// one promoted to the ladder up front.
-const SENTINEL_COUNTS: [usize; 2] = [0, EventQueue::<u32>::ADAPTIVE_PROMOTE_LEN];
+/// The starting points every program runs from: a fresh adaptive queue
+/// (4-ary heap first, promoting if the program grows deep enough),
+/// queues whose heap already holds 3, 20 or one short of the threshold
+/// sentinels (two, three and five heap levels, so sift-downs cross
+/// several depths and break many same-time ties by sequence), and one
+/// promoted to the ladder up front.
+const SENTINEL_COUNTS: [usize; 5] = [
+    0,
+    3,
+    20,
+    EventQueue::<u32>::ADAPTIVE_PROMOTE_LEN - 1,
+    EventQueue::<u32>::ADAPTIVE_PROMOTE_LEN,
+];
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Weighted mix decoded from a selector: mostly short offsets
@@ -64,16 +74,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Interleaved schedule/pop programs produce identical
-    /// `(time, payload)` streams on the adaptive backend (fresh and
-    /// pre-promoted) and the heap, and draining the remainder at the
-    /// end agrees too.
+    /// `(time, payload)` streams on the adaptive backend (fresh,
+    /// pre-loaded below the threshold, and pre-promoted) and the heap,
+    /// and draining the remainder at the end agrees too.
     #[test]
     fn adaptive_matches_heap_on_interleaved_programs(
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
         for sentinels in SENTINEL_COUNTS {
             let (mut adaptive, mut heap) = pair(sentinels);
-            prop_assert_eq!(adaptive.is_promoted(), sentinels > 0);
+            prop_assert_eq!(
+                adaptive.is_promoted(),
+                sentinels >= EventQueue::<u32>::ADAPTIVE_PROMOTE_LEN
+            );
             let mut next_id: u32 = 0;
             for op in &ops {
                 match *op {
