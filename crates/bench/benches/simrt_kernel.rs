@@ -1,29 +1,19 @@
-//! Simulation-kernel microbenchmarks: the three hot paths PR 4
-//! optimized, each measured against the code path it replaced.
+//! Simulation-kernel microbenchmarks: the event queue, per-task
+//! sampling and `C(p, a)` queries, the last two each measured against
+//! the general code path it specializes.
 //!
-//! All three "before" variants still exist in the tree — the
-//! `BinaryHeap` queue backend is kept as the queue-level reference,
-//! every distribution still implements the `Sample` trait, and
-//! `remaining_percentile` is the raw-cell scan that `remaining`'s
-//! dense table is built from — so one binary measures both sides of
-//! each pair on identical inputs:
-//!
-//! - `queue/{heap,adaptive}`: a hold-model workload (pop one event,
-//!   schedule a successor at a near-monotone future time) over a few
-//!   thousand pending events, the access pattern the cluster engine
-//!   produces. The `adaptive` row is the occupancy-triggered hybrid
-//!   the engine always uses (here promoted to its bucket ladder);
-//!   `engine_dense/adaptive` and `engine_sparse/adaptive` measure it at
-//!   engine level in the two regimes the hybrid has to win (or at
-//!   least tie) in. `queue_depth/{heap,adaptive}/{32..256}` runs the
-//!   same hold model at depths around the promotion threshold.
+//! - `queue/hold`: a hold-model workload (pop one event, schedule a
+//!   successor at a near-monotone future time) over a few thousand
+//!   pending events, the access pattern the cluster engine produces.
+//!   `engine_dense/run` and `engine_sparse/run` measure the same queue
+//!   inside whole engine runs at high and low occupancy.
 //! - `sample/{dyn,enum}`: per-task-attempt draws from a realistic
 //!   distribution mix through the `dyn Sample` vtable vs. the
 //!   monomorphized [`Dist::sample_with`] match.
 //! - `remaining/{scan,table}`: per-control-tick `C(p, a)` queries via
 //!   the percentile scan vs. the precomputed dense table.
 //!
-//! Results are recorded in `BENCH_simrt.json` at the repo root.
+//! DESIGN.md §10 records the numbers that still describe the code.
 
 // Criterion macros expand to undocumented items.
 #![allow(missing_docs)]
@@ -35,7 +25,7 @@ use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec};
 use jockey_core::cpa::{CpaModel, TrainConfig};
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_simrt::dist::{Dist, LogNormal, Mixture, Sample};
-use jockey_simrt::event::{EventQueue, QueueBackend};
+use jockey_simrt::event::EventQueue;
 use jockey_simrt::time::{SimDuration, SimTime};
 use jockey_workloads::jobs::paper_job;
 use jockey_workloads::recurring::training_profile;
@@ -46,18 +36,14 @@ const QUEUE_DEPTH: usize = 4_096;
 /// Hold-model rounds per iteration (each = one pop + one schedule).
 const QUEUE_ROUNDS: usize = 8_192;
 
-/// Pending-event counts of the `queue_depth` rows, around the adaptive
-/// queue's promotion threshold.
-const CROSSOVER_DEPTHS: [usize; 5] = [32, 64, 128, 192, 256];
-
-/// Runs the hold model on one backend: `depth` events are
-/// pre-scheduled, then each round pops the earliest event and schedules
-/// a successor a pseudo-random near-future delta ahead — the engine's
-/// task-completion pattern.
-fn queue_hold_model(backend: QueueBackend, depth: usize) -> u64 {
-    let mut queue = EventQueue::with_backend(backend);
+/// Runs the hold model: `QUEUE_DEPTH` events are pre-scheduled, then
+/// each round pops the earliest event and schedules a successor a
+/// pseudo-random near-future delta ahead — the engine's task-completion
+/// pattern.
+fn queue_hold_model() -> u64 {
+    let mut queue = EventQueue::new();
     // A cheap deterministic delta stream (xorshift) keeps the workload
-    // identical across backends without RNG overhead in the loop.
+    // identical across runs without RNG overhead in the loop.
     let mut state = 0x9e37_79b9_7f4a_7c15_u64;
     let mut delta = |limit: u64| {
         state ^= state << 13;
@@ -65,7 +51,7 @@ fn queue_hold_model(backend: QueueBackend, depth: usize) -> u64 {
         state ^= state << 17;
         state % limit
     };
-    for i in 0..depth as u64 {
+    for i in 0..QUEUE_DEPTH as u64 {
         queue.schedule(SimTime::ZERO + SimDuration::from_millis(delta(60_000)), i);
     }
     let mut acc = 0_u64;
@@ -81,40 +67,15 @@ fn bench_queue(c: &mut Criterion) {
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
     let mut g = c.benchmark_group("queue");
     g.sample_size(if smoke { 3 } else { 20 });
-    g.bench_function("heap", |b| {
-        b.iter(|| queue_hold_model(QueueBackend::BinaryHeap, QUEUE_DEPTH));
-    });
-    g.bench_function("adaptive", |b| {
-        b.iter(|| queue_hold_model(QueueBackend::Adaptive, QUEUE_DEPTH));
-    });
-    g.finish();
-}
-
-/// The hold model at the depths around the promotion threshold, on the
-/// binary reference heap and the adaptive queue: below the threshold
-/// the adaptive queue runs its 4-ary heap, from it on the bucket
-/// ladder. A build with the threshold moved out of reach, or down to
-/// one event, times one representation at every depth, which is how
-/// the threshold's crossover is measured.
-fn bench_queue_depth(c: &mut Criterion) {
-    let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
-    let mut g = c.benchmark_group("queue_depth");
-    g.sample_size(if smoke { 3 } else { 30 });
-    for depth in CROSSOVER_DEPTHS {
-        g.bench_function(format!("heap/{depth}"), |b| {
-            b.iter(|| queue_hold_model(QueueBackend::BinaryHeap, depth));
-        });
-        g.bench_function(format!("adaptive/{depth}"), |b| {
-            b.iter(|| queue_hold_model(QueueBackend::Adaptive, depth));
-        });
-    }
+    g.bench_function("hold", |b| b.iter(queue_hold_model));
     g.finish();
 }
 
 /// A dense production-shaped run — the widest paper job (G, 8 496
 /// tasks) held at an 800-token guarantee, so several hundred
-/// task-completion events are pending at once and the adaptive queue
-/// promotes itself to its bucket ladder.
+/// task-completion events are pending at once. No experiment or
+/// benchmark workload runs at this occupancy; the row shows what the
+/// queue costs there.
 fn dense_sim(spec: &JobSpec) -> ClusterSim {
     let mut cfg = ClusterConfig::production();
     cfg.max_guarantee = 800;
@@ -128,17 +89,15 @@ fn bench_engine_dense(c: &mut Criterion) {
     let job = paper_job(6, 1);
     let mut g = c.benchmark_group("engine_dense");
     g.sample_size(if smoke { 2 } else { 15 });
-    g.bench_function("adaptive", |b| {
+    g.bench_function("run", |b| {
         b.iter(|| dense_sim(&job.spec).run());
     });
     g.finish();
 }
 
 /// A sparse production-shaped run — the same 60-token, ~20-pending-
-/// event regime as `engine/events_per_sec`. This is the regime where
-/// an always-on bucket ladder loses to the binary heap (~10%); the
-/// adaptive queue stays on its heap here because its occupancy never
-/// crosses the promotion threshold.
+/// event regime as `engine/events_per_sec`, and the occupancy of most
+/// training runs.
 fn sparse_sim(spec: &JobSpec) -> ClusterSim {
     let mut cfg = ClusterConfig::production();
     cfg.total_tokens = 60;
@@ -153,7 +112,7 @@ fn bench_engine_sparse(c: &mut Criterion) {
     let job = paper_job(0, 1);
     let mut g = c.benchmark_group("engine_sparse");
     g.sample_size(if smoke { 3 } else { 20 });
-    g.bench_function("adaptive", |b| {
+    g.bench_function("run", |b| {
         b.iter(|| sparse_sim(&job.spec).run());
     });
     g.finish();
@@ -284,7 +243,6 @@ fn bench_remaining(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_queue,
-    bench_queue_depth,
     bench_engine_dense,
     bench_engine_sparse,
     bench_sampling,

@@ -35,7 +35,7 @@ use jockey_jobgraph::profile::ProfileBuilder;
 use jockey_jobgraph::task::{TaskDeps, TaskId};
 use jockey_simrt::event::EventQueue;
 use jockey_simrt::observe;
-use jockey_simrt::observe::{EntryKind, NoopObserver, ProgressSink, SimObserver};
+use jockey_simrt::observe::{EntryKind, ProgressSink, SimObserver};
 use jockey_simrt::rng::SeedDeriver;
 use jockey_simrt::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -471,7 +471,9 @@ pub struct EngineCore {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) background: BackgroundModel,
     pub(crate) seeds: SeedDeriver,
-    pub(crate) observer: Box<dyn SimObserver>,
+    /// `None` until `ClusterSim::set_observer` or `attach_journal`
+    /// sets one.
+    pub(crate) observer: Option<Box<dyn SimObserver>>,
     pub(crate) invariants_enabled: bool,
     /// When true (the default), the run loop may drain batches of
     /// same-instant task completions through one merged scheduling
@@ -1022,7 +1024,7 @@ impl Engine {
                 queue: EventQueue::new(),
                 background,
                 seeds,
-                observer: Box::new(NoopObserver),
+                observer: None,
                 invariants_enabled: cfg!(debug_assertions),
                 batching_enabled: true,
                 last_event_time: SimTime::ZERO,
@@ -1050,7 +1052,7 @@ impl Engine {
         engine.core.spare_buffers = std::mem::take(&mut ws.job_buffers);
         if let Some(mut queue) = ws.event_queue.take() {
             // Reset rewinds time and the sequence counter to a fresh
-            // queue's state while keeping the allocated bucket storage.
+            // queue's state while keeping the allocated heap storage.
             queue.reset();
             engine.core.queue = queue;
         }

@@ -5,6 +5,7 @@
 //! these verify after every dispatched event that no policy layer —
 //! scheduler, failure model, controller — has corrupted the run.
 
+use jockey_simrt::observe::SimObserver;
 use jockey_simrt::time::SimTime;
 
 use crate::engine::{EngineCore, RunningTask, TaskState};

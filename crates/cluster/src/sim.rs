@@ -15,8 +15,8 @@
 //! # Diagnostics
 //!
 //! Every dispatched event, control decision, task transition and RNG
-//! stream fork is reported through a [`SimObserver`]. The default
-//! observer is a no-op; call [`ClusterSim::attach_journal`] to retain
+//! stream fork is reported through a [`SimObserver`]. By default no
+//! observer is attached; call [`ClusterSim::attach_journal`] to retain
 //! the last `N` records in a [`SharedJournal`] and dump them from a
 //! failing test. In debug/test builds, after every step the simulator
 //! checks its core invariants (token conservation, event-time
@@ -123,9 +123,10 @@ impl ClusterSim {
         }
     }
 
-    /// Replaces the simulator's observer (the default records nothing).
+    /// Attaches `observer`, replacing any earlier one (by default none
+    /// is attached and nothing is recorded).
     pub fn set_observer(&mut self, observer: Box<dyn SimObserver>) {
-        self.engine.core.observer = observer;
+        self.engine.core.observer = Some(observer);
     }
 
     /// Attaches a fresh ring journal retaining `capacity` entries and
@@ -133,7 +134,7 @@ impl ClusterSim {
     /// run (or from a panic hook) to see what the simulator did last.
     pub fn attach_journal(&mut self, capacity: usize) -> SharedJournal {
         let journal = SharedJournal::new(capacity);
-        self.engine.core.observer = Box::new(journal.clone());
+        self.engine.core.observer = Some(Box::new(journal.clone()));
         journal
     }
 

@@ -60,7 +60,7 @@ pub struct SimWorkspace {
     pub(crate) candidates: Vec<TaskId>,
     /// Pooled event queue: rented by the next run (after a reset that
     /// rewinds it to a fresh state) so repeated simulations keep the
-    /// bucket ring and heap storage instead of reallocating per run.
+    /// heap storage instead of reallocating per run.
     pub(crate) event_queue: Option<EventQueue<Event>>,
 }
 

@@ -98,7 +98,7 @@ fn training_loop_allocations_are_pooled_and_constant_per_run() {
     let spec = training_spec();
     let mut ws = SimWorkspace::new();
     // Warm the pool: first runs grow the task table, the ready/running
-    // buffers, the event queue's ladder and the status scratch to this
+    // buffers, the event queue's heap and the status scratch to this
     // job's high-water marks.
     for seed in 0..8 {
         one_run(&spec, &mut ws, seed);
@@ -121,8 +121,7 @@ fn training_loop_allocations_are_pooled_and_constant_per_run() {
     let per_run_b = batch_b.div_ceil(BATCH);
     // The job runs 88 tasks / ~90+ events per run; a pooled loop must
     // stay under a small constant that could never cover per-event or
-    // per-task allocation. The exact count (boxes for the scheduler,
-    // failure model, observer, placement policy and controller; the
+    // per-task allocation. The exact count (the controller's box; the
     // result, its name, the job vector, the floor vector, the sample
     // growth) sits well under this bound — the bound is deliberately
     // loose so unrelated refactors don't thrash it, while still

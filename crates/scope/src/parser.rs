@@ -35,6 +35,17 @@ pub enum ParseError {
         /// 1-based line of the found token (0 at end of input).
         line: u32,
     },
+    /// A number is well-formed but out of range for its keyword.
+    OutOfRange {
+        /// The keyword the number follows (`PARTITIONS` or `COST`).
+        keyword: &'static str,
+        /// The number as written.
+        value: String,
+        /// The accepted range, in words.
+        expected: &'static str,
+        /// 1-based line of the number.
+        line: u32,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -48,6 +59,15 @@ impl fmt::Display for ParseError {
             } => {
                 write!(f, "line {line}: expected {expected}, found {found}")
             }
+            ParseError::OutOfRange {
+                keyword,
+                value,
+                expected,
+                line,
+            } => write!(
+                f,
+                "line {line}: {keyword} {value} is out of range: expected {expected}"
+            ),
         }
     }
 }
@@ -191,12 +211,41 @@ impl Parser {
         }
     }
 
-    /// Parses the optional trailing `COST num`, defaulting to 1.0.
+    /// The line of the next token (0 at end of input).
+    fn line(&self) -> u32 {
+        self.peek().map_or(0, |t| t.line)
+    }
+
+    /// Parses the partition count after a `PARTITIONS` keyword.
+    fn partitions(&mut self) -> Result<u32, ParseError> {
+        let line = self.line();
+        let v = self.expect_int()?;
+        u32::try_from(v).map_err(|_| ParseError::OutOfRange {
+            keyword: "PARTITIONS",
+            value: v.to_string(),
+            expected: "at most 4294967295",
+            line,
+        })
+    }
+
+    /// Parses the optional trailing `COST num`, defaulting to 1.0. A
+    /// cost must be finite and positive: it scales the stage's runtime
+    /// distribution, whose median must be positive.
     fn optional_cost(&mut self) -> Result<f64, ParseError> {
-        if self.eat_keyword("COST") {
-            self.expect_number()
+        if !self.eat_keyword("COST") {
+            return Ok(1.0);
+        }
+        let line = self.line();
+        let cost = self.expect_number()?;
+        if cost.is_finite() && cost > 0.0 {
+            Ok(cost)
         } else {
-            Ok(1.0)
+            Err(ParseError::OutOfRange {
+                keyword: "COST",
+                value: cost.to_string(),
+                expected: "a finite number above 0",
+                line,
+            })
         }
     }
 
@@ -220,7 +269,7 @@ impl Parser {
             self.expect_keyword("FROM")?;
             let input = self.expect_str()?;
             self.expect_keyword("PARTITIONS")?;
-            let partitions = self.expect_int()? as u32;
+            let partitions = self.partitions()?;
             let cost = self.optional_cost()?;
             Statement::Extract {
                 name,
@@ -252,7 +301,7 @@ impl Parser {
             self.expect_keyword("ON")?;
             let key = self.expect_str()?;
             self.expect_keyword("PARTITIONS")?;
-            let partitions = self.expect_int()? as u32;
+            let partitions = self.partitions()?;
             let cost = self.optional_cost()?;
             Statement::Reduce {
                 name,
@@ -268,7 +317,7 @@ impl Parser {
             self.expect_keyword("ON")?;
             let key = self.expect_str()?;
             self.expect_keyword("PARTITIONS")?;
-            let partitions = self.expect_int()? as u32;
+            let partitions = self.partitions()?;
             let cost = self.optional_cost()?;
             Statement::Join {
                 name,
@@ -283,7 +332,7 @@ impl Parser {
             self.expect_keyword("BY")?;
             let key = self.expect_str()?;
             self.expect_keyword("PARTITIONS")?;
-            let partitions = self.expect_int()? as u32;
+            let partitions = self.partitions()?;
             let cost = self.optional_cost()?;
             Statement::Sort {
                 name,
@@ -297,7 +346,7 @@ impl Parser {
             self.expect_keyword("ON")?;
             let key = self.expect_str()?;
             self.expect_keyword("PARTITIONS")?;
-            let partitions = self.expect_int()? as u32;
+            let partitions = self.partitions()?;
             let cost = self.optional_cost()?;
             Statement::Distinct {
                 name,
@@ -322,7 +371,7 @@ impl Parser {
             self.expect(&TokenKind::Comma, "','")?;
             let right = self.expect_ident()?;
             let partitions = if self.eat_keyword("PARTITIONS") {
-                Some(self.expect_int()? as u32)
+                Some(self.partitions()?)
             } else {
                 None
             };
@@ -452,6 +501,55 @@ mod tests {
     #[test]
     fn reports_lex_errors() {
         assert!(matches!(parse("a = @"), Err(ParseError::Lex(_))));
+    }
+
+    #[test]
+    fn partitions_beyond_u32_are_rejected_not_wrapped() {
+        let max = parse("a = EXTRACT FROM \"f\" PARTITIONS 4294967295;").unwrap();
+        assert!(matches!(
+            &max.statements[0],
+            Statement::Extract {
+                partitions: u32::MAX,
+                ..
+            }
+        ));
+        let err = parse("a = EXTRACT FROM \"f\"\nPARTITIONS 4294967300;").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ParseError::OutOfRange {
+                    keyword: "PARTITIONS",
+                    line: 2,
+                    ..
+                }
+            ),
+            "got {err}"
+        );
+        assert!(err.to_string().contains("4294967300"), "got {err}");
+    }
+
+    #[test]
+    fn cost_must_be_finite_and_positive() {
+        let huge = format!("{}.0", "9".repeat(400));
+        for cost in ["0", "0.0", huge.as_str()] {
+            let err =
+                parse(&format!("a = EXTRACT FROM \"f\" PARTITIONS 1 COST {cost};")).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ParseError::OutOfRange {
+                        keyword: "COST",
+                        ..
+                    }
+                ),
+                "COST {cost}: got {err}"
+            );
+        }
+        let s = parse("a = EXTRACT FROM \"f\" PARTITIONS 1 COST 0.5;").unwrap();
+        assert!(matches!(
+            &s.statements[0],
+            Statement::Extract { cost, .. } if *cost == 0.5
+        ));
     }
 
     #[test]

@@ -51,6 +51,6 @@ pub mod time;
 
 pub use dist::Sample;
 pub use event::EventQueue;
-pub use observe::{NoopObserver, SharedJournal, SimObserver};
+pub use observe::{SharedJournal, SimObserver};
 pub use rng::SeedDeriver;
 pub use time::{SimDuration, SimTime};

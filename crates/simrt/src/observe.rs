@@ -2,10 +2,11 @@
 //!
 //! Simulators built on this crate emit a stream of diagnostic records —
 //! event dispatches, clock advances, RNG stream forks, scheduling
-//! decisions — through a [`SimObserver`]. The default observer,
-//! [`NoopObserver`], compiles to nothing; attaching a [`RingJournal`]
-//! (usually via the shareable [`SharedJournal`]) retains the last `N`
-//! records so that a failing run can be reconstructed event by event.
+//! decisions — through a [`SimObserver`]. A simulator holds its
+//! observer as an `Option`, and `None` (the default) costs one branch
+//! per record; attaching a [`RingJournal`] (usually via the shareable
+//! [`SharedJournal`]) retains the last `N` records so that a failing
+//! run can be reconstructed event by event.
 //!
 //! Call sites should use the [`observe!`](crate::observe!) macro, which
 //! skips message formatting entirely when the observer is disabled:
@@ -124,6 +125,23 @@ impl<O: SimObserver + ?Sized> SimObserver for Box<O> {
     }
 }
 
+/// An absent observer records nothing, and asking whether it is
+/// enabled is a branch on the `Option`, not a call through the inner
+/// observer's vtable.
+impl<O: SimObserver> SimObserver for Option<O> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(O::enabled)
+    }
+    fn record(&mut self, at: SimTime, kind: EntryKind, message: fmt::Arguments<'_>) {
+        if let Some(o) = self {
+            o.record(at, kind, message);
+        }
+    }
+    fn tail(&self, n: usize) -> Option<String> {
+        self.as_ref()?.tail(n)
+    }
+}
+
 /// Receives in-flight progress samples from a simulation run.
 ///
 /// This is the borrowed, allocation-free seam for harvesting per-tick
@@ -142,17 +160,6 @@ impl<S: ProgressSink + ?Sized> ProgressSink for &mut S {
     fn sample(&mut self, job: usize, elapsed_secs: f64, stage_fraction: &[f64]) {
         (**self).sample(job, elapsed_secs, stage_fraction);
     }
-}
-
-/// The zero-cost default observer: records nothing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoopObserver;
-
-impl SimObserver for NoopObserver {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn record(&mut self, _at: SimTime, _kind: EntryKind, _message: fmt::Arguments<'_>) {}
 }
 
 /// A fixed-capacity ring buffer of [`JournalEntry`] records: the most
@@ -305,11 +312,21 @@ mod tests {
     }
 
     #[test]
-    fn noop_observer_is_disabled_and_keeps_nothing() {
-        let mut o = NoopObserver;
+    fn absent_observer_is_disabled_and_keeps_nothing() {
+        let mut o: Option<RingJournal> = None;
         assert!(!o.enabled());
         entry(&mut o, 1, "dropped");
         assert_eq!(o.tail(10), None);
+    }
+
+    #[test]
+    fn present_observer_records_through_the_option() {
+        let journal = SharedJournal::new(4);
+        let mut o: Option<Box<dyn SimObserver>> = Some(Box::new(journal.clone()));
+        assert!(o.enabled());
+        entry(&mut o, 3, "kept");
+        assert_eq!(journal.len(), 1);
+        assert!(o.tail(1).unwrap().contains("kept"));
     }
 
     #[test]
@@ -351,7 +368,7 @@ mod tests {
                 panic!("message was formatted for a disabled observer");
             }
         }
-        let mut obs = NoopObserver;
+        let mut obs: Option<RingJournal> = None;
         crate::observe!(obs, SimTime::ZERO, EntryKind::Clock, "{}", Panicky);
         let mut journal = SharedJournal::new(4);
         crate::observe!(journal, SimTime::ZERO, EntryKind::Clock, "tick {}", 1);

@@ -1,22 +1,48 @@
-//! Property proof that the adaptive event-queue backend — on the heap,
-//! on the bucket ladder, and across promotion — is observationally
-//! identical to the `BinaryHeap` reference.
+//! Property proof that [`EventQueue`] (a 4-ary heap) is observationally
+//! identical to a plain `(time, seq)` reference heap.
 //!
 //! Every simulator in this workspace depends on the queue's exact
 //! `(time, payload)` stream — same-instant events must pop in schedule
-//! order — so the adaptive backend is exercised here against the heap
-//! on randomized interleavings of schedules and pops, including heavy
-//! ties, far-future overflow events, scheduling-at-now edge cases, and
-//! occupancy ramps crossing the promotion threshold mid-program. To
-//! reach the ladder at low occupancy, a queue pair is first loaded with
-//! [`EventQueue::ADAPTIVE_PROMOTE_LEN`] far-future sentinels: they sit
-//! in the ladder's overflow heap past every program event, so the
-//! program itself runs on sparsely filled buckets. Fewer sentinels
-//! leave the adaptive queue on its 4-ary heap at a chosen depth.
+//! order — so the queue is exercised here against the reference on
+//! randomized interleavings of schedules and pops, including heavy
+//! ties, far-future events, scheduling-at-now edge cases and deep
+//! queues. A queue pair can be preloaded with far-future sentinels so
+//! the program runs on a heap that already has several levels.
 
-use jockey_simrt::event::{EventQueue, QueueBackend};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use jockey_simrt::event::EventQueue;
 use jockey_simrt::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// The test oracle: a `(time, seq)` min-heap on
+/// `std::collections::BinaryHeap`. The sequence number is unique, so
+/// the payload never takes part in the order.
+#[derive(Default)]
+struct Reference {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    next_seq: u64,
+    now: SimTime,
+}
+
+impl Reference {
+    fn schedule(&mut self, at: SimTime, event: u32) {
+        assert!(at >= self.now, "reference: scheduled into the past");
+        self.heap.push(Reverse((at, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        let Reverse((at, _, event)) = self.heap.pop()?;
+        self.now = at;
+        Some((at, event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+}
 
 /// One step of an interleaved workload. Schedule offsets are relative
 /// to the queue's current "now" so generated programs never violate the
@@ -32,38 +58,29 @@ enum Op {
 /// Far beyond any time a generated program reaches.
 const SENTINEL_AT: SimTime = SimTime::from_millis(1 << 50);
 
-/// An (adaptive, heap) pair preloaded with `sentinels` identical
-/// far-future events; `ADAPTIVE_PROMOTE_LEN` of them promote the
-/// adaptive queue to the ladder before the program starts.
-fn pair(sentinels: usize) -> (EventQueue<u32>, EventQueue<u32>) {
-    let mut adaptive = EventQueue::with_backend(QueueBackend::Adaptive);
-    let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+/// A (queue, reference) pair preloaded with `sentinels` identical
+/// far-future events.
+fn pair(sentinels: usize) -> (EventQueue<u32>, Reference) {
+    let mut queue = EventQueue::new();
+    let mut reference = Reference::default();
     for i in 0..sentinels {
         let id = u32::MAX - i as u32;
-        adaptive.schedule(SENTINEL_AT, id);
-        heap.schedule(SENTINEL_AT, id);
+        queue.schedule(SENTINEL_AT, id);
+        reference.schedule(SENTINEL_AT, id);
     }
-    (adaptive, heap)
+    (queue, reference)
 }
 
-/// The starting points every program runs from: a fresh adaptive queue
-/// (4-ary heap first, promoting if the program grows deep enough),
-/// queues whose heap already holds 3, 20 or one short of the threshold
-/// sentinels (two, three and five heap levels, so sift-downs cross
-/// several depths and break many same-time ties by sequence), and one
-/// promoted to the ladder up front.
-const SENTINEL_COUNTS: [usize; 5] = [
-    0,
-    3,
-    20,
-    EventQueue::<u32>::ADAPTIVE_PROMOTE_LEN - 1,
-    EventQueue::<u32>::ADAPTIVE_PROMOTE_LEN,
-];
+/// The starting points every program runs from: a fresh queue, and
+/// heaps already holding 3, 20, 127 and 1024 sentinels (two, three,
+/// five and six levels, so sift-downs cross several depths and break
+/// many same-time ties by sequence). Simulations reach 1024 pending
+/// events: the deepest full-scale training run holds about 1000.
+const SENTINEL_COUNTS: [usize; 5] = [0, 3, 20, 127, 1024];
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Weighted mix decoded from a selector: mostly short offsets
-    // (bucket window), some zero (same-instant ties), a few far-future
-    // ones (overflow path, > 262 s window), and pops.
+    // Weighted mix decoded from a selector: mostly short offsets, some
+    // zero (same-instant ties), a few far-future ones, and pops.
     (0_u8..9, 0_u64..5_000, 300_000_u64..3_000_000).prop_map(|(sel, short, far)| match sel {
         0..=3 => Op::Schedule { offset_ms: short },
         4 => Op::Schedule { offset_ms: 0 },
@@ -74,39 +91,35 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Interleaved schedule/pop programs produce identical
-    /// `(time, payload)` streams on the adaptive backend (fresh,
-    /// pre-loaded below the threshold, and pre-promoted) and the heap,
-    /// and draining the remainder at the end agrees too.
+    /// `(time, payload)` streams on the queue and the reference from
+    /// every starting depth, and draining the remainder at the end
+    /// agrees too.
     #[test]
-    fn adaptive_matches_heap_on_interleaved_programs(
+    fn queue_matches_reference_on_interleaved_programs(
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
         for sentinels in SENTINEL_COUNTS {
-            let (mut adaptive, mut heap) = pair(sentinels);
-            prop_assert_eq!(
-                adaptive.is_promoted(),
-                sentinels >= EventQueue::<u32>::ADAPTIVE_PROMOTE_LEN
-            );
+            let (mut queue, mut reference) = pair(sentinels);
             let mut next_id: u32 = 0;
             for op in &ops {
                 match *op {
                     Op::Schedule { offset_ms } => {
-                        let at = adaptive.now() + SimDuration::from_millis(offset_ms);
-                        adaptive.schedule(at, next_id);
-                        heap.schedule(at, next_id);
+                        let at = queue.now() + SimDuration::from_millis(offset_ms);
+                        queue.schedule(at, next_id);
+                        reference.schedule(at, next_id);
                         next_id += 1;
                     }
-                    Op::Pop => prop_assert_eq!(adaptive.pop(), heap.pop()),
+                    Op::Pop => prop_assert_eq!(queue.pop(), reference.pop()),
                 }
-                prop_assert_eq!(adaptive.len(), heap.len());
-                prop_assert_eq!(adaptive.peek_time(), heap.peek_time());
-                prop_assert_eq!(adaptive.now(), heap.now());
+                prop_assert_eq!(queue.len(), reference.heap.len());
+                prop_assert_eq!(queue.peek_time(), reference.peek_time());
+                prop_assert_eq!(queue.now(), reference.now);
             }
             // Drain whatever is left: the tails must agree
             // element-for-element.
             loop {
-                let a = adaptive.pop();
-                prop_assert_eq!(a, heap.pop());
+                let a = queue.pop();
+                prop_assert_eq!(a, reference.pop());
                 if a.is_none() {
                     break;
                 }
@@ -114,45 +127,39 @@ proptest! {
         }
     }
 
-    /// Programs deep enough to force adaptive promotion mid-stream stay
-    /// identical to the heap reference through the representation
-    /// switch, and the switch itself is observed.
+    /// A hold model (schedule one, pop one) that keeps up to ~1100
+    /// events with interleaved times pending matches the reference at
+    /// every pop and through the final drain.
     #[test]
-    fn adaptive_promotion_preserves_the_stream(
-        depth in 150_usize..400,
-        offsets in proptest::collection::vec(0_u64..30_000, 600..900),
+    fn deep_hold_programs_match_reference(
+        depth in 150_usize..1_100,
+        offsets in proptest::collection::vec(0_u64..30_000, 1_200..1_500),
     ) {
-        let mut adaptive = EventQueue::with_backend(QueueBackend::Adaptive);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let (mut queue, mut reference) = pair(0);
         for (i, &off) in offsets.iter().enumerate() {
-            let at = adaptive.now() + SimDuration::from_millis(off);
-            let id = i as u32;
-            adaptive.schedule(at, id);
-            heap.schedule(at, id);
-            // Hold the queue near `depth` pending events.
+            let at = queue.now() + SimDuration::from_millis(off);
+            queue.schedule(at, i as u32);
+            reference.schedule(at, i as u32);
             if i >= depth {
-                prop_assert_eq!(adaptive.pop(), heap.pop());
+                prop_assert_eq!(queue.pop(), reference.pop());
             }
         }
-        prop_assert!(adaptive.is_promoted());
         loop {
-            let a = adaptive.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b);
+            let a = queue.pop();
+            prop_assert_eq!(a, reference.pop());
             if a.is_none() {
                 break;
             }
         }
     }
 
-    /// Bursts of same-instant events pop FIFO on the bucket ladder.
+    /// Bursts of same-instant events pop FIFO on a deep queue.
     #[test]
     fn same_instant_bursts_pop_fifo(
         burst_sizes in proptest::collection::vec(1_usize..20, 1..20),
         gap_ms in 0_u64..2_000,
     ) {
-        let (mut q, mut reference) = pair(EventQueue::<u32>::ADAPTIVE_PROMOTE_LEN);
-        prop_assert!(q.is_promoted());
+        let (mut q, mut reference) = pair(127);
         let mut id: u32 = 0;
         let mut t = SimTime::ZERO;
         for &n in &burst_sizes {
@@ -175,26 +182,24 @@ proptest! {
         prop_assert_eq!(popped, id as usize);
     }
 
-    /// Both backends reject scheduling before the last popped time, and
-    /// accept scheduling exactly at it.
+    /// The queue rejects scheduling before the last popped time, and
+    /// accepts scheduling exactly at it.
     #[test]
-    fn past_rejection_matches_on_both_backends(
+    fn past_rejection(
         first_ms in 1_u64..1_000_000,
         behind_ms in 1_u64..1_000,
     ) {
-        for backend in [QueueBackend::BinaryHeap, QueueBackend::Adaptive] {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_millis(first_ms), 0_u8);
-            q.pop();
-            // Exactly at now: allowed.
-            q.schedule(q.now(), 1);
-            prop_assert_eq!(q.pop(), Some((SimTime::from_millis(first_ms), 1)));
-            // Strictly before now: rejected by panic.
-            let at = SimTime::from_millis(first_ms.saturating_sub(behind_ms));
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                q.schedule(at, 2);
-            }));
-            prop_assert!(result.is_err(), "backend {backend:?} accepted a past event");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(first_ms), 0_u8);
+        q.pop();
+        // Exactly at now: allowed.
+        q.schedule(q.now(), 1);
+        prop_assert_eq!(q.pop(), Some((SimTime::from_millis(first_ms), 1)));
+        // Strictly before now: rejected by panic.
+        let at = SimTime::from_millis(first_ms.saturating_sub(behind_ms));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.schedule(at, 2);
+        }));
+        prop_assert!(result.is_err(), "the queue accepted a past event");
     }
 }

@@ -109,3 +109,49 @@ fn predict_rejects_a_nan_progress() {
 fn predict_rejects_zero_tokens() {
     assert_usage_error(&["predict", "none.job", "-a", "0"], "-a");
 }
+
+/// Writes `script` to a file, runs `jockey-cli <command> <file> <rest>`
+/// and asserts a clean error that names `keyword`.
+fn assert_script_rejected(command: &str, rest: &[&str], script: &str, keyword: &str) {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join(format!("cli-errors-{keyword}.scope"));
+    std::fs::write(&path, script).expect("script written");
+    let out = Command::new(env!("CARGO_BIN_EXE_jockey-cli"))
+        .arg(command)
+        .arg(&path)
+        .args(rest)
+        .output()
+        .expect("jockey-cli starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{command} {script:?}: expected an error; stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let error = stderr.lines().next().unwrap_or_default();
+    assert!(error.starts_with("error: "), "{stderr}");
+    assert!(error.contains(keyword), "{error}");
+}
+
+#[test]
+fn compile_rejects_partitions_beyond_u32() {
+    assert_script_rejected(
+        "compile",
+        &[],
+        "a = EXTRACT FROM \"f\" PARTITIONS 4294967300;\nOUTPUT a TO \"o\";\n",
+        "PARTITIONS",
+    );
+}
+
+#[test]
+fn profile_rejects_a_zero_cost() {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-errors-cost.job");
+    assert_script_rejected(
+        "profile",
+        &["-o", out.to_str().expect("utf-8 path"), "--tokens", "4"],
+        "a = EXTRACT FROM \"f\" PARTITIONS 4 COST 0;\nOUTPUT a TO \"o\";\n",
+        "COST",
+    );
+    assert!(!out.exists(), "a rejected script must not write a bundle");
+}
