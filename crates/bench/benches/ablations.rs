@@ -18,7 +18,7 @@ use jockey_cluster::JobSpec;
 use jockey_core::control::ControlParams;
 use jockey_core::policy::Policy;
 use jockey_experiments::slo::{run_slo, SloConfig};
-use jockey_simrt::dist::{LogNormal, Sample};
+use jockey_simrt::dist::{Dist, LogNormal};
 use jockey_simrt::rng::SeedDeriver;
 use jockey_simrt::time::SimDuration;
 
@@ -91,7 +91,7 @@ fn bench_replay_distributions(c: &mut Criterion) {
     g.bench_function("parametric_lognormal", |b| {
         b.iter(|| parametric.stage_runtimes[0].sample(&mut rng))
     });
-    let raw = LogNormal::from_median_p90(4.0, 11.0);
+    let raw = Dist::from(LogNormal::from_median_p90(4.0, 11.0));
     g.bench_function("raw_lognormal", |b| b.iter(|| raw.sample(&mut rng)));
     g.finish();
 }

@@ -1,15 +1,14 @@
 //! Simulation-kernel microbenchmarks: the event queue, per-task
-//! sampling and `C(p, a)` queries, the last two each measured against
-//! the general code path it specializes.
+//! sampling and `C(p, a)` queries, the last measured against the
+//! general code path it specializes.
 //!
 //! - `queue/hold`: a hold-model workload (pop one event, schedule a
 //!   successor at a near-monotone future time) over a few thousand
 //!   pending events, the access pattern the cluster engine produces.
 //!   `engine_dense/run` and `engine_sparse/run` measure the same queue
 //!   inside whole engine runs at high and low occupancy.
-//! - `sample/{dyn,enum}`: per-task-attempt draws from a realistic
-//!   distribution mix through the `dyn Sample` vtable vs. the
-//!   monomorphized [`Dist::sample_with`] match.
+//! - `sample/enum`: per-task-attempt draws from a realistic
+//!   distribution mix through the monomorphized [`Dist::sample`] match.
 //! - `remaining/{scan,table}`: per-control-tick `C(p, a)` queries via
 //!   the percentile scan vs. the precomputed dense table.
 //!
@@ -18,13 +17,11 @@
 // Criterion macros expand to undocumented items.
 #![allow(missing_docs)]
 
-use std::sync::Arc;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec};
 use jockey_core::cpa::{CpaModel, TrainConfig};
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
-use jockey_simrt::dist::{Dist, LogNormal, Mixture, Sample};
+use jockey_simrt::dist::{Dist, LogNormal};
 use jockey_simrt::event::EventQueue;
 use jockey_simrt::time::{SimDuration, SimTime};
 use jockey_workloads::jobs::paper_job;
@@ -133,48 +130,22 @@ fn engine_dists() -> Vec<Dist> {
     ]
 }
 
-/// Draws per iteration of the sampling benches.
+/// Draws per iteration of the sampling bench.
 const SAMPLE_DRAWS: usize = 4_096;
 
 fn bench_sampling(c: &mut Criterion) {
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
     let dists = engine_dists();
-    // The pre-PR shape of `JobSpec::stage_runtimes`: one vtable per
-    // distribution. `Mixture`/`Clamped` combinators are reproduced via
-    // `Dist` boxed the same way the old generics were.
-    let dyns: Vec<Arc<dyn Sample>> = vec![
-        Arc::new(jockey_simrt::dist::Clamped::new(
-            LogNormal::from_median_p90(20.0, 90.0),
-            0.0,
-            225.0,
-        )),
-        Arc::new(LogNormal::from_median_p90(2.0, 6.0)),
-        Arc::new(Mixture::new(
-            LogNormal::from_median_p90(12.0, 40.0),
-            LogNormal::from_median_p90(60.0, 200.0),
-            0.25,
-        )),
-    ];
     let seeds = jockey_simrt::rng::SeedDeriver::new(7);
 
     let mut g = c.benchmark_group("sample");
     g.sample_size(if smoke { 3 } else { 20 });
-    g.bench_function("dyn", |b| {
-        let mut rng = seeds.rng("dyn");
-        b.iter(|| {
-            let mut acc = 0.0;
-            for i in 0..SAMPLE_DRAWS {
-                acc += dyns[i % dyns.len()].sample(&mut rng);
-            }
-            acc
-        });
-    });
     g.bench_function("enum", |b| {
         let mut rng = seeds.rng("enum");
         b.iter(|| {
             let mut acc = 0.0;
             for i in 0..SAMPLE_DRAWS {
-                acc += dists[i % dists.len()].sample_with(&mut rng);
+                acc += dists[i % dists.len()].sample(&mut rng);
             }
             acc
         });

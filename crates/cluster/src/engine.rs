@@ -713,10 +713,10 @@ impl EngineCore {
         let s = task.stage.index();
         let attempt = job.tasks.bump_attempts(task);
 
-        // Statically-dispatched draws: `Dist::sample_with` monomorphizes
-        // over `StdRng`, the simulator's hottest call.
-        let base_run = job.spec.stage_runtimes[s].sample_with(&mut job.rng_runtime);
-        let base_queue = job.spec.stage_queues[s].sample_with(&mut job.rng_queue);
+        // Statically-dispatched draws: `Dist::sample` monomorphizes over
+        // `StdRng`, the simulator's hottest call.
+        let base_run = job.spec.stage_runtimes[s].sample(&mut job.rng_runtime);
+        let base_queue = job.spec.stage_queues[s].sample(&mut job.rng_queue);
         let class_mult = class_multiplier(class, self.cfg.spare_slowdown);
         // Machine placement. Under a topology the policy picks a host
         // and the multiplier *derives* from where the task landed

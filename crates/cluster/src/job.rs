@@ -11,8 +11,8 @@ use std::sync::Arc;
 ///
 /// Distributions are stored as the concrete [`Dist`] enum so the
 /// engine's per-task-attempt draws dispatch by `match` over a
-/// statically-typed RNG instead of through `Arc<dyn Sample>` vtables —
-/// this is the simulator's hottest call.
+/// statically-typed RNG, with no vtable hop — this is the simulator's
+/// hottest call.
 ///
 /// Two construction paths exist:
 ///
@@ -187,7 +187,7 @@ mod tests {
         assert_eq!(spec.task_failure_prob, 0.0);
         // Stage 0 empirical has a single value 4.0.
         let mut rng = jockey_simrt::rng::SeedDeriver::new(0).rng("t");
-        assert_eq!(spec.stage_runtimes[0].sample_with(&mut rng), 4.0);
+        assert_eq!(spec.stage_runtimes[0].sample(&mut rng), 4.0);
     }
 
     #[test]
@@ -196,8 +196,8 @@ mod tests {
         let profile = ProfileBuilder::new(&g).finish(1.0, 0.0);
         let spec = JobSpec::from_profile(g, &profile);
         let mut rng = jockey_simrt::rng::SeedDeriver::new(0).rng("t");
-        assert_eq!(spec.stage_runtimes[0].sample_with(&mut rng), 1.0);
-        assert_eq!(spec.stage_queues[0].sample_with(&mut rng), 0.0);
+        assert_eq!(spec.stage_runtimes[0].sample(&mut rng), 1.0);
+        assert_eq!(spec.stage_queues[0].sample(&mut rng), 0.0);
     }
 
     #[test]

@@ -1160,9 +1160,11 @@ fn train_one_run(
     };
     // A run that hit the simulation horizon is censored: its true
     // completion is *at least* the horizon. Using the horizon as the
-    // completion time yields pessimistic-but-finite samples, so starved
-    // allocations read as "very slow" rather than leaving empty cells
-    // that would be misread as "instant".
+    // completion time keeps the samples finite, so starved allocations
+    // read as "very slow" rather than leaving empty cells that would be
+    // misread as "instant". But each such sample is only a *lower*
+    // bound on the true remaining time, not a pessimistic estimate;
+    // ROADMAP item 1 tracks the C(p, a) errors this causes.
     let completed = result.duration().is_some();
     let total_secs = match result.duration() {
         Some(d) => d.as_secs_f64(),

@@ -3,8 +3,9 @@
 //!
 //! The Jockey paper's job simulator replays *per-stage distributions of
 //! task runtimes and initialization latencies* extracted from a prior run
-//! (§4.1). This module provides the distribution families the workspace
-//! uses to model those quantities:
+//! (§4.1). [`Dist`] is the one representation of such a distribution in
+//! this workspace, and [`Dist::sample`] the one way to draw from it. Its
+//! variants are the families the workspace models those quantities with:
 //!
 //! - [`LogNormal`] — the canonical heavy-ish-tailed task-runtime model,
 //!   fit directly from a (median, p90) pair as published in Table 2.
@@ -12,48 +13,27 @@
 //! - [`Exponential`], [`Uniform`], [`Constant`] — building blocks.
 //! - [`Empirical`] — resampling of recorded values, used when replaying a
 //!   measured profile.
-//! - [`Mixture`], [`Clamped`], [`Scaled`] — combinators, e.g. "97%
-//!   log-normal body + 3% Pareto outliers, clamped to 1 hour".
+//! - [`Dist::mixture`], [`Dist::clamped`], [`Dist::scaled`] —
+//!   combinators, e.g. "97% log-normal body + 3% Pareto outliers,
+//!   clamped to 1 hour".
 //!
-//! All samples are non-negative `f64` values; callers interpret the unit
-//! (this workspace uses seconds).
+//! Each family type validates its parameters in its constructor and
+//! converts into a `Dist` with `From`/`Into`. All samples are
+//! non-negative `f64` values; callers interpret the unit (this
+//! workspace uses seconds).
 //!
-//! Hot paths that sample millions of times per run (the cluster
-//! simulator's per-task-attempt draws) use the concrete [`Dist`] enum:
-//! a closed universe of the families above that dispatches by `match`
-//! and samples through a statically-typed RNG (`sample_with`), avoiding
-//! the vtable call and pointer chase of `Arc<dyn Sample>` per draw.
-//! Every family (and [`Dist`] itself) also implements the object-safe
-//! [`Sample`] trait.
+//! `Dist` is a closed enum dispatched by `match`, and its draw is
+//! generic over the RNG, so the cluster engine's per-task-attempt draw
+//! — the hottest call in training — monomorphizes over the engine's
+//! `StdRng` with no vtable hop (DESIGN.md §10).
 
 use std::sync::Arc;
 
-use rand::Rng;
-
-/// A sampleable, non-negative, real-valued distribution.
-pub trait Sample: Send + Sync {
-    /// Draws one value.
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64;
-
-    /// The distribution mean, if known in closed form.
-    fn mean(&self) -> Option<f64> {
-        None
-    }
-}
+use rand::{Rng, RngCore};
 
 /// A degenerate distribution returning a fixed value.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Constant(pub f64);
-
-impl Sample for Constant {
-    fn sample(&self, _rng: &mut dyn rand::RngCore) -> f64 {
-        self.0
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.0)
-    }
-}
 
 /// Uniform distribution on `[lo, hi)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -73,23 +53,10 @@ impl Uniform {
         assert!(lo.is_finite() && hi.is_finite() && lo >= 0.0 && lo <= hi);
         Uniform { lo, hi }
     }
-}
 
-impl Uniform {
-    /// Draws one value through a statically-dispatched RNG.
     #[inline]
-    pub fn sample_with<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         self.lo + rng.gen::<f64>() * (self.hi - self.lo)
-    }
-}
-
-impl Sample for Uniform {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some((self.lo + self.hi) / 2.0)
     }
 }
 
@@ -109,25 +76,12 @@ impl Exponential {
         assert!(mean.is_finite() && mean > 0.0, "invalid mean {mean}");
         Exponential { mean }
     }
-}
 
-impl Exponential {
-    /// Draws one value through a statically-dispatched RNG.
     #[inline]
-    pub fn sample_with<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         // Inverse-CDF sampling; `1 - u` avoids ln(0).
         let u: f64 = rng.gen();
         -self.mean * (1.0 - u).ln()
-    }
-}
-
-impl Sample for Exponential {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.mean)
     }
 }
 
@@ -191,28 +145,14 @@ impl LogNormal {
         (self.mu + Z_90 * self.sigma).exp()
     }
 
-    /// Draws a standard normal via Box–Muller (one of the pair).
-    fn standard_normal<R: rand::RngCore + ?Sized>(rng: &mut R) -> f64 {
-        // `1 - u` keeps the argument of ln strictly positive.
+    #[inline]
+    fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+        // A standard normal via Box–Muller (one of the pair); `1 - u`
+        // keeps the argument of ln strictly positive.
         let u1: f64 = 1.0 - rng.gen::<f64>();
         let u2: f64 = rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Draws one value through a statically-dispatched RNG.
-    #[inline]
-    pub fn sample_with<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.mu + self.sigma * Self::standard_normal(rng)).exp()
-    }
-}
-
-impl Sample for LogNormal {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some((self.mu + self.sigma * self.sigma / 2.0).exp())
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        (self.mu + self.sigma * z).exp()
     }
 }
 
@@ -236,24 +176,11 @@ impl Pareto {
         assert!(alpha.is_finite() && alpha > 0.0);
         Pareto { scale, alpha }
     }
-}
 
-impl Pareto {
-    /// Draws one value through a statically-dispatched RNG.
     #[inline]
-    pub fn sample_with<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = 1.0 - rng.gen::<f64>();
         self.scale / u.powf(1.0 / self.alpha)
-    }
-}
-
-impl Sample for Pareto {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.scale / (self.alpha - 1.0))
     }
 }
 
@@ -292,135 +219,22 @@ impl Empirical {
         &self.values
     }
 
-    /// Draws one value through a statically-dispatched RNG.
     #[inline]
-    pub fn sample_with<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         let i = rng.gen_range(0..self.values.len() as u64) as usize;
         self.values[i]
     }
 }
 
-impl Sample for Empirical {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-    }
-}
-
-/// A two-component mixture: with probability `p_second`, sample the
-/// second distribution, otherwise the first.
-pub struct Mixture<A, B> {
-    first: A,
-    second: B,
-    p_second: f64,
-}
-
-impl<A: Sample, B: Sample> Mixture<A, B> {
-    /// Creates a mixture drawing from `second` with probability
-    /// `p_second`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p_second` is in `[0, 1]`.
-    pub fn new(first: A, second: B, p_second: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p_second));
-        Mixture {
-            first,
-            second,
-            p_second,
-        }
-    }
-}
-
-impl<A: Sample, B: Sample> Sample for Mixture<A, B> {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        if rng.gen::<f64>() < self.p_second {
-            self.second.sample(rng)
-        } else {
-            self.first.sample(rng)
-        }
-    }
-
-    fn mean(&self) -> Option<f64> {
-        let a = self.first.mean()?;
-        let b = self.second.mean()?;
-        Some(a * (1.0 - self.p_second) + b * self.p_second)
-    }
-}
-
-/// Clamps samples of an inner distribution to `[lo, hi]`.
-pub struct Clamped<D> {
-    inner: D,
-    lo: f64,
-    hi: f64,
-}
-
-impl<D: Sample> Clamped<D> {
-    /// Clamps `inner` to `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn new(inner: D, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi);
-        Clamped { inner, lo, hi }
-    }
-}
-
-impl<D: Sample> Sample for Clamped<D> {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.inner.sample(rng).clamp(self.lo, self.hi)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        // The truncated mean has no closed form in general; the inner
-        // mean clamped into the support is a finite, same-scale
-        // estimate (exact when the clamp never binds).
-        self.inner.mean().map(|m| m.clamp(self.lo, self.hi))
-    }
-}
-
-/// Scales samples of an inner distribution by a constant factor.
-pub struct Scaled<D> {
-    inner: D,
-    factor: f64,
-}
-
-impl<D: Sample> Scaled<D> {
-    /// Multiplies every sample of `inner` by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn new(inner: D, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor >= 0.0);
-        Scaled { inner, factor }
-    }
-}
-
-impl<D: Sample> Sample for Scaled<D> {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.inner.sample(rng) * self.factor
-    }
-
-    fn mean(&self) -> Option<f64> {
-        self.inner.mean().map(|m| m * self.factor)
-    }
-}
-
-/// A concrete, closed-universe distribution: every family this
-/// workspace samples in simulator hot paths, dispatched by `match`
-/// instead of through a vtable.
+/// A sampleable, non-negative, real-valued distribution: one of the
+/// family types above, or a combinator over other `Dist`s.
 ///
-/// `JobSpec` stores stage runtime/queue models as `Dist` so the
-/// per-task-attempt draw in the cluster engine is a direct call
-/// monomorphized over the engine's `StdRng` ([`Dist::sample_with`]) —
-/// no `Arc<dyn Sample>` pointer chase per attempt.
+/// `JobSpec` stores stage runtime/queue models as `Dist`, so the
+/// per-task-attempt draw in the cluster engine is a `match` plus a
+/// direct call monomorphized over the engine's `StdRng`
+/// ([`Dist::sample`]).
 ///
-/// Construct variants from the concrete family types via `From`/`Into`
+/// Construct variants from the family types via `From`/`Into`
 /// (`Dist::from(Uniform::new(1.0, 2.0))`) and combinators via
 /// [`Dist::mixture`], [`Dist::clamped`] and [`Dist::scaled`].
 #[derive(Clone)]
@@ -508,34 +322,32 @@ impl Dist {
         }
     }
 
-    /// Draws one value through a statically-dispatched RNG.
+    /// Draws one value.
     ///
-    /// Monomorphizes over the caller's concrete RNG type; for the same
-    /// RNG state this produces bit-identical draws to the [`Sample`]
-    /// impl (the underlying `next_u64` stream and arithmetic are
-    /// identical).
+    /// Generic over the RNG, so each caller's concrete RNG type gets
+    /// its own monomorphized copy.
     #[inline]
-    pub fn sample_with<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         match self {
             Dist::Constant(d) => d.0,
-            Dist::Uniform(d) => d.sample_with(rng),
-            Dist::Exponential(d) => d.sample_with(rng),
-            Dist::LogNormal(d) => d.sample_with(rng),
-            Dist::Pareto(d) => d.sample_with(rng),
-            Dist::Empirical(d) => d.sample_with(rng),
+            Dist::Uniform(d) => d.draw(rng),
+            Dist::Exponential(d) => d.draw(rng),
+            Dist::LogNormal(d) => d.draw(rng),
+            Dist::Pareto(d) => d.draw(rng),
+            Dist::Empirical(d) => d.draw(rng),
             Dist::Mixture {
                 first,
                 second,
                 p_second,
             } => {
                 if rng.gen::<f64>() < *p_second {
-                    second.sample_with(rng)
+                    second.sample(rng)
                 } else {
-                    first.sample_with(rng)
+                    first.sample(rng)
                 }
             }
-            Dist::Clamped { inner, lo, hi } => inner.sample_with(rng).clamp(*lo, *hi),
-            Dist::Scaled { inner, factor } => inner.sample_with(rng) * factor,
+            Dist::Clamped { inner, lo, hi } => inner.sample(rng).clamp(*lo, *hi),
+            Dist::Scaled { inner, factor } => inner.sample(rng) * factor,
         }
     }
 
@@ -546,12 +358,12 @@ impl Dist {
     /// which is what mean consumers like the speculation watcher need.
     pub fn mean(&self) -> Option<f64> {
         match self {
-            Dist::Constant(d) => d.mean(),
-            Dist::Uniform(d) => d.mean(),
-            Dist::Exponential(d) => Sample::mean(d),
-            Dist::LogNormal(d) => d.mean(),
-            Dist::Pareto(d) => d.mean(),
-            Dist::Empirical(d) => d.mean(),
+            Dist::Constant(d) => Some(d.0),
+            Dist::Uniform(d) => Some((d.lo + d.hi) / 2.0),
+            Dist::Exponential(d) => Some(d.mean),
+            Dist::LogNormal(d) => Some((d.mu + d.sigma * d.sigma / 2.0).exp()),
+            Dist::Pareto(d) => (d.alpha > 1.0).then(|| d.alpha * d.scale / (d.alpha - 1.0)),
+            Dist::Empirical(d) => Some(d.values.iter().sum::<f64>() / d.values.len() as f64),
             Dist::Mixture {
                 first,
                 second,
@@ -601,96 +413,24 @@ impl std::fmt::Debug for Dist {
     }
 }
 
-impl Sample for Dist {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Dist::mean(self)
-    }
+macro_rules! dist_from_family {
+    ($($family:ident),*) => {$(
+        impl From<$family> for Dist {
+            fn from(d: $family) -> Dist {
+                Dist::$family(d)
+            }
+        }
+    )*};
 }
 
-impl From<Constant> for Dist {
-    fn from(d: Constant) -> Dist {
-        Dist::Constant(d)
-    }
-}
-
-impl From<Uniform> for Dist {
-    fn from(d: Uniform) -> Dist {
-        Dist::Uniform(d)
-    }
-}
-
-impl From<Exponential> for Dist {
-    fn from(d: Exponential) -> Dist {
-        Dist::Exponential(d)
-    }
-}
-
-impl From<LogNormal> for Dist {
-    fn from(d: LogNormal) -> Dist {
-        Dist::LogNormal(d)
-    }
-}
-
-impl From<Pareto> for Dist {
-    fn from(d: Pareto) -> Dist {
-        Dist::Pareto(d)
-    }
-}
-
-impl From<Empirical> for Dist {
-    fn from(d: Empirical) -> Dist {
-        Dist::Empirical(d)
-    }
-}
-
-impl<A: Into<Dist>, B: Into<Dist>> From<Mixture<A, B>> for Dist {
-    fn from(m: Mixture<A, B>) -> Dist {
-        Dist::mixture(m.first, m.second, m.p_second)
-    }
-}
-
-impl<D: Into<Dist>> From<Clamped<D>> for Dist {
-    fn from(c: Clamped<D>) -> Dist {
-        Dist::clamped(c.inner, c.lo, c.hi)
-    }
-}
-
-impl<D: Into<Dist>> From<Scaled<D>> for Dist {
-    fn from(s: Scaled<D>) -> Dist {
-        Dist::scaled(s.inner, s.factor)
-    }
-}
-
-impl Sample for Box<dyn Sample> {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.as_ref().sample(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        self.as_ref().mean()
-    }
-}
-
-impl Sample for std::sync::Arc<dyn Sample> {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.as_ref().sample(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        self.as_ref().mean()
-    }
-}
+dist_from_family!(Constant, Uniform, Exponential, LogNormal, Pareto, Empirical);
 
 /// Draws `true` with probability `p`.
 ///
 /// # Panics
 ///
 /// Panics unless `p` is in `[0, 1]`.
-pub fn bernoulli(rng: &mut dyn rand::RngCore, p: f64) -> bool {
+pub fn bernoulli<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> bool {
     assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
     rng.gen::<f64>() < p
 }
@@ -700,18 +440,17 @@ pub fn bernoulli(rng: &mut dyn rand::RngCore, p: f64) -> bool {
 ///
 /// This is the single shared inter-event draw used by the cluster
 /// simulator's background-overload and failure processes; it consumes
-/// exactly one `f64` from `rng` and is bit-identical to
-/// `Exponential::with_mean(mean_secs).sample_with(rng)` (both compute
+/// exactly one `f64` from `rng` and is bit-identical to sampling
+/// `Dist::from(Exponential::with_mean(mean_secs))` (both compute
 /// `-mean * ln(1 - u)` from one uniform draw).
 ///
 /// # Panics
 ///
 /// Panics if `mean_secs` is not strictly positive and finite.
-pub fn exp_duration<R: rand::RngCore + ?Sized>(
-    rng: &mut R,
-    mean_secs: f64,
-) -> crate::time::SimDuration {
-    let secs = Exponential::with_mean(mean_secs).sample_with(rng);
+///
+/// [`SimDuration`]: crate::time::SimDuration
+pub fn exp_duration<R: RngCore + ?Sized>(rng: &mut R, mean_secs: f64) -> crate::time::SimDuration {
+    let secs = Exponential::with_mean(mean_secs).draw(rng);
     crate::time::SimDuration::from_secs_f64(secs)
 }
 
@@ -721,21 +460,22 @@ mod tests {
     use crate::rng::SeedDeriver;
     use crate::stats;
 
-    fn draw<D: Sample>(d: &D, n: usize) -> Vec<f64> {
+    fn draw(d: impl Into<Dist>, n: usize) -> Vec<f64> {
+        let d = d.into();
         let mut rng = SeedDeriver::new(1234).rng("dist-tests");
         (0..n).map(|_| d.sample(&mut rng)).collect()
     }
 
     #[test]
     fn constant_is_constant() {
-        let xs = draw(&Constant(3.5), 10);
+        let xs = draw(Constant(3.5), 10);
         assert!(xs.iter().all(|&x| x == 3.5));
     }
 
     #[test]
     fn uniform_bounds_and_mean() {
         let d = Uniform::new(2.0, 4.0);
-        let xs = draw(&d, 20_000);
+        let xs = draw(d, 20_000);
         assert!(xs.iter().all(|&x| (2.0..4.0).contains(&x)));
         let m = stats::mean(&xs);
         assert!((m - 3.0).abs() < 0.05, "mean {m}");
@@ -744,7 +484,7 @@ mod tests {
     #[test]
     fn exponential_mean_converges() {
         let d = Exponential::with_mean(7.0);
-        let m = stats::mean(&draw(&d, 50_000));
+        let m = stats::mean(&draw(d, 50_000));
         assert!((m - 7.0).abs() < 0.25, "mean {m}");
     }
 
@@ -752,7 +492,7 @@ mod tests {
     fn lognormal_fit_matches_published_quantiles() {
         let d = LogNormal::from_median_p90(3.0, 68.3);
         let xs = {
-            let mut v = draw(&d, 100_000);
+            let mut v = draw(d, 100_000);
             v.sort_by(f64::total_cmp);
             v
         };
@@ -765,24 +505,24 @@ mod tests {
     #[test]
     fn lognormal_degenerate_sigma() {
         let d = LogNormal::from_median_p90(5.0, 5.0);
-        let xs = draw(&d, 100);
+        let xs = draw(d, 100);
         assert!(xs.iter().all(|&x| (x - 5.0).abs() < 1e-9));
     }
 
     #[test]
     fn pareto_respects_scale_and_mean() {
         let d = Pareto::new(2.0, 3.0);
-        let xs = draw(&d, 50_000);
+        let xs = draw(d, 50_000);
         assert!(xs.iter().all(|&x| x >= 2.0));
         let m = stats::mean(&xs);
         assert!((m - 3.0).abs() < 0.1, "mean {m}");
-        assert_eq!(Pareto::new(1.0, 0.5).mean(), None);
+        assert_eq!(Dist::from(Pareto::new(1.0, 0.5)).mean(), None);
     }
 
     #[test]
     fn empirical_resamples_recorded_values() {
         let d = Empirical::new(vec![1.0, 2.0, 4.0]);
-        let xs = draw(&d, 3_000);
+        let xs = draw(d, 3_000);
         assert!(xs.iter().all(|&x| x == 1.0 || x == 2.0 || x == 4.0));
         for target in [1.0, 2.0, 4.0] {
             let frac = xs.iter().filter(|&&x| x == target).count() as f64 / xs.len() as f64;
@@ -792,8 +532,8 @@ mod tests {
 
     #[test]
     fn mixture_weights_components() {
-        let d = Mixture::new(Constant(1.0), Constant(10.0), 0.25);
-        let xs = draw(&d, 20_000);
+        let d = Dist::mixture(Constant(1.0), Constant(10.0), 0.25);
+        let xs = draw(d.clone(), 20_000);
         let frac_hi = xs.iter().filter(|&&x| x == 10.0).count() as f64 / xs.len() as f64;
         assert!((frac_hi - 0.25).abs() < 0.02, "frac {frac_hi}");
         assert!((d.mean().unwrap() - 3.25).abs() < 1e-12);
@@ -801,8 +541,8 @@ mod tests {
 
     #[test]
     fn clamped_limits_range() {
-        let d = Clamped::new(Pareto::new(1.0, 0.8), 0.0, 5.0);
-        assert!(draw(&d, 5_000).iter().all(|&x| x <= 5.0));
+        let d = Dist::clamped(Pareto::new(1.0, 0.8), 0.0, 5.0);
+        assert!(draw(d, 5_000).iter().all(|&x| x <= 5.0));
     }
 
     #[test]
@@ -814,15 +554,15 @@ mod tests {
         let tight = Dist::clamped(Exponential::with_mean(40.0), 0.0, 5.0);
         assert_eq!(tight.mean(), Some(5.0));
         // ...and still None when the inner mean is unknown (here an
-        // infinite-mean Pareto), matching the generic combinator.
+        // infinite-mean Pareto).
         let unknown = Dist::clamped(Pareto::new(1.0, 0.8), 0.0, 5.0);
         assert_eq!(unknown.mean(), None);
-        assert_eq!(Clamped::new(Constant(7.0), 0.0, 4.0).mean(), Some(4.0));
+        assert_eq!(Dist::clamped(Constant(7.0), 0.0, 4.0).mean(), Some(4.0));
     }
 
     #[test]
     fn scaled_multiplies() {
-        let d = Scaled::new(Constant(3.0), 2.5);
+        let d = Dist::scaled(Constant(3.0), 2.5);
         assert_eq!(d.sample(&mut SeedDeriver::new(0).rng("x")), 7.5);
         assert_eq!(d.mean(), Some(7.5));
     }
@@ -843,89 +583,85 @@ mod tests {
         bernoulli(&mut rng, 1.5);
     }
 
-    #[test]
-    fn boxed_dyn_sample_works() {
-        let d: Box<dyn Sample> = Box::new(Constant(2.0));
-        assert_eq!(d.sample(&mut SeedDeriver::new(0).rng("x")), 2.0);
-        assert_eq!(d.mean(), Some(2.0));
-    }
-
-    /// The `Dist` enum must draw the exact same stream as the trait
-    /// objects it replaces: same RNG state in, bit-identical samples
-    /// out, for every family and nested combinator.
-    #[test]
-    fn dist_enum_matches_trait_objects_bit_for_bit() {
-        let cases: Vec<(Dist, Box<dyn Sample>)> = vec![
-            (Constant(3.5).into(), Box::new(Constant(3.5))),
-            (
-                Uniform::new(2.0, 9.0).into(),
-                Box::new(Uniform::new(2.0, 9.0)),
-            ),
-            (
-                Exponential::with_mean(4.0).into(),
-                Box::new(Exponential::with_mean(4.0)),
-            ),
-            (
-                LogNormal::from_median_p90(3.0, 20.0).into(),
-                Box::new(LogNormal::from_median_p90(3.0, 20.0)),
-            ),
-            (
-                Pareto::new(1.0, 1.5).into(),
-                Box::new(Pareto::new(1.0, 1.5)),
-            ),
-            (
-                Empirical::new(vec![1.0, 2.0, 4.0, 8.0, 16.0]).into(),
-                Box::new(Empirical::new(vec![1.0, 2.0, 4.0, 8.0, 16.0])),
-            ),
-            (
-                Mixture::new(
-                    LogNormal::from_median_p90(2.0, 8.0),
-                    Pareto::new(5.0, 1.2),
-                    0.03,
-                )
-                .into(),
-                Box::new(Mixture::new(
-                    LogNormal::from_median_p90(2.0, 8.0),
-                    Pareto::new(5.0, 1.2),
-                    0.03,
-                )),
-            ),
-            (
-                Clamped::new(Pareto::new(1.0, 0.5), 0.0, 100.0).into(),
-                Box::new(Clamped::new(Pareto::new(1.0, 0.5), 0.0, 100.0)),
-            ),
-            (
-                Scaled::new(Uniform::new(1.0, 2.0), 2.5).into(),
-                Box::new(Scaled::new(Uniform::new(1.0, 2.0), 2.5)),
-            ),
-            (
-                Dist::clamped(
-                    Dist::mixture(LogNormal::new(1.0, 0.8), Pareto::new(3.0, 1.1), 0.1),
-                    0.5,
-                    50.0,
-                ),
-                Box::new(Clamped::new(
-                    Mixture::new(LogNormal::new(1.0, 0.8), Pareto::new(3.0, 1.1), 0.1),
-                    0.5,
-                    50.0,
-                )),
-            ),
-        ];
-        for (i, (dist, dynd)) in cases.iter().enumerate() {
-            // Static dispatch (the engine hot path) vs dynamic dispatch
-            // (the old seam) from identical seeds.
-            let mut r1 = SeedDeriver::new(99).rng_indexed("equiv", i as u64);
-            let mut r2 = SeedDeriver::new(99).rng_indexed("equiv", i as u64);
-            for _ in 0..500 {
-                let a = dist.sample_with(&mut r1);
-                let b = dynd.sample(&mut r2);
-                assert!(a.to_bits() == b.to_bits(), "case {i}: {a} != {b}");
-            }
-            match (dist.mean(), dynd.mean()) {
-                (Some(a), Some(b)) => assert_eq!(a.to_bits(), b.to_bits(), "case {i} mean"),
-                (a, b) => assert_eq!(a, b, "case {i} mean"),
+    /// FNV-1a over a stream of 64-bit words.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
             }
         }
+        h
+    }
+
+    /// Every draw consumes a fixed `next_u64` stream through fixed
+    /// arithmetic, and every simulation output depends on it. For each
+    /// case, the `to_bits` of the first draw and an FNV-1a digest of
+    /// the `to_bits` of the first 300 draws (then the mean) from a
+    /// fixed seed must equal recorded values, so any change to what a
+    /// draw consumes or computes shows here.
+    #[test]
+    fn draw_streams_are_pinned() {
+        const DRAWS: usize = 300;
+        let dists: Vec<Dist> = vec![
+            Constant(3.5).into(),
+            Uniform::new(2.0, 9.0).into(),
+            Exponential::with_mean(4.0).into(),
+            LogNormal::from_median_p90(3.0, 20.0).into(),
+            Pareto::new(1.0, 1.5).into(),
+            Empirical::new(vec![1.0, 2.0, 4.0, 8.0, 16.0]).into(),
+            Dist::mixture(
+                LogNormal::from_median_p90(2.0, 8.0),
+                Pareto::new(5.0, 1.2),
+                0.03,
+            ),
+            Dist::clamped(Pareto::new(1.0, 0.5), 0.0, 100.0),
+            Dist::scaled(Uniform::new(1.0, 2.5), 2.5),
+            Dist::clamped(
+                Dist::mixture(LogNormal::new(1.0, 0.8), Pareto::new(3.0, 1.1), 0.1),
+                0.5,
+                50.0,
+            ),
+        ];
+        let rng = |i: usize| SeedDeriver::new(99).rng_indexed("pinned", i as u64);
+        let mut got: Vec<(u64, u64)> = dists
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let mut r = rng(i);
+                let bits: Vec<u64> = (0..DRAWS).map(|_| d.sample(&mut r).to_bits()).collect();
+                let mean = d.mean().map_or(u64::MAX, f64::to_bits);
+                (bits[0], fnv1a(bits.iter().copied().chain([mean])))
+            })
+            .collect();
+        let mut r = rng(dists.len());
+        let exp: Vec<u64> = (0..DRAWS)
+            .map(|_| exp_duration(&mut r, 30.0).as_secs_f64().to_bits())
+            .collect();
+        got.push((exp[0], fnv1a(exp)));
+        let mut r = rng(dists.len() + 1);
+        let coins: Vec<u64> = (0..DRAWS)
+            .map(|_| u64::from(bernoulli(&mut r, 0.3)))
+            .collect();
+        got.push((coins[0], fnv1a(coins)));
+        let want = [
+            (0x400c_0000_0000_0000, 0xa906_8b35_fb6f_4999),
+            (0x4012_49c8_89f4_73f8, 0x0163_408d_792d_e5e1),
+            (0x402c_87b7_94aa_afd1, 0x8e3d_00b0_5629_4d30),
+            (0x4047_6f4e_4efd_ef9a, 0xdea7_2561_7902_deb0),
+            (0x3ff1_e3ba_484f_2a89, 0x9ce3_42e8_60c9_e631),
+            (0x4010_0000_0000_0000, 0x2e17_2d5f_72ab_2c64),
+            (0x4005_2185_1e85_ee4a, 0x22cd_1713_285d_d2f9),
+            (0x400b_9549_ccb6_a95d, 0xc040_b387_9779_bf2c),
+            (0x4016_6155_90ae_bc78, 0x0a9c_66dc_4cbd_f329),
+            (0x400c_673a_ea63_6a92, 0xdc50_02c2_f641_691b),
+            (0x404c_c126_e978_d4fe, 0x485d_8e83_01f1_8b69),
+            (0x0000_0000_0000_0000, 0xb032_d53f_7dd5_9f65),
+        ];
+        assert_eq!(
+            got, want,
+            "recorded streams (first draw bits, digest) moved"
+        );
     }
 
     /// Cloning a `Dist::Empirical` shares the recorded values.
@@ -954,7 +690,7 @@ mod tests {
                     let u: f64 = 1.0 - a.gen::<f64>();
                     -mean * u.ln()
                 };
-                let raw = Exponential::with_mean(mean).sample_with(&mut b);
+                let raw = Dist::from(Exponential::with_mean(mean)).sample(&mut b);
                 assert_eq!(raw.to_bits(), legacy.to_bits());
                 // And the shared helper quantizes that same sample.
                 let shared = exp_duration(&mut c, mean);

@@ -49,7 +49,6 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use dist::Sample;
 pub use event::EventQueue;
 pub use observe::{SharedJournal, SimObserver};
 pub use rng::SeedDeriver;

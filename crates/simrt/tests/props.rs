@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation runtime's invariants.
 
-use jockey_simrt::dist::{Clamped, Exponential, LogNormal, Pareto, Sample, Uniform};
+use jockey_simrt::dist::{Constant, Dist, Empirical, Exponential, LogNormal, Pareto, Uniform};
 use jockey_simrt::event::EventQueue;
 use jockey_simrt::rng::SeedDeriver;
 use jockey_simrt::series::TimeSeries;
@@ -88,12 +88,24 @@ proptest! {
     #[test]
     fn distributions_emit_valid_samples(seed in any::<u64>()) {
         let mut rng = SeedDeriver::new(seed).rng("props");
-        let dists: Vec<Box<dyn Sample>> = vec![
-            Box::new(Uniform::new(0.0, 10.0)),
-            Box::new(Exponential::with_mean(3.0)),
-            Box::new(LogNormal::from_median_p90(2.0, 9.0)),
-            Box::new(Pareto::new(1.0, 1.5)),
-            Box::new(Clamped::new(Pareto::new(1.0, 0.5), 0.0, 100.0)),
+        let dists: Vec<Dist> = vec![
+            Constant(4.0).into(),
+            Uniform::new(0.0, 10.0).into(),
+            Exponential::with_mean(3.0).into(),
+            LogNormal::from_median_p90(2.0, 9.0).into(),
+            Pareto::new(1.0, 1.5).into(),
+            Empirical::new(vec![0.0, 0.5, 7.0, 1e4]).into(),
+            Dist::mixture(LogNormal::from_median_p90(2.0, 9.0), Pareto::new(60.0, 1.2), 0.1),
+            Dist::clamped(Pareto::new(1.0, 0.5), 0.0, 100.0),
+            Dist::scaled(Exponential::with_mean(3.0), 2.5),
+            Dist::scaled(
+                Dist::clamped(
+                    Dist::mixture(Uniform::new(1.0, 2.0), Pareto::new(5.0, 0.8), 0.3),
+                    0.5,
+                    500.0,
+                ),
+                0.1,
+            ),
         ];
         for d in &dists {
             for _ in 0..50 {

@@ -475,10 +475,10 @@ fn solve_task_counts(rng: &mut StdRng, lengths: &[usize], vertices: u64) -> Vec<
 
 /// Empirical median of the stage mixture (used once for calibration).
 fn mixture_median(medians: &[f64], ratios: &[f64], weights: &[f64], rng: &mut StdRng) -> f64 {
-    let dists: Vec<LogNormal> = medians
+    let dists: Vec<Dist> = medians
         .iter()
         .zip(ratios)
-        .map(|(&m, &r)| LogNormal::from_median_p90(m.max(1e-6), (m * r).max(2e-6)))
+        .map(|(&m, &r)| LogNormal::from_median_p90(m.max(1e-6), (m * r).max(2e-6)).into())
         .collect();
     let total_w: f64 = weights.iter().sum();
     let mut samples = Vec::with_capacity(4_000);
@@ -493,7 +493,7 @@ fn mixture_median(medians: &[f64], ratios: &[f64], weights: &[f64], rng: &mut St
             }
             pick -= w;
         }
-        samples.push(dists[idx].sample_with(rng));
+        samples.push(dists[idx].sample(rng));
     }
     jockey_simrt::stats::percentile(&samples, 50.0)
 }
@@ -523,7 +523,7 @@ mod tests {
             let mut samples = Vec::new();
             for s in j.graph.stage_ids() {
                 for _ in 0..j.graph.tasks_in(s).min(200) {
-                    samples.push(j.spec.stage_runtimes[s.index()].sample_with(&mut rng));
+                    samples.push(j.spec.stage_runtimes[s.index()].sample(&mut rng));
                 }
             }
             let med = stats::percentile(&samples, 50.0);
@@ -545,7 +545,7 @@ mod tests {
             .stage_ids()
             .map(|s| {
                 let d = &j.spec.stage_runtimes[s.index()];
-                let samples: Vec<f64> = (0..500).map(|_| d.sample_with(&mut rng)).collect();
+                let samples: Vec<f64> = (0..500).map(|_| d.sample(&mut rng)).collect();
                 stats::percentile(&samples, 90.0)
             })
             .fold(0.0, f64::max);

@@ -14,6 +14,7 @@
 //! within their business group but sometimes across groups. The
 //! analyses below compute exactly the four Fig. 1 distributions.
 
+use jockey_simrt::dist::{Dist, LogNormal};
 use jockey_simrt::rng::SeedDeriver;
 use rand::Rng;
 
@@ -85,15 +86,14 @@ pub fn generate_trace(cfg: &TraceConfig, seed: u64) -> Vec<JobRecord> {
     assert!(cfg.jobs > 0 && cfg.groups > 0);
     let seeds = SeedDeriver::new(seed).child("pipeline-trace");
     let mut rng = seeds.rng("trace");
-    let gap = jockey_simrt::dist::LogNormal::from_median_p90(
+    let gap = Dist::from(LogNormal::from_median_p90(
         cfg.gap_median_mins * 60.0,
         cfg.gap_p90_mins * 60.0,
-    );
-    let duration = jockey_simrt::dist::LogNormal::from_median_p90(
+    ));
+    let duration = Dist::from(LogNormal::from_median_p90(
         cfg.duration_median_mins * 60.0,
         cfg.duration_p90_mins * 60.0,
-    );
-    use jockey_simrt::dist::Sample;
+    ));
 
     let window_secs = cfg.window_hours * 3_600.0;
     let mut records: Vec<JobRecord> = Vec::with_capacity(cfg.jobs);

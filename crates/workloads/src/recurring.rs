@@ -12,26 +12,65 @@ use jockey_jobgraph::profile::JobProfile;
 use jockey_simrt::rng::SeedDeriver;
 use rand::Rng;
 
+/// A training run that reached the simulation horizon before its job
+/// finished, so it measured no complete profile (e.g. a job whose tasks
+/// each run longer than the horizon).
+#[derive(Clone, Debug, PartialEq)]
+pub struct UnfinishedTraining {
+    /// The job's name.
+    pub job: String,
+    /// The simulation horizon, in hours.
+    pub horizon_hours: f64,
+}
+
+impl std::fmt::Display for UnfinishedTraining {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "training run for {} did not finish within {} simulated hours",
+            self.job, self.horizon_hours
+        )
+    }
+}
+
+impl std::error::Error for UnfinishedTraining {}
+
 /// Executes `spec` once at a fixed `tokens` allocation on a dedicated
 /// cluster (failures active, no background noise) and returns the
-/// measured profile — the training input for Jockey's models.
+/// measured profile — the training input for Jockey's models — or an
+/// error if the run does not finish within the cluster's 24 h horizon.
+///
+/// # Panics
+///
+/// Panics if `tokens` is zero.
+pub fn try_training_profile(
+    spec: &JobSpec,
+    tokens: u32,
+    seed: u64,
+) -> Result<JobProfile, UnfinishedTraining> {
+    assert!(tokens > 0);
+    let cfg = ClusterConfig::dedicated_with_failures(tokens);
+    let horizon_hours = cfg.max_sim_time.as_secs_f64() / 3600.0;
+    let mut sim = ClusterSim::new(cfg, seed);
+    sim.add_job(spec.clone(), Box::new(FixedAllocation(tokens)));
+    let result = sim.run_single();
+    match result.completed_at {
+        Some(_) => Ok(result.profile),
+        None => Err(UnfinishedTraining {
+            job: spec.graph.name().to_string(),
+            horizon_hours,
+        }),
+    }
+}
+
+/// [`try_training_profile`] for specs known to finish.
 ///
 /// # Panics
 ///
 /// Panics if `tokens` is zero or the run does not finish within 24
 /// simulated hours (a pathological spec).
 pub fn training_profile(spec: &JobSpec, tokens: u32, seed: u64) -> JobProfile {
-    assert!(tokens > 0);
-    let cfg = ClusterConfig::dedicated_with_failures(tokens);
-    let mut sim = ClusterSim::new(cfg, seed);
-    sim.add_job(spec.clone(), Box::new(FixedAllocation(tokens)));
-    let result = sim.run_single();
-    assert!(
-        result.completed_at.is_some(),
-        "training run for {} did not finish",
-        spec.graph.name()
-    );
-    result.profile
+    try_training_profile(spec, tokens, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Draws `n` input-size factors for successive runs of a recurring
@@ -93,6 +132,16 @@ mod tests {
         // Every task ran at least once.
         let attempts: usize = p.stages.iter().map(|s| s.runtimes.len()).sum();
         assert!(attempts as u64 >= job.graph.total_tasks());
+    }
+
+    #[test]
+    fn a_run_past_the_horizon_is_an_error() {
+        let job = paper_job(1, 2);
+        // A million-fold input stretches the job far past the horizon.
+        let slow = scaled_spec(&job.spec, 1e6);
+        let err = try_training_profile(&slow, 50, 3).unwrap_err();
+        assert_eq!(err.horizon_hours, 24.0);
+        assert!(err.to_string().contains("did not finish"), "{err}");
     }
 
     #[test]

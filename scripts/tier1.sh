@@ -43,8 +43,8 @@ cargo bench --workspace --no-run
 # compiled.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench control_plane
 # Smoke-run the simulation-kernel bench so the event queue's hold
-# model, the dense/sparse engine regimes, the dyn/enum sampling pair
-# and the C(p, a) table path all execute.
+# model, the dense/sparse engine regimes, the enum sampling row and
+# the C(p, a) table path all execute.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench simrt_kernel
 # Smoke-run the engine bench: events_per_sec (plain and speculative)
 # and the train_one_model training path execute end to end.

@@ -30,7 +30,7 @@ use jockey::scope::compile_script;
 use jockey::simrt::dist::{Dist, LogNormal};
 use jockey::simrt::table::KvStore;
 use jockey::simrt::time::SimDuration;
-use jockey::workloads::recurring::training_profile;
+use jockey::workloads::recurring::try_training_profile;
 
 const USAGE: &str = "\
 jockey-cli — guaranteed job latency for data-parallel jobs
@@ -235,18 +235,29 @@ fn compile_file(path: &str) -> Result<jockey::scope::CompiledJob, String> {
 }
 
 /// Default runtime distributions from the compiler's cost hints, as in
-/// the quickstart: per-task medians of 4 s scaled by stage cost.
-fn spec_from_compiled(compiled: &jockey::scope::CompiledJob) -> JobSpec {
+/// the quickstart: per-task medians of 4 s scaled by stage cost. A cost
+/// so large that a scaled parameter overflows `f64` is an error.
+fn spec_from_compiled(compiled: &jockey::scope::CompiledJob) -> Result<JobSpec, String> {
     let graph = Arc::new(compiled.graph.clone());
-    let runtimes: Vec<Dist> = compiled
+    let runtimes = compiled
         .stage_costs
         .iter()
-        .map(|&c| LogNormal::from_median_p90(4.0 * c, 12.0 * c).into())
-        .collect();
+        .enumerate()
+        .map(|(i, &c)| {
+            let (median, p90) = (4.0 * c, 12.0 * c);
+            if median.is_finite() && p90.is_finite() {
+                Ok(LogNormal::from_median_p90(median, p90).into())
+            } else {
+                Err(format!(
+                    "stage {i} COST {c:e} overflows the task runtime model"
+                ))
+            }
+        })
+        .collect::<Result<Vec<Dist>, String>>()?;
     let queues: Vec<Dist> = (0..graph.num_stages())
         .map(|_| LogNormal::from_median_p90(3.0, 8.0).into())
         .collect();
-    JobSpec::new(graph, runtimes, queues, 0.01, 0.0)
+    Ok(JobSpec::new(graph, runtimes, queues, 0.01, 0.0))
 }
 
 // ----------------------------------------------------------------------
@@ -303,8 +314,8 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get_parsed("seed", 42)?;
 
     let compiled = compile_file(script)?;
-    let spec = spec_from_compiled(&compiled);
-    let profile = training_profile(&spec, tokens, seed);
+    let spec = spec_from_compiled(&compiled)?;
+    let profile = try_training_profile(&spec, tokens, seed).map_err(|e| e.to_string())?;
     println!(
         "training run: {:.1} min latency, {:.2} CPU-hours across {} task attempts",
         profile.duration / 60.0,

@@ -155,3 +155,29 @@ fn profile_rejects_a_zero_cost() {
     );
     assert!(!out.exists(), "a rejected script must not write a bundle");
 }
+
+/// Runs `jockey-cli profile` on a one-stage script whose `COST` is
+/// `10^exponent` written out in full (the parser takes no exponent
+/// form) and asserts a clean error naming `keyword`.
+fn assert_huge_cost_rejected(exponent: usize, keyword: &str) {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cli-errors-cost-1e{exponent}.job"));
+    let cost = format!("1{}.0", "0".repeat(exponent));
+    assert_script_rejected(
+        "profile",
+        &["-o", out.to_str().expect("utf-8 path"), "--tokens", "4"],
+        &format!("a = EXTRACT FROM \"f\" PARTITIONS 4 COST {cost};\nOUTPUT a TO \"o\";\n"),
+        keyword,
+    );
+    assert!(!out.exists(), "a rejected script must not write a bundle");
+}
+
+#[test]
+fn profile_rejects_a_cost_that_overflows_the_runtime_model() {
+    assert_huge_cost_rejected(308, "overflows");
+}
+
+#[test]
+fn profile_rejects_a_cost_whose_training_run_cannot_finish() {
+    assert_huge_cost_rejected(279, "did not finish");
+}
