@@ -12,6 +12,13 @@
 //! business-critical cohort, and Cosmos-scale concurrency (§2.1 notes
 //! thousands of concurrent jobs per cluster). Results are recorded in
 //! `BENCH_control_plane.json` at the repo root.
+//!
+//! `plane_family` is the service plane's shape: every job shares one
+//! `ModelHandle` over an online `ModelStore` (bounded sketches, 16
+//! progress bins, the closed-form model as its floor), so each refresh
+//! pins the store once and reads every job's `C(p, ·)` curve from that
+//! one pinned view. Its jobs sit at progress spread over the bins.
+//! DESIGN §12 records this row.
 
 // Criterion macros expand to undocumented items.
 #![allow(missing_docs)]
@@ -19,8 +26,10 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use jockey_bench::family_model;
 use jockey_cluster::{JobController, JobStatus};
 use jockey_core::alloc::{ArgminPolicy, SpeculationLevel, SpeculativeArgmin};
+use jockey_core::online::{ModelHandle, ModelStore, OnlineConfig};
 use jockey_core::predict::CompletionModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_core::utility::UtilityFunction;
@@ -29,11 +38,19 @@ use jockey_jobgraph::graph::JobGraphBuilder;
 use jockey_jobgraph::profile::ProfileBuilder;
 use jockey_simrt::time::{SimDuration, SimTime};
 
-/// Closed-form model: `remaining = work · (1 − p) / a`. Keeps each
-/// utility evaluation cheap so the benchmark isolates the runtimes'
-/// locking and batching structure rather than model cost.
+/// Closed-form model: `remaining = work · (1 − p) / a` up to `max`
+/// tokens. Keeps each utility evaluation cheap so the benchmark
+/// isolates the runtimes' locking and batching structure rather than
+/// model cost.
 struct Toy {
     work: f64,
+    max: u32,
+}
+
+impl Toy {
+    fn new(work: f64) -> Self {
+        Toy { work, max: 100 }
+    }
 }
 
 impl CompletionModel for Toy {
@@ -41,7 +58,7 @@ impl CompletionModel for Toy {
         self.work * (1.0 - progress) / f64::from(allocation.max(1))
     }
     fn max_allocation(&self) -> u32 {
-        100
+        self.max
     }
 }
 
@@ -55,6 +72,25 @@ fn toy_indicator() -> IndicatorContext {
     }
     let p = pb.finish(100.0, 1.0);
     IndicatorContext::new(ProgressIndicator::VertexFrac, &g, &p, None)
+}
+
+/// Work and token cap of the service family: the shape of the
+/// benchmark's `service` workload (3600 s of work, 16-token cap, 16
+/// progress bins, 64-item sketches). Jobs reserve one or two tokens,
+/// so the budget is about 1.3 tokens per job, as in that workload.
+const FAMILY_WORK: f64 = 3_600.0;
+const FAMILY_CAP: u32 = 16;
+
+/// One family handle: a store over [`family_model`], with the toy
+/// (capped at `FAMILY_CAP`) as its floor.
+fn family_handle() -> Arc<dyn CompletionModel> {
+    let model = family_model(FAMILY_WORK, FAMILY_CAP);
+    let store = Arc::new(ModelStore::new(model, OnlineConfig::default()));
+    let floor = Toy {
+        work: FAMILY_WORK,
+        max: FAMILY_CAP,
+    };
+    Arc::new(ModelHandle::with_floor(store, Arc::new(floor)))
 }
 
 fn status(minute: u64, frac: f64, guarantee: u32) -> JobStatus {
@@ -77,14 +113,14 @@ fn deadline_mins(i: usize) -> u64 {
     30 + 5 * (i as u64 % 12)
 }
 
-/// Exactly the fleet's summed admission reservations, so every job is
-/// admitted. The benchmarked ticks report jobs behind schedule, whose
-/// summed demand exceeds their reservations, so arbitration always
-/// runs its grant loop to exhaustion.
-fn budget_for(jobs: usize) -> u32 {
+/// Exactly the fleet's summed admission reservations under `model`, so
+/// every job is admitted. The `plane` rows' ticks report jobs behind
+/// schedule, whose summed demand exceeds their reservations, so
+/// arbitration always runs its grant loop to exhaustion.
+fn budget_for(model: &dyn CompletionModel, jobs: usize) -> u32 {
     (0..jobs)
         .map(|i| {
-            Toy { work: 36_000.0 }
+            model
                 .size_for_deadline(&[0.0], SimDuration::from_mins(deadline_mins(i)), 1.0)
                 .expect("feasible deadline")
         })
@@ -107,13 +143,13 @@ fn bench_control_plane(c: &mut Criterion) {
         // Five minutes in with no progress: every job is behind.
         let st = status(5, 0.0, 4);
         // Sharded plane: per-job slots, amortized snapshot refresh.
-        let plane = ControlPlane::new(budget_for(n));
+        let plane = ControlPlane::new(budget_for(&Toy::new(36_000.0), n));
         let mut plane_handles: Vec<_> = (0..n)
             .map(|i| {
                 plane
                     .try_add_job(
                         &format!("job-{i}"),
-                        Arc::new(Toy { work: 36_000.0 }),
+                        Arc::new(Toy::new(36_000.0)),
                         toy_indicator(),
                         SimDuration::from_mins(deadline_mins(i)),
                         1.0,
@@ -129,6 +165,35 @@ fn bench_control_plane(c: &mut Criterion) {
             });
         });
     }
+
+    // Service-family plane: one shared handle, job i at progress
+    // (i mod 16) / 16, so the jobs spread evenly over the 16 bins.
+    let family_fleets: &[usize] = if smoke { &[16] } else { &[16, 256] };
+    for &n in family_fleets {
+        let model = family_handle();
+        let plane = ControlPlane::new(budget_for(model.as_ref(), n));
+        let mut handles: Vec<_> = (0..n)
+            .map(|i| {
+                let h = plane
+                    .try_add_job(
+                        &format!("job-{i}"),
+                        model.clone(),
+                        toy_indicator(),
+                        SimDuration::from_mins(deadline_mins(i)),
+                        1.0,
+                    )
+                    .expect("budget holds every reservation");
+                (h, status(5, (i % 16) as f64 / 16.0, 4))
+            })
+            .collect();
+        group.bench_function(BenchmarkId::new("plane_family", n), |b| {
+            b.iter(|| {
+                for (h, st) in &mut handles {
+                    std::hint::black_box(h.tick(st));
+                }
+            });
+        });
+    }
     group.finish();
 }
 
@@ -140,7 +205,7 @@ fn bench_speculative_argmin(c: &mut Criterion) {
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
     let utility = UtilityFunction::deadline(SimDuration::from_mins(45));
     let one_d = ArgminPolicy::new(
-        Arc::new(Toy { work: 36_000.0 }) as Arc<dyn CompletionModel>,
+        Arc::new(Toy::new(36_000.0)) as Arc<dyn CompletionModel>,
         utility.clone(),
         1,
     );
@@ -156,7 +221,7 @@ fn bench_speculative_argmin(c: &mut Criterion) {
     .map(|(label, clone_budget, work)| SpeculationLevel {
         label: label.to_string(),
         clone_budget,
-        model: Arc::new(Toy { work }) as Arc<dyn CompletionModel>,
+        model: Arc::new(Toy::new(work)) as Arc<dyn CompletionModel>,
     })
     .collect();
     let two_d = SpeculativeArgmin::new(levels, utility, 1);

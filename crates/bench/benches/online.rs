@@ -8,6 +8,11 @@
 //!
 //! - `absorb`: `CpaModel::absorb_observations` — the O(cells) fold of
 //!   one completed run (sketch updates plus incremental table rebuild);
+//! - `absorb-family`: the same fold into a model of the service family's
+//!   shape (allocations `1..=16`, 16 progress bins, 64-item sketches,
+//!   no empty cell), from runs whose allocation moves every tick as a
+//!   plane-served job's guarantee does. With no empty cell in a row,
+//!   absorb recomputes only the cells a run touched (DESIGN §13);
 //! - `store-publish`: `ModelStore::record_completion` end to end
 //!   (absorb, drift bookkeeping, snapshot clone, generation bump), what
 //!   the service driver pays per completion;
@@ -31,6 +36,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use jockey_bench::family_model;
 use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec};
 use jockey_core::cpa::{CpaModel, RunObservation, TrainConfig};
 use jockey_core::online::{ModelStore, OnlineConfig, RecordedRun};
@@ -59,6 +65,17 @@ fn synthetic_run(allocation: u32, total_secs: f64, ticks: usize) -> RecordedRun 
         // never fires a retrain mid-measurement.
         predicted_secs: f64::NAN,
     }
+}
+
+/// A completed run of `ticks + 1` observations whose allocation moves
+/// every tick, as a plane-served job's guarantee does: its samples
+/// land in one or two cells of most rows.
+fn moving_run(seed: usize, ticks: usize) -> RecordedRun {
+    let mut run = synthetic_run(1, 600.0 + (seed % 7) as f64 * 30.0, ticks);
+    for (i, o) in run.observations.iter_mut().enumerate() {
+        o.allocation = 1 + ((seed + i * 7) % 16) as u32;
+    }
+    run
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -142,6 +159,19 @@ fn main() {
     absorb_us.sort_by(f64::total_cmp);
     let absorb_mean_us = absorb_us.iter().sum::<f64>() / absorb_us.len() as f64;
 
+    // Phase 2a' — absorb into the service family's shape.
+    let mut family = family_model(3_600.0, 16);
+    let mut family_us = Vec::with_capacity(absorb_iters);
+    for i in 0..absorb_iters {
+        let run = moving_run(i, ticks);
+        let t0 = Instant::now();
+        let added = family.absorb_observations(&run.observations, run.total_secs, run.completed);
+        family_us.push(1e6 * t0.elapsed().as_secs_f64());
+        assert!(added > 0, "absorb added nothing");
+    }
+    family_us.sort_by(f64::total_cmp);
+    let family_mean_us = family_us.iter().sum::<f64>() / family_us.len() as f64;
+
     // Phase 2b — store publish: record_completion end to end (absorb +
     // drift bookkeeping + snapshot clone + generation bump), what the
     // service driver pays per completion.
@@ -194,6 +224,14 @@ fn main() {
         absorb_mean_us,
         percentile(&absorb_us, 50.0),
         percentile(&absorb_us, 99.0)
+    );
+    println!(
+        "{:<16} {:>12} {:>9.1} us {:>9.1} us {:>9.1} us",
+        "absorb-family",
+        absorb_iters,
+        family_mean_us,
+        percentile(&family_us, 50.0),
+        percentile(&family_us, 99.0)
     );
     println!(
         "{:<16} {:>12} {:>9.1} us {:>9.1} us {:>9.1} us",

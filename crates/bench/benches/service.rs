@@ -9,7 +9,7 @@
 //! reports the service numbers a capacity plan needs: sustained
 //! submissions/sec, p50/p99/max control-tick latency, SLO attainment,
 //! admission rate, and the refresh cadence. Results are recorded in
-//! `BENCH_service.json` at the repo root.
+//! DESIGN.md §12 (*Service NFRs*).
 //!
 //! Not a criterion bench: one run *is* the measurement (the driver
 //! already aggregates hundreds of thousands of timed ticks), and the

@@ -8,6 +8,7 @@
 
 use std::sync::OnceLock;
 
+use jockey_core::cpa::{CpaModel, RunObservation, TrainConfig};
 use jockey_experiments::env::{Env, Scale};
 
 /// A process-wide smoke-scale environment, built once and shared by
@@ -16,4 +17,31 @@ use jockey_experiments::env::{Env, Scale};
 pub fn smoke_env() -> &'static Env {
     static ENV: OnceLock<Env> = OnceLock::new();
     ENV.get_or_init(|| Env::build(Scale::Smoke, 42))
+}
+
+/// A service family's learned model, in the shape the benchmark's
+/// `service` workload gives it: every allocation in `1..=max_tokens`
+/// on 16 progress bins with 64-item sketches, seeded with one run per
+/// allocation that does `work` seconds of work at that allocation and
+/// samples each bin, so no row has an empty cell.
+pub fn family_model(work: f64, max_tokens: u32) -> CpaModel {
+    let cfg = TrainConfig {
+        progress_bins: 16,
+        percentile: 95.0,
+        sketch_capacity: Some(64),
+        ..TrainConfig::fast((1..=max_tokens).collect())
+    };
+    let mut model = CpaModel::empty(&cfg);
+    for a in 1..=max_tokens {
+        let total = work / f64::from(a);
+        let obs: Vec<RunObservation> = (0..=16)
+            .map(|i| RunObservation {
+                elapsed_secs: total * f64::from(i) / 16.0,
+                progress: f64::from(i) / 16.0,
+                allocation: a,
+            })
+            .collect();
+        model.absorb_observations(&obs, total, true);
+    }
+    model
 }

@@ -147,14 +147,15 @@ pub fn arbitrate(jobs: &[ArbiterJob], budget: u32) -> Vec<u32> {
     // index first. One live entry per job; granting pushes the job's
     // next jump, so no entry ever goes stale — though a jump sized
     // before other grants shrank the pool may no longer fit and is
-    // re-scanned under the tighter limit when popped.
-    let mut heap: BinaryHeap<(OrderedGain, Reverse<usize>, u32)> =
-        BinaryHeap::with_capacity(jobs.len());
-    for i in 0..jobs.len() {
-        if let Some((rate, k)) = best_jump(curve(i), 1, remaining) {
-            heap.push((OrderedGain(rate), Reverse(i), k));
-        }
-    }
+    // re-scanned under the tighter limit when popped. The first
+    // entries are heapified in O(n); every key holds a distinct job
+    // index, so the pop order is the one n pushes would give.
+    let mut heap: BinaryHeap<(OrderedGain, Reverse<usize>, u32)> = (0..jobs.len())
+        .filter_map(|i| {
+            let (rate, k) = best_jump(curve(i), 1, remaining)?;
+            Some((OrderedGain(rate), Reverse(i), k))
+        })
+        .collect();
     while remaining > 0 {
         let Some((OrderedGain(rate), Reverse(i), k)) = heap.pop() else {
             break; // Every job is at its cap.

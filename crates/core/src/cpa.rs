@@ -531,15 +531,16 @@ impl CpaModel {
 
     /// Folds several runs, each `(observations, total_secs, completed)`
     /// as [`CpaModel::absorb_observations`] takes them, in the order
-    /// given, then rebuilds the query-table rows they touched once. The
-    /// result is identical to absorbing them one call at a time: rows
-    /// are a function of the cells alone, and the cells see the same
-    /// batches in the same order. Returns the number of samples added.
+    /// given, then rebuilds the query-table cells they touched once
+    /// (see `rebuild_rows`). The result is identical to
+    /// absorbing them one call at a time: the table is a function of
+    /// the cells alone, and the cells see the same batches in the same
+    /// order. Returns the number of samples added.
     pub fn absorb_runs<'r>(
         &mut self,
         runs: impl IntoIterator<Item = (&'r [RunObservation], f64, bool)>,
     ) -> usize {
-        let mut dirty = vec![false; self.allocations.len()];
+        let mut touched = vec![false; self.allocations.len() * self.bins];
         let mut scratch = FoldScratch::default();
         let mut added = 0;
         for (obs, total_secs, completed) in runs {
@@ -555,9 +556,9 @@ impl CpaModel {
                 total_secs,
                 completed_alloc,
             );
-            added += scratch.merge(&mut self.cells, 0, Some(&mut dirty));
+            added += scratch.merge(&mut self.cells, 0, Some(&mut touched));
         }
-        self.rebuild_rows(&dirty);
+        self.rebuild_rows(&touched);
         added
     }
 
@@ -605,22 +606,35 @@ impl CpaModel {
         self.check_fresh_monotone();
     }
 
-    /// Recomputes the table rows of the dirty allocations and
-    /// re-derives the monotone flag. One new sample can change *every*
-    /// bin of its allocation's row — the outward empty-cell fallback
-    /// scans the whole row — so the incremental unit is a row, never a
-    /// single cell; rows never read other allocations' cells, so clean
-    /// rows keep their exact bytes.
-    fn rebuild_rows(&mut self, dirty: &[bool]) {
-        debug_assert_eq!(dirty.len(), self.allocations.len());
-        let mut row = Vec::with_capacity(self.bins);
-        for (ai, &is_dirty) in dirty.iter().enumerate() {
-            if !is_dirty {
+    /// Recomputes the table cells that `touched` (one flag per
+    /// `(allocation, bin)` cell, row-major) can have changed, and
+    /// re-derives the monotone flag. Rows never read other
+    /// allocations' cells, so untouched rows keep their exact bytes.
+    /// In a touched row the unit depends on whether the row still has
+    /// an empty cell:
+    ///
+    /// - With one, the whole row is recomputed: an empty cell answers
+    ///   with the nearest non-empty cell's quantile (the outward
+    ///   fallback), so one new sample can change every bin of the row.
+    /// - Without one, only the touched cells are recomputed. Each cell
+    ///   then answers with its own quantile, and merges only add
+    ///   samples, so a cell that was empty before the merge and filled
+    ///   after it was touched; every untouched cell read its own,
+    ///   unchanged sketch before the merge as well.
+    fn rebuild_rows(&mut self, touched: &[bool]) {
+        let bins = self.bins;
+        debug_assert_eq!(touched.len(), self.allocations.len() * bins);
+        for (ai, (row_touched, cells)) in touched.chunks(bins).zip(&self.cells).enumerate() {
+            if !row_touched.contains(&true) {
                 continue;
             }
-            row.clear();
-            row.extend((0..self.bins).map(|bin| self.remaining_at_grid(ai, bin, self.percentile)));
-            self.table[ai * self.bins..(ai + 1) * self.bins].copy_from_slice(&row);
+            let whole = cells.iter().any(CellSketch::is_empty);
+            let row = &mut self.table[ai * bins..(ai + 1) * bins];
+            for (bin, v) in row.iter_mut().enumerate() {
+                if whole || row_touched[bin] {
+                    *v = grid_remaining(cells, bin, self.percentile);
+                }
+            }
         }
         self.check_fresh_monotone();
     }
@@ -682,7 +696,14 @@ impl CpaModel {
             .sum()
     }
 
-    fn bin_of(&self, p: f64) -> usize {
+    /// The number of progress bins.
+    pub(crate) fn progress_bins(&self) -> usize {
+        self.bins
+    }
+
+    /// The progress bin a query at progress `p` reads: `p` is clamped
+    /// to `[0, 1]`, and NaN maps to bin 0.
+    pub(crate) fn bin_of(&self, p: f64) -> usize {
         progress_bin(p, self.bins)
     }
 
@@ -712,7 +733,13 @@ impl CpaModel {
     /// written to `out` in order: one progress-bin lookup and one grid
     /// search for `first`, then a grid cursor that only moves forward.
     pub fn remaining_curve(&self, progress: f64, first: u32, out: &mut [f64]) {
-        let bin = self.bin_of(progress);
+        self.remaining_curve_in_bin(self.bin_of(progress), first, out);
+    }
+
+    /// [`CpaModel::remaining_curve`] at every progress that
+    /// [`CpaModel::bin_of`] maps to `bin`: the curve depends on progress
+    /// only through its bin.
+    pub(crate) fn remaining_curve_in_bin(&self, bin: usize, first: u32, out: &mut [f64]) {
         let at = |ai: usize| self.table[ai * self.bins + bin];
         let grid = &self.allocations;
         let last = grid.len() - 1;
@@ -1020,15 +1047,16 @@ impl FoldScratch {
     }
 
     /// Merges the staged run into `rows`, which hold grid rows
-    /// `first_row..`, marks each touched row in `dirty`, and returns
-    /// the number of samples merged. Cells of one row are contiguous,
-    /// so each touched row is made unique (copied if a snapshot shares
-    /// it) once, not once per cell.
+    /// `first_row..`, marks each touched `(allocation, bin)` cell in
+    /// `touched` (row-major over the whole grid), and returns the
+    /// number of samples merged. Cells of one row are contiguous, so
+    /// each touched row is made unique (copied if a snapshot shares it)
+    /// once, not once per cell.
     fn merge(
         &mut self,
         rows: &mut [Arc<Vec<CellSketch>>],
         first_row: usize,
-        mut dirty: Option<&mut Vec<bool>>,
+        mut touched: Option<&mut [bool]>,
     ) -> usize {
         let staged = &self.staged;
         let mut row: Option<(usize, &mut Vec<CellSketch>)> = None;
@@ -1043,11 +1071,11 @@ impl FoldScratch {
             self.batch.extend(staged[i..end].iter().map(|e| e.1));
             if row.as_ref().is_none_or(|&(ai, _)| ai != key.0) {
                 row = Some((key.0, Arc::make_mut(&mut rows[key.0 - first_row])));
-                if let Some(d) = dirty.as_deref_mut() {
-                    d[key.0] = true;
-                }
             }
             let (_, cells) = row.as_mut().expect("row set above");
+            if let Some(t) = touched.as_deref_mut() {
+                t[key.0 * cells.len() + key.1] = true;
+            }
             cells[key.1].extend_sorted(&self.batch);
             i = end;
         }
@@ -1873,6 +1901,82 @@ mod absorb_tests {
         assert_eq!(batched.to_kv().to_text(), one_by_one.to_kv().to_text());
         assert_eq!(batched.table, one_by_one.table);
         assert_eq!(batched.fresh_monotone, one_by_one.fresh_monotone);
+    }
+
+    /// After every absorb, the table the touched-cell rebuild leaves is
+    /// the one a fresh build over the same cells gives, bit for bit:
+    /// on exact and bounded sketches, in rows that still have empty
+    /// cells and in rows whose last empty cell just filled, with
+    /// off-grid allocations and multi-run batches.
+    #[test]
+    fn touched_cell_rebuild_matches_a_fresh_table_build() {
+        let row_counts = |m: &CpaModel| -> Vec<(u64, bool)> {
+            m.cells
+                .iter()
+                .map(|row| {
+                    let count = row.iter().map(CellSketch::count).sum();
+                    (count, row.iter().any(CellSketch::is_empty))
+                })
+                .collect()
+        };
+        for k in [None, Some(8)] {
+            let c = TrainConfig {
+                progress_bins: 12,
+                sketch_capacity: k,
+                ..TrainConfig::fast(vec![2, 4, 8, 16])
+            };
+            let mut rng = SeedDeriver::new(23).rng("touched-cells");
+            let mut model = CpaModel::empty(&c);
+            let (mut partial, mut filled, mut full) = (0, 0, 0);
+            for _ in 0..150 {
+                // One to three runs of a few samples each, at any
+                // allocation in 1..=20: most are off the grid and snap
+                // to its nearest point.
+                let batch: Vec<(Vec<RunObservation>, f64, bool)> = (0..rng.gen_range(1..=3))
+                    .map(|_| {
+                        let allocation = rng.gen_range(1..=20);
+                        let total: f64 = rng.gen_range(10.0..500.0);
+                        let obs = (0..rng.gen_range(1..=3))
+                            .map(|_| {
+                                let p: f64 = rng.gen_range(0.0..1.0);
+                                RunObservation {
+                                    elapsed_secs: p * total,
+                                    progress: p,
+                                    allocation,
+                                }
+                            })
+                            .collect();
+                        (obs, total, rng.gen_bool(0.3))
+                    })
+                    .collect();
+                let before = row_counts(&model);
+                model.absorb_runs(batch.iter().map(|(o, t, done)| (o.as_slice(), *t, *done)));
+                for ((count, empty), (was_count, was_empty)) in
+                    row_counts(&model).into_iter().zip(before)
+                {
+                    if count == was_count {
+                        continue;
+                    }
+                    match (was_empty, empty) {
+                        (_, true) => partial += 1,
+                        (true, false) => filled += 1,
+                        (false, false) => full += 1,
+                    }
+                }
+                let mut fresh = model.clone();
+                fresh.build_table();
+                let bits = |m: &CpaModel| m.table.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&model), bits(&fresh), "k={k:?}");
+                assert_eq!(model.fresh_monotone, fresh.fresh_monotone, "k={k:?}");
+            }
+            assert!(
+                partial > 0 && filled > 0 && full > 0,
+                "k={k:?}: {partial} {filled} {full}"
+            );
+            if k.is_some() {
+                assert!(model.rank_error_bound() > 0, "the sketches compacted");
+            }
+        }
     }
 }
 

@@ -31,8 +31,8 @@
 //!   [`ModelHandle`].
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use jockey_jobgraph::graph::{EdgeKind, JobGraph};
 use jockey_simrt::time::SimDuration;
@@ -393,21 +393,65 @@ impl CompletionModel for ModelHandle {
     }
 
     fn pinned(&self) -> Option<Arc<dyn CompletionModel>> {
-        Some(Arc::new(Pinned {
-            learned: self.store.current(),
-            floor: self.floor.clone(),
-        }))
+        Some(Arc::new(Pinned::new(
+            self.store.current(),
+            self.floor.clone(),
+        )))
     }
 }
 
 /// A [`ModelHandle`] pinned to the snapshot that was current when
 /// [`CompletionModel::pinned`] was called.
+///
+/// The jobs of a service family share one handle, so one pinned view
+/// answers every job's curve in a refresh. The learned curve depends
+/// on progress only through its progress bin, so the view memoises it
+/// per bin. A bin's first curve request is answered as the handle
+/// would answer it. Its second computes the learned curve over
+/// `1..=max_allocation` into the memo, and that and every later
+/// request in the bin copy their sub-range from the memo and fill the
+/// non-finite entries from the floor for their own job. The memo fills
+/// lazily, so a view never computes `bins × max_allocation` values up
+/// front, and a view whose jobs each sit in a bin of their own (a
+/// small fleet, or one job per handle) computes just the curves the
+/// handle would have.
 struct Pinned {
     learned: Arc<CpaModel>,
     floor: Option<Arc<dyn CompletionModel>>,
+    /// The blend's `max_allocation`, read once at pin time.
+    max_allocation: u32,
+    /// One memo entry per progress bin.
+    curves: Box<[BinCurve]>,
+}
+
+/// A pinned view's memo entry for one progress bin.
+#[derive(Default)]
+struct BinCurve {
+    /// Set by the bin's first curve request.
+    asked: AtomicBool,
+    /// The learned curve at allocations `1..=max_allocation` for
+    /// progress in this bin, filled by the bin's second request.
+    curve: OnceLock<Box<[f64]>>,
 }
 
 impl Pinned {
+    /// A view of `learned` over `floor` with an empty memo.
+    fn new(learned: Arc<CpaModel>, floor: Option<Arc<dyn CompletionModel>>) -> Self {
+        let max_allocation = Blend {
+            learned: &learned,
+            floor: floor.as_deref(),
+        }
+        .max_allocation();
+        Pinned {
+            curves: (0..learned.progress_bins())
+                .map(|_| BinCurve::default())
+                .collect(),
+            learned,
+            floor,
+            max_allocation,
+        }
+    }
+
     fn blend(&self) -> Blend<'_> {
         Blend {
             learned: &self.learned,
@@ -421,12 +465,42 @@ impl CompletionModel for Pinned {
         self.blend().remaining_secs(fs, progress, allocation)
     }
 
+    /// The memoised learned curve of `progress`'s bin, with the floor
+    /// filling its non-finite entries. A bin's first request, and any
+    /// request reaching outside `1..=max_allocation`, takes the
+    /// unmemoised blend.
     fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
-        self.blend().remaining_curve(fs, progress, first, out);
+        let end = u64::from(first) + out.len() as u64;
+        if first == 0 || end > u64::from(self.max_allocation) + 1 {
+            self.blend().remaining_curve(fs, progress, first, out);
+            return;
+        }
+        let bin = self.learned.bin_of(progress);
+        let memo = &self.curves[bin];
+        let curve = match memo.curve.get() {
+            Some(curve) => curve,
+            // `Relaxed`: the flag publishes no data (the `OnceLock`
+            // publishes the curve), and either reading answers the same
+            // bits.
+            None if !memo.asked.swap(true, Ordering::Relaxed) => {
+                self.blend().remaining_curve(fs, progress, first, out);
+                return;
+            }
+            None => memo.curve.get_or_init(|| {
+                let mut curve = vec![0.0; self.max_allocation as usize];
+                self.learned.remaining_curve_in_bin(bin, 1, &mut curve);
+                curve.into()
+            }),
+        };
+        let start = first as usize - 1;
+        out.copy_from_slice(&curve[start..start + out.len()]);
+        if let Some(floor) = self.floor.as_deref() {
+            fill_from_floor(floor, fs, progress, first, out);
+        }
     }
 
     fn max_allocation(&self) -> u32 {
-        self.blend().max_allocation()
+        self.max_allocation
     }
 
     fn size_for_deadline(&self, fs: &[f64], deadline: SimDuration, slack: f64) -> Option<u32> {
@@ -453,11 +527,8 @@ impl CompletionModel for Blend<'_> {
     /// the learned model has no answer.
     fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
         self.learned.remaining_curve(progress, first, out);
-        let Some(floor) = self.floor else { return };
-        for (a, v) in (first..).zip(out.iter_mut()) {
-            if !v.is_finite() {
-                *v = floor.remaining_secs(fs, progress, a);
-            }
+        if let Some(floor) = self.floor {
+            fill_from_floor(floor, fs, progress, first, out);
         }
     }
 
@@ -481,6 +552,22 @@ impl CompletionModel for Blend<'_> {
         crate::predict::min_feasible_allocation(self.max_allocation(), false, |a| {
             self.remaining_secs(fs, 0.0, a) * slack <= d
         })
+    }
+}
+
+/// Replaces each non-finite entry of a learned curve over allocations
+/// `first, first + 1, …` with the floor's answer at that allocation.
+fn fill_from_floor(
+    floor: &dyn CompletionModel,
+    fs: &[f64],
+    progress: f64,
+    first: u32,
+    out: &mut [f64],
+) {
+    for (a, v) in (first..).zip(out.iter_mut()) {
+        if !v.is_finite() {
+            *v = floor.remaining_secs(fs, progress, a);
+        }
     }
 }
 
@@ -918,15 +1005,22 @@ mod tests {
         }
 
         // The view stays on the generation it pinned; the handle moves
-        // on with the store.
+        // on with the store. Its memo fills lazily, so a curve first
+        // asked for after the store moved on still reads the pinned
+        // generation.
         let handle = ModelHandle::with_floor(store.clone(), Arc::new(Flat));
         let pinned = handle.pinned().expect("a handle pins");
         let old = pinned.remaining_secs(&[0.0], 0.0, 2);
+        let mut old_curve = vec![0.0; 12];
+        handle.remaining_curve(&[0.0], 0.0, 1, &mut old_curve);
         store.record_completion(run(2, 50.0, f64::NAN));
         assert_eq!(
             pinned.remaining_secs(&[0.0], 0.0, 2).to_bits(),
             old.to_bits()
         );
+        let mut curve = vec![0.0; 12];
+        pinned.remaining_curve(&[0.0], 0.0, 1, &mut curve);
+        assert_eq!(curve, old_curve);
         assert_ne!(
             handle.remaining_secs(&[0.0], 0.0, 2).to_bits(),
             old.to_bits()
@@ -1019,11 +1113,22 @@ mod tests {
         assert!(fires >= 2, "drift fired {fires} times");
     }
 
+    /// Progress values that cover every bin of `cfg()`, both edges of
+    /// each, and the values that clamp or map to bin 0 (NaN).
+    fn probe_progress() -> Vec<f64> {
+        let mut ps: Vec<f64> = (-2..=42).map(|i| f64::from(i) / 40.0).collect();
+        ps.extend([f64::NAN, f64::NEG_INFINITY, f64::INFINITY, 0.999_999]);
+        ps
+    }
+
     /// The blended curve, and the single query it answers, equal the
     /// blend computed from the learned model's percentile scan bit for
     /// bit, from the handle and from a pinned view, with and without a
     /// floor: the learned answer where it is finite, the floor's
-    /// elsewhere.
+    /// elsewhere. Curves start at `0..=max + 2` and run for lengths
+    /// that end inside the learned grid (max 8), between it and the
+    /// floor's cap (12), and past both, so the pinned view answers
+    /// from its memo and from the blend it falls back to.
     #[test]
     fn blended_curve_matches_the_percentile_scan_blend() {
         let store = partly_learned_store();
@@ -1035,8 +1140,8 @@ mod tests {
             };
             let pinned = handle.pinned().expect("a handle pins");
             let max = handle.max_allocation();
-            for i in -2..=22 {
-                let p = f64::from(i) / 20.0;
+            assert_eq!(max, if floor.is_some() { 12 } else { 8 });
+            for p in probe_progress() {
                 let blend = |a: u32| {
                     let v = learned.remaining_percentile(p, a, learned.percentile());
                     match &floor {
@@ -1044,19 +1149,81 @@ mod tests {
                         _ => v,
                     }
                 };
-                for first in 0..=max + 3 {
-                    let mut out = vec![0.0; (max + 4 - first) as usize];
-                    for model in [&handle as &dyn CompletionModel, pinned.as_ref()] {
-                        model.remaining_curve(&[p], p, first, &mut out);
-                        for (a, v) in (first..).zip(&out) {
-                            let want = blend(a).to_bits();
-                            assert_eq!(v.to_bits(), want, "p={p} first={first} a={a}");
-                            let one = model.remaining_secs(&[p], p, a);
-                            assert_eq!(one.to_bits(), want, "p={p} a={a}");
+                for first in 0..=max + 2 {
+                    for len in 0..=max + 3 {
+                        let mut out = vec![0.0; len as usize];
+                        for model in [&handle as &dyn CompletionModel, pinned.as_ref()] {
+                            model.remaining_curve(&[p], p, first, &mut out);
+                            for (a, v) in (first..).zip(&out) {
+                                let want = blend(a).to_bits();
+                                assert_eq!(v.to_bits(), want, "p={p} first={first} a={a}");
+                            }
                         }
                     }
                 }
+                for a in 0..=max + 3 {
+                    let want = blend(a).to_bits();
+                    for model in [&handle as &dyn CompletionModel, pinned.as_ref()] {
+                        let one = model.remaining_secs(&[p], p, a);
+                        assert_eq!(one.to_bits(), want, "p={p} a={a}");
+                    }
+                }
             }
+        }
+    }
+
+    /// The pinned view's memo holds one learned curve per progress bin
+    /// that more than one request read, shared by every job in that
+    /// bin, while each job's floor fill stays its own: of three jobs in
+    /// one bin, at different progress, the first is answered directly,
+    /// the second fills the bin's memo entry and the third reads it,
+    /// and each gets the floor answer at its own progress. A view that
+    /// serves one job fills nothing until a bin is asked for twice.
+    #[test]
+    fn pinned_memo_is_one_curve_per_shared_bin_and_one_floor_fill_per_job() {
+        let store = partly_learned_store();
+        let learned = store.current();
+        let floor: Arc<dyn CompletionModel> = Arc::new(Flat);
+        let filled = |view: &Pinned| {
+            view.curves
+                .iter()
+                .filter(|c| c.curve.get().is_some())
+                .count()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let unmemoised = |view: &Pinned, p: f64, first: u32, len: usize| {
+            let mut out = vec![0.0; len];
+            view.blend().remaining_curve(&[p], p, first, &mut out);
+            bits(&out)
+        };
+
+        // Three jobs in bin 8 of 20.
+        let shared = Pinned::new(learned.clone(), Some(floor.clone()));
+        let jobs = [0.41, 0.44, 0.425];
+        assert!(jobs.iter().all(|&p| learned.bin_of(p) == 8));
+        let mut outs = Vec::new();
+        for (i, p) in jobs.into_iter().enumerate() {
+            let mut out = vec![0.0; 12];
+            shared.remaining_curve(&[p], p, 1, &mut out);
+            assert_eq!(bits(&out), unmemoised(&shared, p, 1, 12), "p={p}");
+            assert_eq!(filled(&shared), [0, 1, 1][i], "p={p}");
+            outs.push(out);
+        }
+        // Allocations 1..=3 are unlearned: each job's floor answers them
+        // at its own progress; the learned entries agree.
+        assert!(outs[0][..3].iter().zip(&outs[1][..3]).all(|(x, y)| x > y));
+        assert_eq!(outs[0][3..], outs[1][3..]);
+        assert_eq!(outs[1][3..], outs[2][3..]);
+
+        // One job alone, asked once per pin (the plane pins per
+        // refresh): no memo at all. Asked again within one pin, the
+        // view fills the bins it revisits.
+        let alone = Pinned::new(learned.clone(), Some(floor));
+        let mut out = vec![0.0; 5];
+        for (visit, p) in [0.0, 0.5, 0.99, 0.02, 1.0].into_iter().enumerate() {
+            alone.remaining_curve(&[p], p, 2, &mut out);
+            assert_eq!(bits(&out), unmemoised(&alone, p, 2, 5), "p={p}");
+            assert_eq!(filled(&alone), [0, 0, 0, 1, 2][visit], "p={p}");
         }
     }
 

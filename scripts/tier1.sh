@@ -51,7 +51,7 @@ JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench simrt_kernel
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench engine
 # Smoke-run the service NFR bench: the open-loop driver end to end
 # (multi-threaded admission, churn, drain; recorded numbers live in
-# BENCH_service.json). The bench asserts zero leaked reservations.
+# DESIGN.md §12). The bench asserts zero leaked reservations.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench service
 # Smoke-run the online-model NFR bench: absorb, store-publish and
 # window-retrain on a live C(p, a) (recorded numbers live in
