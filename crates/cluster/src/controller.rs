@@ -90,8 +90,8 @@ pub trait JobController: Send {
     fn deadline_changed(&mut self, _new_deadline: SimDuration) {}
 }
 
-/// Boxed controllers forward transparently, so middleware generic over
-/// `C: JobController` (e.g. jockey-core's layered stacks) can wrap an
+/// Boxed controllers forward transparently, so wrappers generic over
+/// `C: JobController` (e.g. jockey-core's fallback guard) can wrap an
 /// already-erased `Box<dyn JobController>` too.
 impl JobController for Box<dyn JobController> {
     fn tick(&mut self, status: &JobStatus) -> ControlDecision {

@@ -6,9 +6,14 @@
 //! prediction-inflation factor, it evaluates the expected utility
 //! `U_a = U(t_r + S·C(p, a))` of every candidate allocation and picks
 //! `A^r = argmin_a {a : U_a = max_b U_b}` — the minimum allocation
-//! maximizing utility. Everything stateful (slack conditioning, dead
-//! zone, hysteresis, clamping) lives in the
-//! [`conditioner`](crate::conditioner) pipeline layered on top.
+//! maximizing utility. Everything stateful (dead zone, hysteresis,
+//! clamping) lives in [`JockeyController`](crate::control::JockeyController),
+//! which calls it once per tick.
+//!
+//! [`SpeculationLevel`] and [`SpeculativeDecision`] describe the
+//! speculation dimension: the control plane's speculative admission
+//! ([`ControlPlane::try_add_job_speculative`](crate::plane::ControlPlane::try_add_job_speculative))
+//! sizes each level with `size_for_deadline` and keeps the cheapest.
 
 use std::sync::Arc;
 
@@ -116,9 +121,9 @@ impl ArgminPolicy {
     }
 }
 
-/// One candidate speculation level for the 2D argmin: a clone-token
-/// surcharge plus the `C(p, a, s)` surface trained under it (see
-/// [`TrainConfig::speculation`](crate::cpa::TrainConfig)). Level 0 is
+/// One candidate speculation level for speculative admission: a
+/// clone-token surcharge plus the `C(p, a, s)` surface trained under
+/// it (see [`TrainConfig::speculation`](crate::cpa::TrainConfig)). Level 0 is
 /// conventionally "speculation off" — zero surcharge, the legacy
 /// `C(p, a)` surface.
 #[derive(Clone)]
@@ -132,112 +137,17 @@ pub struct SpeculationLevel {
     pub model: Arc<dyn CompletionModel>,
 }
 
-/// The chosen point of a 2D [`SpeculativeArgmin`] scan.
+/// The `(allocation, speculation level)` pair speculative admission
+/// picks: the level with the smallest total token cost, the least
+/// speculative one on a tie.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpeculativeDecision {
     /// Guaranteed-token allocation `a`.
     pub allocation: u32,
-    /// Index into the policy's speculation levels.
+    /// Index into the offered speculation levels.
     pub level: usize,
     /// Total reserved footprint `a + clone_budget(level)`.
     pub total_tokens: u32,
-}
-
-/// The §4.3 argmin extended to two dimensions: candidates are
-/// `(allocation, speculation level)` pairs, each predicted by its own
-/// `C(p, a, s)` surface, and "minimum resources" means minimum *total
-/// token cost* `a + clone_budget(s)` — a clone token held idle for a
-/// straggler race is paid for exactly like a guaranteed token.
-///
-/// The scan visits candidates in ascending total-cost order (ties:
-/// lowest level first) and keeps the first utility maximum, so the
-/// decision is the cheapest utility-maximizing pair and, at equal cost,
-/// the least speculative one. With a single zero-surcharge level this
-/// degenerates to [`ArgminPolicy`]'s 1D rule over the same model.
-pub struct SpeculativeArgmin {
-    levels: Vec<SpeculationLevel>,
-    /// Already dead-zone-shifted, as in [`ArgminPolicy`].
-    shifted_utility: UtilityFunction,
-    min_allocation: u32,
-}
-
-impl SpeculativeArgmin {
-    /// Builds the 2D policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is empty.
-    pub fn new(
-        levels: Vec<SpeculationLevel>,
-        shifted_utility: UtilityFunction,
-        min_allocation: u32,
-    ) -> Self {
-        assert!(!levels.is_empty(), "need at least one speculation level");
-        SpeculativeArgmin {
-            levels,
-            shifted_utility,
-            min_allocation,
-        }
-    }
-
-    /// The policy's speculation levels, in index order.
-    pub fn levels(&self) -> &[SpeculationLevel] {
-        &self.levels
-    }
-
-    /// The 2D decision for the given conditioned inputs: the
-    /// minimum-total-cost `(a, s)` maximizing the expected (shifted)
-    /// utility `U(t_r + S·C_s(p, a))`.
-    pub fn raw_decision(
-        &self,
-        fs: &[f64],
-        progress: f64,
-        elapsed_secs: f64,
-        inflation: f64,
-    ) -> SpeculativeDecision {
-        let min_cost = self
-            .levels
-            .iter()
-            .map(|l| self.min_allocation + l.clone_budget)
-            .min()
-            .expect("non-empty levels");
-        let max_cost = self
-            .levels
-            .iter()
-            .map(|l| l.model.max_allocation() + l.clone_budget)
-            .max()
-            .expect("non-empty levels");
-        let mut best_u = f64::NEG_INFINITY;
-        let mut best = SpeculativeDecision {
-            allocation: self.levels[0].model.max_allocation(),
-            level: 0,
-            total_tokens: self.levels[0].model.max_allocation() + self.levels[0].clone_budget,
-        };
-        // Ascending total-cost scan, lowest level first within a cost:
-        // the first candidate achieving the maximum utility (within
-        // epsilon) is the cheapest and least speculative one.
-        for cost in min_cost..=max_cost {
-            for (s, level) in self.levels.iter().enumerate() {
-                let Some(a) = cost.checked_sub(level.clone_budget) else {
-                    continue;
-                };
-                if a < self.min_allocation || a > level.model.max_allocation() {
-                    continue;
-                }
-                let remaining = inflation * level.model.remaining_secs(fs, progress, a);
-                let u = self.shifted_utility.eval(elapsed_secs + remaining);
-                if u > best_u + 1e-9 {
-                    best_u = u;
-                    best = SpeculativeDecision {
-                        allocation: a,
-                        level: s,
-                        total_tokens: cost,
-                    };
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -308,106 +218,5 @@ mod tests {
         // No allocation meets the deadline; utility still improves with
         // earlier completion, so the argmin lands on the cap.
         assert_eq!(p.raw_allocation(&[0.0], 0.0, 0.0, 1.0), 100);
-    }
-
-    /// Like [`Toy`], but with a per-attempt straggler tail that cloning
-    /// removes: `tail_factor` multiplies the remaining time.
-    struct TailToy {
-        work: f64,
-        tail_factor: f64,
-        max: u32,
-    }
-
-    impl CompletionModel for TailToy {
-        fn remaining_secs(&self, _fs: &[f64], progress: f64, allocation: u32) -> f64 {
-            self.tail_factor * (1.0 - progress) * self.work / f64::from(allocation.max(1))
-        }
-        fn max_allocation(&self) -> u32 {
-            self.max
-        }
-    }
-
-    fn two_level(work: f64, tail: f64, clone_budget: u32, deadline_mins: u64) -> SpeculativeArgmin {
-        SpeculativeArgmin::new(
-            vec![
-                SpeculationLevel {
-                    label: "off".into(),
-                    clone_budget: 0,
-                    model: Arc::new(TailToy {
-                        work,
-                        tail_factor: tail,
-                        max: 100,
-                    }),
-                },
-                SpeculationLevel {
-                    label: "clone@2.0x".into(),
-                    clone_budget,
-                    model: Arc::new(TailToy {
-                        work,
-                        tail_factor: 1.0,
-                        max: 100,
-                    }),
-                },
-            ],
-            UtilityFunction::deadline(SimDuration::from_mins(deadline_mins)),
-            1,
-        )
-    }
-
-    #[test]
-    fn speculation_wins_when_clone_tokens_beat_extra_workers() {
-        // Straggler tail doubles the no-speculation surface: meeting
-        // the 60-min deadline costs 4 plain tokens (2·6000/3600 ≈ 3.3)
-        // but only 2 + 1 with cloning — the 2D argmin must pick the
-        // cheaper speculative pair.
-        let p = two_level(6_000.0, 2.0, 1, 60);
-        let d = p.raw_decision(&[0.0], 0.0, 0.0, 1.0);
-        assert_eq!(d.level, 1, "{d:?}");
-        assert_eq!(d.total_tokens, 3, "{d:?}");
-        assert_eq!(d.allocation, 2, "{d:?}");
-    }
-
-    #[test]
-    fn speculation_loses_when_the_surcharge_outweighs_the_tail() {
-        // No tail at all: both surfaces agree, so the clone surcharge
-        // is pure cost and level 0 wins at equal utility.
-        let p = two_level(6_000.0, 1.0, 3, 60);
-        let d = p.raw_decision(&[0.0], 0.0, 0.0, 1.0);
-        assert_eq!(d.level, 0, "{d:?}");
-        assert_eq!(d.allocation, 2, "{d:?}");
-        assert_eq!(d.total_tokens, 2, "{d:?}");
-    }
-
-    #[test]
-    fn single_zero_surcharge_level_degenerates_to_the_1d_argmin() {
-        let p1 = policy(6_000.0, 60);
-        let p2 = SpeculativeArgmin::new(
-            vec![SpeculationLevel {
-                label: "off".into(),
-                clone_budget: 0,
-                model: Arc::new(Toy {
-                    work: 6_000.0,
-                    max: 100,
-                }),
-            }],
-            UtilityFunction::deadline(SimDuration::from_mins(60)),
-            1,
-        );
-        for (progress, inflation) in [(0.0, 1.0), (0.3, 1.5), (0.9, 1.0)] {
-            let a1 = p1.raw_allocation(&[progress], progress, 600.0, inflation);
-            let d2 = p2.raw_decision(&[progress], progress, 600.0, inflation);
-            assert_eq!(d2.allocation, a1);
-            assert_eq!(d2.level, 0);
-            assert_eq!(d2.total_tokens, a1);
-        }
-    }
-
-    #[test]
-    fn decision_is_pure() {
-        let p = two_level(12_345.0, 1.7, 2, 45);
-        let d = p.raw_decision(&[0.3], 0.3, 600.0, 1.2);
-        for _ in 0..5 {
-            assert_eq!(p.raw_decision(&[0.3], 0.3, 600.0, 1.2), d);
-        }
     }
 }

@@ -16,12 +16,21 @@
 //!    allowed; and **hysteresis** smooths the move:
 //!    `A^s_t = A^s_{t−1} + α (A^r − A^s_{t−1})`.
 //!
-//! Steps 2–3 are the pure [`ArgminPolicy`](crate::alloc::ArgminPolicy)
-//! core; step 4 is the [`ConditionerPipeline`] of composable stages
-//! (slack → dead-zone gate → hysteresis → min clamp).
-//! [`JockeyController`] composes the two behind the `JobController`
-//! seam and journals every decision into a [`ControlTrace`] (plus a
-//! per-stage [`PipelineTrace`](crate::conditioner::PipelineTrace)).
+//! Steps 2–3 are the pure [`ArgminPolicy`] core. [`JockeyController`]
+//! wraps it behind the `JobController` seam and runs step 4 as
+//! straight-line code, in the paper's fixed order:
+//!
+//! ```text
+//! raw A^r ──► dead-zone gate ──► hysteresis EWMA ──► clamp ──► guarantee
+//!             (increases only    (A^s += α(A^r−A^s))  (⌈·⌉, ≥ min)
+//!              when ≥ D behind)
+//! ```
+//!
+//! Slack is not a step on this line: it multiplies predictions (the
+//! argmin and the schedule verdicts), never allocations. Every tick is
+//! journalled into a [`ControlTrace`], whose [`ControlTick`] holds the
+//! value after each step, so every grant can be attributed to the step
+//! that moved it.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -31,7 +40,6 @@ use jockey_cluster::{ControlDecision, JobController, JobStatus};
 use jockey_simrt::time::SimDuration;
 
 use crate::alloc::ArgminPolicy;
-use crate::conditioner::{ahead_of_schedule, behind_schedule, ConditionerPipeline, StageCtx};
 use crate::predict::CompletionModel;
 use crate::progress::IndicatorContext;
 use crate::utility::UtilityFunction;
@@ -123,9 +131,10 @@ impl ControlParams {
     }
 }
 
-/// One control decision as the controller saw it: the inputs, the raw
-/// and smoothed allocations, and the dead-zone verdicts that gated the
-/// move. Recorded every tick into a [`ControlTrace`].
+/// One control decision as the controller saw it: the inputs, the
+/// allocation after each conditioning step (`raw → gated → smoothed →
+/// guarantee`), and the dead-zone verdicts that gated the move.
+/// Recorded every tick into a [`ControlTrace`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControlTick {
     /// Elapsed job time `t_r` in seconds.
@@ -134,6 +143,9 @@ pub struct ControlTick {
     pub progress: f64,
     /// Raw allocation `A^r`.
     pub raw: f64,
+    /// The dead-zone gate's output: `raw`, or the allocation in force
+    /// when an increase was blocked because the job was not behind.
+    pub gated: f64,
     /// Smoothed allocation `A^s` after hysteresis.
     pub smoothed: f64,
     /// Whether the job was at least `D` behind schedule (the increase
@@ -206,23 +218,23 @@ impl ControlTrace {
 /// Jockey's adaptive controller: a completion model (simulator-trained
 /// `C(p, a)` or Amdahl) driven through the §4.3 control policy.
 ///
-/// Internally this is thin composition: the pure
-/// [`ArgminPolicy`] picks the raw allocation, the
-/// [`ConditionerPipeline`] conditions it (slack, dead zone,
-/// hysteresis, clamp), and the controller wires job status in and
-/// journals decisions out.
+/// The pure [`ArgminPolicy`] picks the raw allocation; the controller
+/// conditions it (dead zone, hysteresis, clamp), wires job status in
+/// and journals decisions out.
 pub struct JockeyController {
     policy: ArgminPolicy,
     indicator: IndicatorContext,
     utility: UtilityFunction,
-    pipeline: ConditionerPipeline,
     params: ControlParams,
+    /// The hysteresis memory `A^s_{t−1}`: `None` before the first
+    /// decision and after a deadline change.
+    smoothed: Option<f64>,
     /// Tick-by-tick decision journal.
     trace: ControlTrace,
 }
 
 impl JockeyController {
-    /// Creates a controller with the stock §4.3 conditioning stack.
+    /// Creates a controller with the §4.3 conditioning.
     ///
     /// # Panics
     ///
@@ -233,50 +245,23 @@ impl JockeyController {
         utility: UtilityFunction,
         params: ControlParams,
     ) -> Self {
-        let pipeline = {
-            params.validate();
-            ConditionerPipeline::standard(&params)
-        };
-        JockeyController::with_pipeline(model, indicator, utility, params, pipeline)
-    }
-
-    /// Creates a controller with a custom conditioning pipeline.
-    /// `params` still supplies the dead-zone utility shift, the
-    /// min-allocation floor for the finished path, and the raw-argmin
-    /// scan bounds; the pipeline owns everything else.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid [`ControlParams`].
-    pub fn with_pipeline(
-        model: Arc<dyn CompletionModel>,
-        indicator: IndicatorContext,
-        utility: UtilityFunction,
-        params: ControlParams,
-        pipeline: ConditionerPipeline,
-    ) -> Self {
         params.validate();
         let shifted_utility = utility.shifted_left(params.dead_zone);
         JockeyController {
             policy: ArgminPolicy::new(model, shifted_utility, params.min_allocation),
             indicator,
             utility,
-            pipeline,
             params,
+            smoothed: None,
             trace: ControlTrace::default(),
         }
     }
 
-    /// The tick-by-tick decision journal: inputs, raw/smoothed
-    /// allocations and dead-zone verdicts for the most recent ticks.
+    /// The tick-by-tick decision journal: inputs, the allocation after
+    /// each conditioning step and the dead-zone verdicts for the most
+    /// recent ticks.
     pub fn trace(&self) -> &ControlTrace {
         &self.trace
-    }
-
-    /// The per-stage conditioning journal: how each pipeline stage
-    /// transformed the raw allocation, tick by tick.
-    pub fn pipeline_trace(&self) -> &crate::conditioner::PipelineTrace {
-        self.pipeline.trace()
     }
 
     /// The pure argmin decision core.
@@ -288,13 +273,57 @@ impl JockeyController {
     /// expected utility at progress `p` and elapsed time `t_r`.
     pub fn raw_allocation(&self, fs: &[f64], progress: f64, elapsed_secs: f64) -> u32 {
         self.policy
-            .raw_allocation(fs, progress, elapsed_secs, self.pipeline.inflation())
+            .raw_allocation(fs, progress, elapsed_secs, self.params.slack)
     }
 
-    /// The slack factor currently in force.
+    /// The control parameters.
     pub fn params(&self) -> &ControlParams {
         &self.params
     }
+
+    /// The dead-zone verdicts `(behind, ahead)` at allocation `probe`:
+    /// behind when the slack-inflated completion lands past the
+    /// deadline less `D`, ahead when it lands at least `2D` before the
+    /// deadline. With no deadline encoded there is nothing to be
+    /// behind or ahead of, and both verdicts are `true` (no gating).
+    fn verdicts(&self, fs: &[f64], progress: f64, elapsed_secs: f64, probe: u32) -> (bool, bool) {
+        let Some(deadline) = self.utility.deadline_duration() else {
+            return (true, true);
+        };
+        let remaining = self.params.slack * self.policy.model().remaining_secs(fs, progress, probe);
+        let finish = elapsed_secs + remaining;
+        let deadline = deadline.as_secs_f64();
+        let dead_zone = self.params.dead_zone.as_secs_f64();
+        (
+            finish > deadline - dead_zone,
+            finish <= deadline - 2.0 * dead_zone,
+        )
+    }
+}
+
+/// The dead-zone gate: an increase over the allocation in force passes
+/// only when the job is `behind`; decreases (token releases, Fig. 6(c))
+/// always pass, and the first decision adopts the raw allocation
+/// outright (the pessimistic initial sizing of §1).
+fn gate(in_force: Option<f64>, raw: f64, behind: bool) -> f64 {
+    match in_force {
+        Some(cur) if raw > cur && !behind => cur,
+        _ => raw,
+    }
+}
+
+/// The hysteresis EWMA `A^s_t = A^s_{t−1} + α (target − A^s_{t−1})`;
+/// the first decision jumps straight to the target.
+fn smooth(in_force: Option<f64>, target: f64, alpha: f64) -> f64 {
+    match in_force {
+        None => target,
+        Some(cur) => cur + alpha * (target - cur),
+    }
+}
+
+/// The applied guarantee: `⌈A^s⌉`, at least `min_allocation`.
+fn clamp(smoothed: f64, min_allocation: u32) -> u32 {
+    (smoothed.ceil().max(f64::from(min_allocation)) as u32).max(min_allocation)
 }
 
 impl JobController for JockeyController {
@@ -306,7 +335,8 @@ impl JobController for JockeyController {
                 elapsed_secs: tr,
                 progress: 1.0,
                 raw: f64::from(g),
-                smoothed: self.pipeline.in_force().unwrap_or(f64::from(g)),
+                gated: f64::from(g),
+                smoothed: self.smoothed.unwrap_or(f64::from(g)),
                 behind: false,
                 ahead: true,
                 guarantee: g,
@@ -317,41 +347,29 @@ impl JobController for JockeyController {
         }
         let fs = &status.stage_fraction;
         let p = self.indicator.progress(fs);
-        let inflation = self.pipeline.inflation();
-        let raw = self.policy.raw_allocation(fs, p, tr, inflation);
+        let raw = self.policy.raw_allocation(fs, p, tr, self.params.slack);
 
-        let in_force = self.pipeline.in_force();
-        let ctx = StageCtx {
-            fs,
-            progress: p,
-            elapsed_secs: tr,
-            model: &**self.policy.model(),
-            utility: &self.utility,
-            inflation,
-            in_force,
-        };
-
-        // Diagnostic verdicts, evaluated at the allocation in force
-        // (the raw allocation itself on the first decision).
+        // The verdicts are taken at the allocation in force (the raw
+        // allocation itself on the first decision).
+        let in_force = self.smoothed;
         let probe = match in_force {
             None => raw,
             Some(cur) => (cur.round() as u32).max(self.params.min_allocation),
         };
-        let behind = behind_schedule(&ctx, probe, self.params.dead_zone);
-        let ahead = ahead_of_schedule(&ctx, probe, self.params.dead_zone);
+        let (behind, ahead) = self.verdicts(fs, p, tr, probe);
 
-        let conditioned = self.pipeline.run(f64::from(raw), &ctx);
-        // The smoothed allocation the pipeline now holds in force (the
-        // hysteresis output); the clamp output when no stage smooths.
-        let next = self.pipeline.in_force().unwrap_or(conditioned);
-        let guarantee = (conditioned as u32).max(self.params.min_allocation);
+        let gated = gate(in_force, f64::from(raw), behind);
+        let smoothed = smooth(in_force, gated, self.params.hysteresis);
+        self.smoothed = Some(smoothed);
+        let guarantee = clamp(smoothed, self.params.min_allocation);
 
         let predicted = tr + self.policy.model().remaining_secs(fs, p, guarantee);
         self.trace.record(ControlTick {
             elapsed_secs: tr,
             progress: p,
             raw: f64::from(raw),
-            smoothed: next,
+            gated,
+            smoothed,
             behind,
             ahead,
             guarantee,
@@ -376,7 +394,7 @@ impl JobController for JockeyController {
         // deadline cannot afford a multi-period ramp, and a relaxed one
         // should release its over-provision immediately (§5.2 reports
         // 63–83% released on doubling/tripling).
-        self.pipeline.reset();
+        self.smoothed = None;
     }
 }
 
@@ -847,6 +865,117 @@ mod tests {
         }
     }
 
+    /// A controller over the linear toy with no dead zone and no
+    /// smoothing, at slack `slack`.
+    fn linear(work: f64, deadline_mins: u64, slack: f64) -> JockeyController {
+        controller(
+            work,
+            deadline_mins,
+            ControlParams {
+                slack,
+                hysteresis: 1.0,
+                dead_zone: SimDuration::ZERO,
+                min_allocation: 1,
+            },
+        )
+    }
+
+    /// §4.3 argmin with the linear toy model: the minimum allocation
+    /// that makes the deadline is `⌈S·W·(1−p) / (D − t)⌉`.
+    #[test]
+    fn argmin_matches_the_ceiling_closed_form() {
+        let work = 36_000.0;
+        let deadline = 3_600.0;
+        for &(progress, elapsed, slack) in &[
+            (0.0_f64, 0.0, 1.0_f64),
+            (0.0, 0.0, 1.2),
+            (0.5, 600.0, 1.0),
+            (0.5, 600.0, 1.6),
+            (0.9, 3_000.0, 1.2),
+        ] {
+            let expect = (slack * work * (1.0 - progress) / (deadline - elapsed)).ceil() as u32;
+            let got = linear(work, 60, slack).raw_allocation(&[progress], progress, elapsed);
+            assert_eq!(got, expect.max(1), "p={progress} t={elapsed} S={slack}");
+        }
+    }
+
+    #[test]
+    fn slack_inflates_predictions_not_allocations() {
+        // 36000/3600 = 10 tokens without slack, ⌈1.5·10⌉ = 15 with
+        // S = 1.5...
+        assert_eq!(
+            linear(36_000.0, 60, 1.0).raw_allocation(&[0.0], 0.0, 0.0),
+            10
+        );
+        let mut c = linear(36_000.0, 60, 1.5);
+        assert_eq!(c.raw_allocation(&[0.0], 0.0, 0.0), 15);
+        // ...and the grant is that argmin, not the argmin times S: no
+        // conditioning step scales an allocation.
+        let d = c.tick(&status(0.0, 0.0, 0));
+        let t = *c.trace().last().unwrap();
+        assert_eq!((t.raw, t.gated, t.smoothed), (15.0, 15.0, 15.0));
+        assert_eq!(d.guarantee, 15);
+    }
+
+    #[test]
+    fn dead_zone_gates_increases_on_the_behind_boundary() {
+        let c = controller(
+            36_000.0,
+            60,
+            ControlParams {
+                slack: 1.0,
+                hysteresis: 1.0,
+                dead_zone: SimDuration::from_secs_f64(300.0),
+                min_allocation: 1,
+            },
+        );
+        let behind = |p: f64, t: f64| c.verdicts(&[p], p, t, 4).0;
+        // In force: 4 tokens. Behind iff t + W(1−p)/4 > D − Z = 3300 s.
+        // p = 0.6 → remaining 3600 s > 3300: behind, the increase passes.
+        assert!(behind(0.6, 0.0));
+        assert_eq!(gate(Some(4.0), 6.0, true), 6.0);
+        // p = 0.9 → remaining 900 s < 3300: on schedule, increase blocked.
+        assert!(!behind(0.9, 0.0));
+        assert_eq!(gate(Some(4.0), 6.0, false), 4.0);
+        // The boundary itself is on schedule: 1050 + 2250 = 3300.
+        assert!(!behind(0.75, 1_050.0));
+        assert!(behind(0.75, 1_051.0));
+        // Decreases always pass (Fig. 6(c): releases are never delayed).
+        assert_eq!(gate(Some(4.0), 2.0, false), 2.0);
+        // First decision (nothing in force) adopts the proposal outright.
+        assert_eq!(gate(None, 6.0, false), 6.0);
+    }
+
+    #[test]
+    fn hysteresis_follows_the_ewma_closed_form() {
+        // First decision jumps to the target.
+        assert_eq!(smooth(None, 8.0, 0.25), 8.0);
+        // A^s ← A^s + α(A^r − A^s): 8 + 0.25·(4−8) = 7, then 6.25.
+        assert_eq!(smooth(Some(8.0), 4.0, 0.25), 7.0);
+        assert_eq!(smooth(Some(7.0), 4.0, 0.25), 6.25);
+        // α = 1 disables smoothing.
+        assert_eq!(smooth(Some(7.0), 4.0, 1.0), 4.0);
+    }
+
+    #[test]
+    fn deadline_change_clears_hysteresis_memory() {
+        let mut c = controller(6_000.0, 60, ControlParams::default());
+        c.tick(&status(0.0, 0.0, 0));
+        assert!(c.smoothed.is_some());
+        c.deadline_changed(SimDuration::from_mins(30));
+        assert_eq!(c.smoothed, None);
+        // The next decision jumps straight to the raw allocation.
+        let d = c.tick(&status(0.0, 1.0, 3));
+        assert_eq!(d.raw, Some(f64::from(d.guarantee)));
+    }
+
+    #[test]
+    fn min_clamp_ceils_and_floors() {
+        assert_eq!(clamp(3.2, 2), 4);
+        assert_eq!(clamp(5.0, 2), 5);
+        assert_eq!(clamp(0.4, 2), 2);
+    }
+
     #[test]
     fn trace_capacity_evicts_oldest() {
         let mut tr = ControlTrace::new(2);
@@ -854,6 +983,7 @@ mod tests {
             elapsed_secs: e,
             progress: 0.0,
             raw: 1.0,
+            gated: 1.0,
             smoothed: 1.0,
             behind: false,
             ahead: false,

@@ -3,21 +3,20 @@
 //! "In certain cases, the job execution can significantly diverge from
 //! the model … In these cases, we could … simply fall back on weighted
 //! fair-sharing once the control loop detects large errors in model
-//! predictions." [`FallbackLayer`] is a [`ControlLayer`] stacked over
-//! any controller; it watches the reported completion estimate `T̂_t`:
-//! for a well-calibrated model the estimate is stable, while a model
-//! that keeps *slipping* (each tick pushing completion later by nearly
-//! the whole control period or more) has lost predictive power. After
-//! `trigger_ticks` consecutive large slips, the layer abandons the
-//! model and pins a configured fair-share guarantee for the rest of the
-//! job.
+//! predictions." [`FallbackGuard`] wraps any controller and watches the
+//! completion estimate `T̂_t` it reports: for a well-calibrated model
+//! the estimate is stable, while a model that keeps *slipping* (each
+//! tick pushing completion later by nearly the whole control period or
+//! more) has lost predictive power. After `trigger_ticks` consecutive
+//! large slips, the guard abandons the model and pins a configured
+//! fair-share guarantee for the rest of the job.
 
-use jockey_cluster::{ControlDecision, JobStatus};
+use jockey_cluster::{ControlDecision, JobController, JobStatus};
+use jockey_simrt::time::SimDuration;
 
-use crate::layer::ControlLayer;
-
-/// The §5.6 fallback policy as a stackable [`ControlLayer`].
-pub struct FallbackLayer {
+/// The §5.6 fallback policy, wrapped around the controller `C`.
+pub struct FallbackGuard<C> {
+    inner: C,
     /// Guarantee applied after falling back (the job's weighted fair
     /// share).
     fair_share: u32,
@@ -33,8 +32,8 @@ pub struct FallbackLayer {
     fallen_back: bool,
 }
 
-impl FallbackLayer {
-    /// A layer falling back to `fair_share` tokens after
+impl<C: JobController> FallbackGuard<C> {
+    /// Guards `inner`, falling back to `fair_share` tokens after
     /// `trigger_ticks` consecutive prediction slips beyond
     /// `slip_tolerance`.
     ///
@@ -42,10 +41,11 @@ impl FallbackLayer {
     ///
     /// Panics if `trigger_ticks` is zero or `slip_tolerance` is not
     /// positive.
-    pub fn new(fair_share: u32, slip_tolerance: f64, trigger_ticks: u32) -> Self {
+    pub fn new(inner: C, fair_share: u32, slip_tolerance: f64, trigger_ticks: u32) -> Self {
         assert!(trigger_ticks > 0);
         assert!(slip_tolerance > 0.0);
-        FallbackLayer {
+        FallbackGuard {
+            inner,
             fair_share,
             slip_tolerance,
             trigger_ticks,
@@ -55,22 +55,23 @@ impl FallbackLayer {
         }
     }
 
-    /// True once the layer has abandoned the model.
+    /// True once the guard has abandoned the model.
     pub fn fallen_back(&self) -> bool {
         self.fallen_back
     }
+
+    /// The guarded controller.
+    pub fn inner(&self) -> &C {
+        &self.inner
+    }
 }
 
-impl ControlLayer for FallbackLayer {
-    fn name(&self) -> &'static str {
-        "fallback"
-    }
-
-    fn after_tick(&mut self, status: &JobStatus, d: ControlDecision) -> ControlDecision {
+impl<C: JobController> JobController for FallbackGuard<C> {
+    fn tick(&mut self, status: &JobStatus) -> ControlDecision {
+        let mut d = self.inner.tick(status);
         if self.fallen_back {
             // The inner controller keeps its bookkeeping running, but
             // the fair share is pinned.
-            let mut d = d;
             d.guarantee = self.fair_share;
             return d;
         }
@@ -88,7 +89,6 @@ impl ControlLayer for FallbackLayer {
                     self.consecutive += 1;
                     if self.consecutive >= self.trigger_ticks {
                         self.fallen_back = true;
-                        let mut d = d;
                         d.guarantee = self.fair_share;
                         return d;
                     }
@@ -102,14 +102,22 @@ impl ControlLayer for FallbackLayer {
         }
         d
     }
+
+    /// Admission-time sizing carries no slip signal: the initial
+    /// decision passes through unguarded and records nothing.
+    fn initial(&mut self, status: &JobStatus) -> ControlDecision {
+        self.inner.initial(status)
+    }
+
+    fn deadline_changed(&mut self, new_deadline: SimDuration) {
+        self.inner.deadline_changed(new_deadline);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Layered;
-    use jockey_cluster::JobController;
-    use jockey_simrt::time::{SimDuration, SimTime};
+    use jockey_simrt::time::SimTime;
 
     /// A controller whose completion estimate recedes forever (a
     /// maximally wrong model).
@@ -157,14 +165,9 @@ mod tests {
         }
     }
 
-    fn fallen_back<C: JobController>(c: &Layered<C>) -> bool {
-        c.layer::<FallbackLayer>().unwrap().fallen_back()
-    }
-
     #[test]
     fn persistent_slips_trigger_fallback() {
-        let mut g =
-            Layered::new(Slipping { pred: 0.0 }).with(Box::new(FallbackLayer::new(7, 1.5, 3)));
+        let mut g = FallbackGuard::new(Slipping { pred: 0.0 }, 7, 1.5, 3);
         for minute in 0..3 {
             let d = g.tick(&status(minute));
             assert_eq!(d.guarantee, 50, "minute {minute} fell back early");
@@ -172,7 +175,7 @@ mod tests {
         // Third consecutive slip (minute 3) trips the guard.
         let d = g.tick(&status(3));
         assert_eq!(d.guarantee, 7);
-        assert!(fallen_back(&g));
+        assert!(g.fallen_back());
         // And it stays fallen back.
         let d = g.tick(&status(4));
         assert_eq!(d.guarantee, 7);
@@ -180,23 +183,38 @@ mod tests {
 
     #[test]
     fn stable_predictions_never_fall_back() {
-        let mut g = Layered::new(Stable).with(Box::new(FallbackLayer::new(7, 1.5, 3)));
+        let mut g = FallbackGuard::new(Stable, 7, 1.5, 3);
         for minute in 0..50 {
             let d = g.tick(&status(minute));
             assert_eq!(d.guarantee, 50);
         }
-        assert!(!fallen_back(&g));
+        assert!(!g.fallen_back());
     }
 
     #[test]
     fn initial_decision_bypasses_the_guard() {
-        // Admission-time sizing carries no slip signal; the layer's
-        // after_initial hook is a pass-through and records nothing.
-        let mut g =
-            Layered::new(Slipping { pred: 0.0 }).with(Box::new(FallbackLayer::new(7, 1.5, 1)));
+        // Admission-time sizing carries no slip signal; the initial
+        // decision passes through and records nothing.
+        let mut g = FallbackGuard::new(Slipping { pred: 0.0 }, 7, 1.5, 1);
         let d = g.initial(&status(0));
         assert_eq!(d.guarantee, 50);
-        assert!(!fallen_back(&g));
+        assert!(!g.fallen_back());
+    }
+
+    #[test]
+    fn deadline_changes_reach_the_inner_controller() {
+        struct Recording(Vec<SimDuration>);
+        impl JobController for Recording {
+            fn tick(&mut self, _s: &JobStatus) -> ControlDecision {
+                ControlDecision::simple(50)
+            }
+            fn deadline_changed(&mut self, new_deadline: SimDuration) {
+                self.0.push(new_deadline);
+            }
+        }
+        let mut g = FallbackGuard::new(Recording(Vec::new()), 7, 1.5, 3);
+        g.deadline_changed(SimDuration::from_mins(9));
+        assert_eq!(g.inner().0, [SimDuration::from_mins(9)]);
     }
 
     #[test]
@@ -220,24 +238,26 @@ mod tests {
                 }
             }
         }
-        let mut g = Layered::new(Alternating {
-            pred: 0.0,
-            up: false,
-        })
-        .with(Box::new(FallbackLayer::new(7, 1.5, 3)));
+        let mut g = FallbackGuard::new(
+            Alternating {
+                pred: 0.0,
+                up: false,
+            },
+            7,
+            1.5,
+            3,
+        );
         for minute in 0..40 {
             g.tick(&status(minute));
         }
-        assert!(!fallen_back(&g));
+        assert!(!g.fallen_back());
     }
 }
 
 #[cfg(test)]
 mod release_tests {
     use super::*;
-    use crate::layer::Layered;
-    use jockey_cluster::JobController;
-    use jockey_simrt::time::{SimDuration, SimTime};
+    use jockey_simrt::time::SimTime;
 
     /// A healthy controller releasing tokens: each tick the guarantee
     /// drops and the (still-met) completion estimate moves later.
@@ -275,19 +295,20 @@ mod release_tests {
 
     #[test]
     fn healthy_releases_do_not_trip_the_guard() {
-        let mut g = Layered::new(Releasing {
-            guarantee: 200,
-            pred: 1_000.0,
-        })
-        .with(Box::new(FallbackLayer::new(7, 1.5, 3)));
+        let mut g = FallbackGuard::new(
+            Releasing {
+                guarantee: 200,
+                pred: 1_000.0,
+            },
+            7,
+            1.5,
+            3,
+        );
         // Guarantee decreases on every one of these ticks, so no slip
         // may be counted however fast the estimate recedes.
         for minute in 0..30 {
             g.tick(&status(minute));
         }
-        assert!(
-            !g.layer::<FallbackLayer>().unwrap().fallen_back(),
-            "guard tripped on healthy releases"
-        );
+        assert!(!g.fallen_back(), "guard tripped on healthy releases");
     }
 }

@@ -16,17 +16,12 @@
 //! - [`progress`]: the six **job progress indicators** of §4.2/§5.4
 //!   (`totalworkWithQ`, `totalwork`, `vertexfrac`, `cp`, `minstage`,
 //!   `minstage-inf`).
-//! - [`control`]: the **resource-allocation control loop** (§4.3) with
-//!   slack, hysteresis and dead zone — composed from the pure
-//!   [`alloc::ArgminPolicy`] decision core and the
-//!   [`conditioner`] stage pipeline.
+//! - [`control`]: the **resource-allocation control loop** (§4.3): the
+//!   pure [`alloc::ArgminPolicy`] decision core, then slack, dead-zone
+//!   gate, hysteresis and min clamp as straight-line code, with one
+//!   tick journal attributing every grant to the step that moved it.
 //! - [`alloc`]: the side-effect-free **allocation policy**
 //!   (progress → candidate utilities → raw argmin).
-//! - [`conditioner`]: §4.3's conditioning mechanisms (slack, dead-zone
-//!   gate, hysteresis EWMA, min clamp) as **composable stages** with
-//!   per-stage trace attribution.
-//! - [`layer`]: the **control-layer middleware** seam — fallback and
-//!   recalibration stack as decorators over any controller.
 //! - [`plane`]: the **multi-job control plane**: N concurrent SLO jobs
 //!   against one shared budget with sharded slots and an atomic
 //!   snapshot instead of a global lock.
@@ -40,9 +35,9 @@
 //!   work), [`arbiter::arbitrate`]; the [`plane`] runs it live against
 //!   one shared budget.
 //! - [`fallback`]: the §5.6 fair-share fallback guard on persistent
-//!   model error.
+//!   model error, a wrapper around any controller.
 //! - [`recal`]: §4.4/§5.6 online model recalibration (runtime
-//!   inflation tracking).
+//!   inflation tracking), a Jockey controller with a λ-scaled model.
 //! - [`sketch`]: the mergeable per-cell **quantile sketch** backing
 //!   `C(p, a)` cells — exact by default, bounded-memory on request,
 //!   with a tracked rank-error bound.
@@ -60,11 +55,9 @@
 pub mod admission;
 pub mod alloc;
 pub mod arbiter;
-pub mod conditioner;
 pub mod control;
 pub mod cpa;
 pub mod fallback;
-pub mod layer;
 pub mod online;
 pub mod oracle;
 pub mod plane;
@@ -76,17 +69,12 @@ pub mod sketch;
 pub mod utility;
 
 pub use admission::{AdmissionController, AdmissionError, Reservation};
-pub use alloc::{ArgminPolicy, SpeculationLevel, SpeculativeArgmin, SpeculativeDecision};
-pub use conditioner::{
-    ConditionStage, ConditionerPipeline, DeadZoneGate, HysteresisEwma, MinClamp, PipelineTrace,
-    SlackStage, StageCtx, StageStep, TickAttribution,
-};
+pub use alloc::{ArgminPolicy, SpeculationLevel, SpeculativeDecision};
 pub use control::{
     ControlParams, ControlTick, ControlTrace, InvalidControlParams, JockeyController,
 };
 pub use cpa::{CpaModel, InvalidTrainConfig, ModelLoadError, RunObservation, TrainConfig};
-pub use fallback::FallbackLayer;
-pub use layer::{ControlLayer, Layered};
+pub use fallback::FallbackGuard;
 pub use online::{
     structure_hash, AbsorbOutcome, DriftConfig, DriftDetector, ModelHandle, ModelLifecycleStats,
     ModelStore, OnlineConfig, PriorLibrary, RecordedRun,
@@ -96,6 +84,6 @@ pub use plane::{ControlPlane, JobHandle, PlaneStats};
 pub use policy::Policy;
 pub use predict::{min_feasible_allocation, AmdahlModel, CompletionModel};
 pub use progress::{IndicatorContext, ProgressIndicator};
-pub use recal::{recalibrated, RecalibratingController, RecalibrationLayer, ScaledModel};
+pub use recal::{recalibrated, RecalibratingController, ScaledModel};
 pub use sketch::CellSketch;
 pub use utility::UtilityFunction;

@@ -23,21 +23,25 @@
 //! the untouched base model keeps its structure (barriers, tails,
 //! allocation sensitivity).
 //!
-//! [`RecalibrationLayer`] is a [`ControlLayer`]: it updates λ *before*
-//! the inner controller's tick (so the tick already sees the rescaled
-//! model) and never touches the decision itself.
+//! [`RecalibratingController`] owns a [`JockeyController`] predicting
+//! from the shared [`ScaledModel`]: it updates λ *before* each periodic
+//! tick (so the tick already sees the rescaled model) and never touches
+//! the decision itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use jockey_cluster::JobStatus;
+use jockey_cluster::{ControlDecision, JobController, JobStatus};
+use jockey_simrt::time::SimDuration;
 
 use crate::control::{ControlParams, JockeyController};
 use crate::cpa::CpaModel;
-use crate::layer::{ControlLayer, Layered};
 use crate::predict::CompletionModel;
 use crate::progress::IndicatorContext;
 use crate::utility::UtilityFunction;
+
+/// EWMA coefficient for λ updates.
+const LAMBDA_EMA: f64 = 0.2;
 
 /// A completion model whose predictions are scaled by a shared,
 /// atomically updated inflation factor.
@@ -63,7 +67,7 @@ impl ScaledModel {
 
     /// Overwrites the inflation factor. External recalibrators (or
     /// tests reproducing one) can drive λ directly; the built-in
-    /// [`RecalibrationLayer`] is the usual writer.
+    /// [`RecalibratingController`] is the usual writer.
     pub fn set_scale(&self, scale: f64) {
         self.scale_bits.store(scale.to_bits(), Ordering::Relaxed);
     }
@@ -84,18 +88,17 @@ impl CompletionModel for ScaledModel {
     }
 }
 
-/// Online λ recalibration as a stackable [`ControlLayer`].
+/// Jockey with online λ recalibration.
 ///
-/// The layer owns the slip-estimation state and a handle onto the
-/// [`ScaledModel`] the inner controller predicts from; each periodic
-/// tick it refreshes λ before the controller runs. Admission-time
+/// Owns a [`JockeyController`] predicting from a [`ScaledModel`], the
+/// shared handle onto that model, and the slip-estimation state; each
+/// periodic tick refreshes λ before the controller runs. Admission-time
 /// initial decisions skip the update (there is no previous tick to
-/// compare against).
-pub struct RecalibrationLayer {
+/// compare against). Build one with [`recalibrated`].
+pub struct RecalibratingController {
+    jockey: JockeyController,
     scaled: Arc<ScaledModel>,
     indicator: IndicatorContext,
-    /// EWMA coefficient for λ updates.
-    ema: f64,
     /// Progress and elapsed time at the previous tick.
     last: Option<(f64, f64)>,
     /// Accumulated wall seconds since the last λ update.
@@ -104,21 +107,7 @@ pub struct RecalibrationLayer {
     pending_advance: f64,
 }
 
-impl RecalibrationLayer {
-    /// A layer recalibrating `scaled` using `indicator` for progress.
-    /// The inner controller must predict from the *same* [`ScaledModel`]
-    /// for the rescaling to take effect (see [`recalibrated`]).
-    pub fn new(scaled: Arc<ScaledModel>, indicator: IndicatorContext) -> Self {
-        RecalibrationLayer {
-            scaled,
-            indicator,
-            ema: 0.2,
-            last: None,
-            pending_dt: 0.0,
-            pending_advance: 0.0,
-        }
-    }
-
+impl RecalibratingController {
     /// The current inflation factor λ.
     pub fn inflation(&self) -> f64 {
         self.scaled.scale()
@@ -128,6 +117,11 @@ impl RecalibrationLayer {
     /// after the controller has been handed to a simulator.
     pub fn scaled_handle(&self) -> Arc<ScaledModel> {
         self.scaled.clone()
+    }
+
+    /// The wrapped controller.
+    pub fn inner(&self) -> &JockeyController {
+        &self.jockey
     }
 
     /// Per-tick slip estimation: between consecutive ticks, the base
@@ -170,29 +164,30 @@ impl RecalibrationLayer {
         self.pending_advance = 0.0;
         let current = self.scaled.scale();
         self.scaled
-            .set_scale(current + self.ema * (observed - current));
+            .set_scale(current + LAMBDA_EMA * (observed - current));
     }
 }
 
-impl ControlLayer for RecalibrationLayer {
-    fn name(&self) -> &'static str {
-        "recalibration"
-    }
-
-    fn before_tick(&mut self, status: &JobStatus) {
+impl JobController for RecalibratingController {
+    fn tick(&mut self, status: &JobStatus) -> ControlDecision {
         self.update_lambda(status);
+        self.jockey.tick(status)
+    }
+
+    fn initial(&mut self, status: &JobStatus) -> ControlDecision {
+        self.jockey.initial(status)
+    }
+
+    fn deadline_changed(&mut self, new_deadline: SimDuration) {
+        self.jockey.deadline_changed(new_deadline);
     }
 }
-
-/// The historical recalibrating-Jockey shape: a [`JockeyController`]
-/// predicting from a λ-scaled model, under a [`RecalibrationLayer`].
-pub type RecalibratingController = Layered<JockeyController>;
 
 /// Builds a recalibrating controller from the same ingredients as a
 /// plain [`JockeyController`]: the trained model is wrapped in a
-/// [`ScaledModel`] shared between the controller and the layer. Read λ
-/// afterwards via `controller.layer::<RecalibrationLayer>()` or a
-/// [`RecalibrationLayer::scaled_handle`] taken before handing the
+/// [`ScaledModel`] shared between the controller and the λ update.
+/// Read λ afterwards via [`RecalibratingController::inflation`] or a
+/// [`RecalibratingController::scaled_handle`] taken before handing the
 /// controller off.
 pub fn recalibrated(
     model: Arc<CpaModel>,
@@ -207,7 +202,14 @@ pub fn recalibrated(
         utility,
         params,
     );
-    Layered::new(jockey).with(Box::new(RecalibrationLayer::new(scaled, indicator)))
+    RecalibratingController {
+        jockey,
+        scaled,
+        indicator,
+        last: None,
+        pending_dt: 0.0,
+        pending_advance: 0.0,
+    }
 }
 
 #[cfg(test)]
@@ -215,12 +217,10 @@ mod tests {
     use super::*;
     use crate::cpa::TrainConfig;
     use crate::progress::ProgressIndicator;
-    use jockey_cluster::{
-        ClusterConfig, ClusterSim, FixedAllocation, JobController, JobSpec, JobStatus,
-    };
+    use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec};
     use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
     use jockey_simrt::dist::Constant;
-    use jockey_simrt::time::{SimDuration, SimTime};
+    use jockey_simrt::time::SimTime;
 
     fn trained() -> (Arc<CpaModel>, IndicatorContext) {
         let mut b = JobGraphBuilder::new("recal");
@@ -257,10 +257,6 @@ mod tests {
         }
     }
 
-    fn inflation(c: &RecalibratingController) -> f64 {
-        c.layer::<RecalibrationLayer>().unwrap().inflation()
-    }
-
     #[test]
     fn slow_progress_raises_inflation() {
         let (model, ctx) = trained();
@@ -278,9 +274,9 @@ mod tests {
             c.tick(&status(minute, frac, 4));
         }
         assert!(
-            inflation(&c) > 1.3,
+            c.inflation() > 1.3,
             "inflation {} did not rise for a crawling job",
-            inflation(&c)
+            c.inflation()
         );
     }
 
@@ -315,10 +311,7 @@ mod tests {
                 ..ControlParams::default()
             },
         );
-        let handle = controller
-            .layer::<RecalibrationLayer>()
-            .unwrap()
-            .scaled_handle();
+        let handle = controller.scaled_handle();
         let mut cfg = ClusterConfig::dedicated(8);
         cfg.control_period = SimDuration::from_secs(30);
         let mut sim = ClusterSim::new(cfg, 9);
@@ -330,6 +323,32 @@ mod tests {
             (0.5..=1.6).contains(&lambda),
             "inflation {lambda} drifted under clean conditions"
         );
+    }
+
+    #[test]
+    fn deadline_changes_reach_the_controller() {
+        // At λ = 1 the recalibrating controller decides as a plain one
+        // over the same model, so a forwarded deadline change shows as
+        // the plain controller's new decision.
+        let (model, ctx) = trained();
+        let utility = UtilityFunction::deadline(SimDuration::from_mins(60));
+        let params = ControlParams::default();
+        let plain = || {
+            JockeyController::new(
+                ScaledModel::new(model.clone()) as Arc<dyn CompletionModel>,
+                ctx.clone(),
+                utility.clone(),
+                params,
+            )
+        };
+        let mut recal = recalibrated(model.clone(), ctx.clone(), utility.clone(), params);
+        let (mut moved, mut kept) = (plain(), plain());
+        recal.deadline_changed(SimDuration::from_mins(10));
+        moved.deadline_changed(SimDuration::from_mins(10));
+        let st = status(1, 0.1, 4);
+        let d = recal.tick(&st);
+        assert_eq!(d, moved.tick(&st));
+        assert_ne!(d, kept.tick(&st), "the new deadline changed nothing");
     }
 
     #[test]

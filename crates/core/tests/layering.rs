@@ -1,45 +1,37 @@
-//! Layer-composition integration tests.
+//! Closed-loop decision streams of the controller and its §5.6
+//! wrappers.
 //!
-//! The control-layer refactor replaced the bespoke `FallbackGuard<C>`
-//! and `RecalibratingController` wrapper structs with stackable
-//! [`ControlLayer`] decorators over a plain [`JockeyController`]. These
-//! tests pin down the two properties that refactor promised:
-//!
-//! 1. **Behavioral equivalence.** The layered stacks are tick-for-tick
-//!    identical to the pre-refactor wrappers on a seeded closed-loop
-//!    run. The old wrappers are embedded here verbatim as reference
-//!    implementations, so any future drift in the layers shows up as a
-//!    decision-by-decision diff.
-//! 2. **Documented stacking precedence.** Hooks run outside-in before
-//!    the inner tick and inside-out after it, so the *outermost* layer
-//!    has the final say on the decision. Layers that act in disjoint
-//!    phases (recalibration = `before_tick`, fallback = `after_tick`)
-//!    commute; layers that rewrite the same decision do not, and the
-//!    outermost wins.
+//! 1. **Equivalence.** [`FallbackGuard`] and [`RecalibratingController`]
+//!    are tick-for-tick identical to reference wrappers kept here as
+//!    executable specifications (each forwards `initial` and
+//!    `deadline_changed` untouched; fallback rewrites the decision
+//!    after the inner tick, recalibration updates λ before it).
+//! 2. **Pinned streams.** The plain controller on a Fig. 6(b) script
+//!    and both wrappers on a stall script digest to fixed values, so
+//!    any change to the §4.3 conditioning arithmetic shows up here.
 
 use std::sync::Arc;
 
 use jockey_cluster::{
     ClusterConfig, ClusterSim, ControlDecision, FixedAllocation, JobController, JobSpec, JobStatus,
 };
-use jockey_core::control::{ControlParams, JockeyController};
+use jockey_core::control::{ControlParams, ControlTrace, JockeyController};
 use jockey_core::cpa::{CpaModel, TrainConfig};
-use jockey_core::fallback::FallbackLayer;
-use jockey_core::layer::Layered;
+use jockey_core::fallback::FallbackGuard;
 use jockey_core::predict::CompletionModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
-use jockey_core::recal::{recalibrated, RecalibrationLayer, ScaledModel};
+use jockey_core::recal::{recalibrated, RecalibratingController, ScaledModel};
 use jockey_core::utility::UtilityFunction;
 use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
 use jockey_simrt::dist::Constant;
 use jockey_simrt::time::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------
-// Reference implementations: the pre-refactor wrapper structs, kept
-// verbatim (minus doc prose) as executable specifications.
+// Reference implementations: the wrapper structs as first written,
+// kept verbatim (minus doc prose) as executable specifications.
 // ---------------------------------------------------------------------
 
-/// The pre-refactor §5.6 `FallbackGuard<C>` wrapper.
+/// The reference §5.6 fallback wrapper.
 struct ReferenceFallbackGuard<C> {
     inner: C,
     fair_share: u32,
@@ -109,8 +101,8 @@ impl<C: JobController> JobController for ReferenceFallbackGuard<C> {
     }
 }
 
-/// The pre-refactor `RecalibratingController` (λ inflation tracking
-/// fused into the controller struct).
+/// The reference recalibrating controller (λ inflation tracking fused
+/// into the controller struct).
 struct ReferenceRecalibratingController {
     jockey: JockeyController,
     scaled: Arc<ScaledModel>,
@@ -281,11 +273,11 @@ fn jockey(model: Arc<dyn CompletionModel>, ctx: &IndicatorContext) -> JockeyCont
 }
 
 // ---------------------------------------------------------------------
-// Equivalence: layered stacks vs. the pre-refactor wrappers.
+// Equivalence: the library wrappers vs. the references.
 // ---------------------------------------------------------------------
 
 #[test]
-fn fallback_layer_matches_pre_refactor_wrapper_tick_for_tick() {
+fn fallback_guard_matches_the_reference_tick_for_tick() {
     let (model, ctx) = trained();
     // Tolerance 0.5 < the slip≈1.0 a stalled job produces once its
     // allocation saturates, so the mid-script stall trips both guards.
@@ -295,25 +287,21 @@ fn fallback_layer_matches_pre_refactor_wrapper_tick_for_tick() {
         0.5,
         3,
     );
-    let mut layered = Layered::new(jockey(model as Arc<dyn CompletionModel>, &ctx))
-        .with(Box::new(FallbackLayer::new(11, 0.5, 3)));
+    let mut guard = FallbackGuard::new(jockey(model as Arc<dyn CompletionModel>, &ctx), 11, 0.5, 3);
 
     let expect = drive(&mut reference);
-    let got = drive(&mut layered);
+    let got = drive(&mut guard);
     assert_eq!(got.len(), expect.len());
     for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
         assert_eq!(g, e, "decision diverged at tick {i}");
     }
     // The run exercised the interesting path: both guards tripped.
     assert!(reference.fallen_back, "reference guard never tripped");
-    assert!(
-        layered.layer::<FallbackLayer>().unwrap().fallen_back(),
-        "layered guard never tripped"
-    );
+    assert!(guard.fallen_back(), "library guard never tripped");
 }
 
 #[test]
-fn recalibration_layer_matches_pre_refactor_controller_tick_for_tick() {
+fn recalibrating_controller_matches_the_reference_tick_for_tick() {
     let (model, ctx) = trained();
     let mut reference = ReferenceRecalibratingController::new(
         model.clone(),
@@ -321,7 +309,7 @@ fn recalibration_layer_matches_pre_refactor_controller_tick_for_tick() {
         UtilityFunction::deadline(SimDuration::from_mins(45)),
         ControlParams::default(),
     );
-    let mut layered = recalibrated(
+    let mut recal: RecalibratingController = recalibrated(
         model,
         ctx,
         UtilityFunction::deadline(SimDuration::from_mins(45)),
@@ -329,62 +317,150 @@ fn recalibration_layer_matches_pre_refactor_controller_tick_for_tick() {
     );
 
     let expect = drive(&mut reference);
-    let got = drive(&mut layered);
+    let got = drive(&mut recal);
     for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
         assert_eq!(g, e, "decision diverged at tick {i}");
     }
     // λ followed the same trajectory, bit for bit, and actually moved
     // (the stall registers as inflation).
     let ref_lambda = reference.scaled.scale();
-    let new_lambda = layered.layer::<RecalibrationLayer>().unwrap().inflation();
+    let new_lambda = recal.inflation();
     assert_eq!(ref_lambda.to_bits(), new_lambda.to_bits());
     assert!(ref_lambda > 1.0, "stall did not register as inflation");
 }
 
 // ---------------------------------------------------------------------
-// Stacking order.
+// Pinned decision streams.
 // ---------------------------------------------------------------------
 
-/// Recalibration acts in `before_tick` (feeding λ into the model the
-/// inner controller consults) and fallback acts in `after_tick`
-/// (rewriting the decision); the phases are disjoint, so the two
-/// stacking orders produce identical runs.
-#[test]
-fn disjoint_phase_layers_commute() {
-    let (model, ctx) = trained();
-    let build = |recal_inner: bool| {
-        let scaled = ScaledModel::new(model.clone());
-        let inner = jockey(scaled.clone() as Arc<dyn CompletionModel>, &ctx);
-        let recal = Box::new(RecalibrationLayer::new(scaled, ctx.clone()));
-        let guard = Box::new(FallbackLayer::new(11, 0.5, 3));
-        let stack = Layered::new(inner);
-        if recal_inner {
-            stack.with(recal).with(guard)
-        } else {
-            stack.with(guard).with(recal)
-        }
-    };
-    let a = drive(&mut build(true));
-    let b = drive(&mut build(false));
-    assert_eq!(a, b, "disjoint-phase layers did not commute");
+/// FNV-1a over 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
 }
 
-/// Two layers rewriting the same decision do not commute: after hooks
-/// run inside-out, so the outermost layer has the final say.
-#[test]
-fn outermost_layer_wins_on_the_same_phase() {
-    let (model, ctx) = trained();
-    let build = |outer_fair: u32, inner_fair: u32| {
-        // Tolerance low enough that both guards see the stall slip.
-        Layered::new(jockey(model.clone() as Arc<dyn CompletionModel>, &ctx))
-            .with(Box::new(FallbackLayer::new(inner_fair, 0.5, 3)))
-            .with(Box::new(FallbackLayer::new(outer_fair, 0.5, 3)))
-    };
-    let mut seven_outside = build(7, 13);
-    let last = drive(&mut seven_outside).last().unwrap().guarantee;
-    assert_eq!(last, 7, "outermost fair share should win");
+/// One word per field of every decision, then `raw`, `smoothed` and
+/// `guarantee` of every journalled tick (`None` digests as all ones).
+fn stream_digest(decisions: &[ControlDecision], trace: &ControlTrace) -> u64 {
+    let opt = |x: Option<f64>| x.map_or(u64::MAX, f64::to_bits);
+    let words = decisions.iter().flat_map(|d| {
+        [
+            u64::from(d.guarantee),
+            opt(d.raw),
+            opt(d.progress),
+            opt(d.predicted_completion),
+        ]
+    });
+    let ticks = trace.iter().flat_map(|t| {
+        [
+            t.raw.to_bits(),
+            t.smoothed.to_bits(),
+            u64::from(t.guarantee),
+        ]
+    });
+    fnv1a(words.chain(ticks))
+}
 
-    let mut thirteen_outside = build(13, 7);
-    let last = drive(&mut thirteen_outside).last().unwrap().guarantee;
-    assert_eq!(last, 13, "outermost fair share should win after swap");
+/// The Fig. 6(b) fixture: a map stage that runs on model, then a
+/// reduce stage that crawls at about a tenth of its trained rate.
+fn fig6_trained() -> (Arc<CpaModel>, IndicatorContext) {
+    let mut b = JobGraphBuilder::new("conditioning");
+    let m = b.stage("map", 24);
+    let r = b.stage("reduce", 6);
+    b.edge(m, r, EdgeKind::AllToAll);
+    let graph = Arc::new(b.build().unwrap());
+    let spec = JobSpec::uniform(graph.clone(), Constant(30.0), Constant(20.0), 0.0);
+    let mut sim = ClusterSim::new(ClusterConfig::dedicated(6), 3);
+    sim.add_job(spec, Box::new(FixedAllocation(6)));
+    let profile = sim.run_single().profile;
+    let ctx = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
+    let model = Arc::new(CpaModel::train(
+        &graph,
+        &profile,
+        &ctx,
+        &TrainConfig::fast(vec![1, 2, 4, 8]),
+        7,
+    ));
+    (model, ctx)
+}
+
+/// Drives `c` closed-loop over the Fig. 6(b) script: minutes 1..=40,
+/// the map done by minute 12, the reduce then advancing 1.5% a minute.
+fn drive_fig6<C: JobController>(c: &mut C) -> Vec<ControlDecision> {
+    let mut out = Vec::new();
+    let mut guarantee = 0;
+    for minute in 1..=40_u64 {
+        let map = (minute as f64 / 12.0).min(1.0);
+        let reduce = if minute <= 12 {
+            0.0
+        } else {
+            ((minute - 12) as f64 * 0.015).min(1.0)
+        };
+        let st = JobStatus {
+            now: SimTime::from_mins(minute),
+            elapsed: SimDuration::from_mins(minute),
+            stage_fraction: vec![map, reduce],
+            stage_completed: vec![(map * 24.0) as u32, (reduce * 6.0) as u32],
+            running: guarantee,
+            running_guaranteed: guarantee,
+            guarantee,
+            work_done: map * 24.0 * 30.0 + reduce * 6.0 * 20.0,
+            finished: false,
+        };
+        let d = c.tick(&st);
+        guarantee = d.guarantee;
+        out.push(d);
+    }
+    out
+}
+
+/// The decision streams of the plain controller on the Fig. 6 script
+/// and of both §5.6 wrappers on this file's stall script, pinned bit
+/// for bit: any change to the slack, dead-zone, hysteresis or clamp
+/// arithmetic, or to a wrapper's pass-through, moves a digest.
+#[test]
+fn decision_streams_are_pinned() {
+    let (model, ctx) = fig6_trained();
+    let mut plain = jockey(model as Arc<dyn CompletionModel>, &ctx);
+    let decisions = drive_fig6(&mut plain);
+    // The run exercised the slowdown: a behind-schedule stretch after
+    // the map stage finished.
+    assert!(plain
+        .trace()
+        .iter()
+        .any(|t| t.behind && t.elapsed_secs > 12.0 * 60.0));
+    let fig6 = stream_digest(&decisions, plain.trace());
+
+    let (model, ctx) = trained();
+    let mut guard = FallbackGuard::new(
+        jockey(model.clone() as Arc<dyn CompletionModel>, &ctx),
+        11,
+        0.5,
+        3,
+    );
+    let decisions = drive(&mut guard);
+    assert!(guard.fallen_back());
+    let fallback = stream_digest(&decisions, guard.inner().trace());
+
+    let mut recal = recalibrated(
+        model,
+        ctx,
+        UtilityFunction::deadline(SimDuration::from_mins(45)),
+        ControlParams::default(),
+    );
+    let decisions = drive(&mut recal);
+    let recalibrating = stream_digest(&decisions, recal.inner().trace());
+
+    assert_eq!(
+        [fig6, fallback, recalibrating],
+        [
+            0x5f5e_ad28_afd5_d3a9,
+            0x4857_b255_5626_b4d8,
+            0x14d7_c622_a26e_ed5f
+        ],
+        "controller decision streams drifted"
+    );
 }

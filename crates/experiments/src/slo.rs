@@ -3,8 +3,7 @@
 
 use jockey_cluster::{ClusterConfig, ClusterSim, JobSpec, RunHooks, RunTrace, SimWorkspace};
 use jockey_core::control::ControlParams;
-use jockey_core::fallback::FallbackLayer;
-use jockey_core::layer::Layered;
+use jockey_core::fallback::FallbackGuard;
 use jockey_core::oracle::oracle_allocation;
 use jockey_core::policy::Policy;
 use jockey_core::progress::ProgressIndicator;
@@ -182,7 +181,7 @@ pub fn run_slo_with(job: &EvalJob, cfg: &SloConfig, ws: &mut SimWorkspace) -> Sl
                     jockey_core::utility::UtilityFunction::deadline(cfg.deadline),
                     cfg.params,
                 );
-                Box::new(Layered::new(inner).with(Box::new(FallbackLayer::new(fair_share, 1.5, 3))))
+                Box::new(FallbackGuard::new(inner, fair_share, 1.5, 3))
             }
             (None, None) => {
                 job.setup

@@ -366,14 +366,24 @@ fn unknown_experiment_is_an_error() {
 #[test]
 fn golden_smoke_digests_match() {
     // The committed golden digests gate the CI smoke run
-    // (`jockey-repro --only table2,fig1,scenarios,speculation --jobs 2
-    // --digests`); this test keeps the committed file honest against
-    // the live tables.
+    // (`jockey-repro --only table2,fig1,scenarios,speculation,fig6,fig7,
+    // fig12,fig13,ext --jobs 2 --digests`); this test keeps the
+    // committed file honest against the live tables.
     let golden = include_str!("golden_smoke_digests.tsv");
     let env = Env::build(Scale::Smoke, 42);
     let store = ArtifactStore::new();
     let mut computed = BTreeMap::new();
-    for name in ["table2", "fig1", "scenarios", "speculation"] {
+    for name in [
+        "table2",
+        "fig1",
+        "scenarios",
+        "speculation",
+        "fig6",
+        "fig7",
+        "fig12",
+        "fig13",
+        "ext",
+    ] {
         let exp = jockey_experiments::experiment::find(name).unwrap();
         for emission in exp.run(&env, &store) {
             computed.insert(
@@ -395,6 +405,6 @@ fn golden_smoke_digests_match() {
         computed, golden_map,
         "smoke digests drifted; regenerate crates/experiments/tests/golden_smoke_digests.tsv \
          with: JOCKEY_SCALE=smoke JOCKEY_SEED=42 jockey-repro \
-         --only table2,fig1,scenarios,speculation --digests"
+         --only table2,fig1,scenarios,speculation,fig6,fig7,fig12,fig13,ext --digests"
     );
 }

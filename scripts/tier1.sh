@@ -35,8 +35,8 @@ out="$(taskset -c "$cpu" cargo run --release --offline -q --manifest-path perfbe
   --workload service --seed 1 --seconds 0.1 --trace 0)"
 grep -q "digest=$service_digest" <<<"$out" \
   || { echo "tier1: perfbench service digest drifted from $service_digest" >&2; exit 1; }
-# Benches must keep compiling (full runs stay manual; see
-# BENCH_control_plane.json for the recorded numbers).
+# Benches must keep compiling (full runs stay manual; DESIGN.md §9,
+# §10 and §12 hold the recorded numbers).
 cargo bench --workspace --no-run
 # Smoke-run the multi-job control-plane bench (small fleets, minimal
 # sampling) so the sharded path is exercised end to end, not just
@@ -88,7 +88,8 @@ cargo run --release --example multi_job_arbiter \
   || { echo "tier1: scenario registry missing straggler" >&2; exit 1; }
 ./target/release/jockey-cli scenario straggler --seed 7 --runs 1 \
   || { echo "tier1: straggler scenario smoke run failed" >&2; exit 1; }
-# Golden-digest gate: run cheap figures (including the scenario and
+# Golden-digest gate: run cheap figures (including the controller
+# figures 6, 7, 12 and 13, the extensions table, and the scenario and
 # speculation sweeps) through the pipeline CLI at smoke scale
 # (parallel) and diff their emitted-TSV digests against the committed
 # goldens, making "byte-identical to baseline" a regression gate
@@ -96,7 +97,8 @@ cargo run --release --example multi_job_arbiter \
 golden_out="$(mktemp -d)"
 trap 'rm -rf "$golden_out"' EXIT
 JOCKEY_SCALE=smoke JOCKEY_SEED=42 \
-  ./target/release/jockey-repro --only table2,fig1,scenarios,speculation --jobs 2 \
+  ./target/release/jockey-repro \
+  --only table2,fig1,scenarios,speculation,fig6,fig7,fig12,fig13,ext --jobs 2 \
   --out "$golden_out" --digests \
   | grep '^digest' | cut -f2,3 \
   | diff <(grep -v '^#' crates/experiments/tests/golden_smoke_digests.tsv) - \
