@@ -6,7 +6,7 @@
 //! production-shaped run (background load, failures, control ticks),
 //! and `train_one_model` is the full `C(p, a)` training loop whose
 //! per-run allocation behavior the engine refactor targets. Results
-//! are recorded in `BENCH_engine.json` at the repo root.
+//! are recorded in DESIGN.md §15.
 
 // Criterion macros expand to undocumented items.
 #![allow(missing_docs)]

@@ -22,9 +22,8 @@
 //! - `full-retrain`: `CpaModel::train` at the same grid, the cost the
 //!   online path avoids.
 //!
-//! Results are recorded in `BENCH_online.json` at the repo root; the
-//! headline number is the full-retrain/absorb ratio (the acceptance
-//! floor is 20x).
+//! Results are recorded in DESIGN.md §13; the headline number is the
+//! full-retrain/absorb ratio (the acceptance floor is 20x).
 //!
 //! Not a criterion bench: the workload is three one-shot phases with
 //! their own internal iteration counts, matching the other custom

@@ -475,12 +475,6 @@ pub struct EngineCore {
     /// sets one.
     pub(crate) observer: Option<Box<dyn SimObserver>>,
     pub(crate) invariants_enabled: bool,
-    /// When true (the default), the run loop may drain batches of
-    /// same-instant task completions through one merged scheduling
-    /// pass. Only engaged when the batching gate holds (see
-    /// [`Engine::run_loop`]); turned off by equivalence tests to pin
-    /// the per-event reference semantics.
-    pub(crate) batching_enabled: bool,
     /// Time of the most recently dispatched event (event-time
     /// monotonicity invariant).
     pub(crate) last_event_time: SimTime,
@@ -680,11 +674,9 @@ impl EngineCore {
     /// Launches a speculative clone of a *running* task of job `j` on
     /// an idle token (clone-on-slow). The clone races its straggling
     /// sibling; whichever attempt finishes first wins and the losers
-    /// are killed ([`task_done_mechanics`]'s kill-on-first-finish).
+    /// are killed (the completion handler's kill-on-first-finish).
     /// Returns `false` (and does nothing) if the task is not running —
     /// it may have completed between the watcher's scan and this call.
-    ///
-    /// [`task_done_mechanics`]: crate::engine::Engine
     pub fn start_clone(&mut self, j: usize, task: TaskId, now: SimTime, slowdown: f64) -> bool {
         if !matches!(self.jobs[j].task_state(task), TaskState::Running { .. }) {
             return false;
@@ -1026,7 +1018,6 @@ impl Engine {
                 seeds,
                 observer: None,
                 invariants_enabled: cfg!(debug_assertions),
-                batching_enabled: true,
                 last_event_time: SimTime::ZERO,
                 completed_floor: Vec::new(),
                 record_profile: true,
@@ -1092,59 +1083,13 @@ impl Engine {
     }
 
     /// Runs the event loop to completion (all jobs done, queue drained,
-    /// or the configured horizon reached).
-    ///
-    /// # The completion-batching gate
-    ///
-    /// When a `TaskDone` pops and *all* of the following hold, the loop
-    /// drains every same-instant completion as one batch and runs the
-    /// scheduler's pass once for the whole batch instead of once per
-    /// event (see `DESIGN.md` §15 for the equivalence argument):
-    ///
-    /// - batching has not been disabled (the test seam),
-    /// - spare capacity is off and the background model is disabled, so
-    ///   a pass cannot start spare tasks, evict, or draw background RNG,
-    /// - no topology is configured: machine placement reads the free
-    ///   slots live, so a merged pass — which sees every completion's
-    ///   slot freed before placing the first replacement — can place
-    ///   tasks differently than the interleaved per-event passes,
-    /// - no speculation is configured: kill-on-first-finish makes
-    ///   same-instant completions order-sensitive (the first sibling to
-    ///   complete kills the rest), and the watcher tick must interleave
-    ///   with completions exactly as the per-event reference does,
-    /// - invariant checks are off (they observe the per-pass state),
-    /// - every running task is Guaranteed-class (a demoting controller
-    ///   can strand Spare tasks even with spare starts disabled; their
-    ///   evictions would make per-event and merged passes diverge).
-    ///
-    /// In the gated regime a pass consumes RNG only inside
-    /// [`EngineCore::start_task`] and fills per job in FIFO order, so
-    /// the merged pass is the concatenation of the per-event passes:
-    /// task state, RNG streams, results and traces are bit-identical.
-    /// Only the *interleaving* of observer lines differs (completion
-    /// records group before the batch's start records); journal-based
-    /// comparisons must run with batching disabled.
+    /// or the configured horizon reached), one [`Engine::step`] per
+    /// event.
     pub(crate) fn run_loop(&mut self, mut sink: Option<&mut dyn ProgressSink>) {
         self.prime();
-        let can_batch = self.core.batching_enabled
-            && !self.core.cfg.spare_enabled
-            && !self.core.cfg.background.enabled
-            && self.core.cfg.topology.is_none()
-            && self.core.cfg.speculation.is_none()
-            && !self.core.invariants_enabled;
         while let Some((now, event)) = self.core.queue.pop() {
             if now > self.core.cfg.max_sim_time {
                 break;
-            }
-            if can_batch {
-                if let Event::TaskDone { job, task, attempt } = event {
-                    if self.all_running_guaranteed() {
-                        if self.run_completion_batch(now, (job, task, attempt), &mut sink) {
-                            break;
-                        }
-                        continue;
-                    }
-                }
             }
             match sink {
                 Some(ref mut s) => self.step(now, event, Some(&mut **s)),
@@ -1154,61 +1099,6 @@ impl Engine {
                 break;
             }
         }
-    }
-
-    /// Dynamic half of the batching gate: every running task anywhere
-    /// holds a Guaranteed-class token.
-    fn all_running_guaranteed(&self) -> bool {
-        self.core
-            .jobs
-            .iter()
-            .all(|job| job.running_in_class(TokenClass::Guaranteed) as usize == job.running.len())
-    }
-
-    /// Drains the batch of same-instant `TaskDone` events beginning with
-    /// `first`: completion mechanics run per event, the scheduler pass
-    /// runs once at the end (or before a non-completion event that
-    /// shares the instant). Returns `true` when every job finished and
-    /// the caller should stop. See [`Engine::run_loop`] for the gate
-    /// that makes this observably identical to per-event stepping.
-    fn run_completion_batch(
-        &mut self,
-        now: SimTime,
-        first: (usize, TaskId, u32),
-        sink: &mut Option<&mut dyn ProgressSink>,
-    ) -> bool {
-        let (job, task, attempt) = first;
-        self.observe_event(now, &Event::TaskDone { job, task, attempt });
-        self.task_done_mechanics(job, task, attempt, now);
-        self.core.last_event_time = now;
-        loop {
-            if self.core.jobs.iter().all(JobRun::is_finished) {
-                // Match the reference: the finishing completion's pass
-                // still runs before the loop breaks.
-                self.scheduler.schedule(&mut self.core, now);
-                return true;
-            }
-            match self.core.queue.pop_at(now) {
-                Some(Event::TaskDone { job, task, attempt }) => {
-                    self.observe_event(now, &Event::TaskDone { job, task, attempt });
-                    self.task_done_mechanics(job, task, attempt, now);
-                }
-                Some(other) => {
-                    // A non-completion shares the instant. Flush the
-                    // deferred pass first (the reference ran it before
-                    // this event dispatched), then dispatch normally.
-                    self.scheduler.schedule(&mut self.core, now);
-                    match sink {
-                        Some(ref mut s) => self.step(now, other, Some(&mut **s)),
-                        None => self.step(now, other, None),
-                    }
-                    return self.core.jobs.iter().all(JobRun::is_finished);
-                }
-                None => break,
-            }
-        }
-        self.scheduler.schedule(&mut self.core, now);
-        false
     }
 
     /// Dispatches one event, then (in test/debug builds) checks the
@@ -1241,8 +1131,8 @@ impl Engine {
         }
     }
 
-    /// Emits the clock-advance and per-event observer records exactly as
-    /// the per-event reference path does (shared with the batch drain).
+    /// Emits the clock-advance and per-event observer records for the
+    /// event [`Engine::step`] is about to dispatch.
     fn observe_event(&mut self, now: SimTime, event: &Event) {
         if now > self.core.last_event_time {
             observe!(
@@ -1409,20 +1299,12 @@ impl Engine {
         );
     }
 
+    /// A task completion: failure draw, state transition, accounting,
+    /// dependent promotion, then the scheduling pass. A stale completion
+    /// returns before the pass — a pass at a stale event's time could
+    /// move background advancement and spare starts to a different
+    /// instant.
     fn on_task_done(&mut self, j: usize, task: TaskId, attempt: u32, now: SimTime) {
-        if self.task_done_mechanics(j, task, attempt, now) {
-            self.scheduler.schedule(&mut self.core, now);
-        }
-    }
-
-    /// Everything a task completion does *except* the trailing
-    /// scheduling pass: failure draw, state transition, accounting,
-    /// dependent promotion. Returns `false` for a stale completion
-    /// (which, as in the reference path, must not trigger a pass — a
-    /// pass at a stale event's time could move background advancement
-    /// and spare starts to a different instant). Split out so the batch
-    /// drain can run the mechanics per event and the pass once.
-    fn task_done_mechanics(&mut self, j: usize, task: TaskId, attempt: u32, now: SimTime) -> bool {
         let failure_prob = self
             .core
             .cfg
@@ -1452,11 +1334,11 @@ impl Engine {
                     task.stage.index(),
                     task.index
                 );
-                return false;
+                return;
             }
             match pos {
                 Some(pos) => pos,
-                None => return false,
+                None => return,
             }
         };
         let failed = self
@@ -1613,7 +1495,7 @@ impl Engine {
             }
             self.core.cand_scratch = candidates;
         }
-        true
+        self.scheduler.schedule(&mut self.core, now);
     }
 
     fn on_background_tick(&mut self, now: SimTime) {
@@ -1811,7 +1693,7 @@ mod tests {
 
         // The original (older) attempt finishes first: it must be
         // accepted, and the clone must die with it.
-        assert!(engine.task_done_mechanics(0, task, straggler_attempt, SimTime::from_secs(110)));
+        engine.on_task_done(0, task, straggler_attempt, SimTime::from_secs(110));
         assert!(matches!(
             engine.core.jobs[0].task_state(task),
             TaskState::Done { .. }

@@ -24,12 +24,6 @@ pub(crate) struct WeightedFair;
 impl WeightedFair {
     /// One scheduling pass at time `now`. The engine calls it after
     /// every event, so a pass is idempotent when nothing changed.
-    ///
-    /// In the engine's batching regime (no spare capacity, no
-    /// background model, every running task Guaranteed) a pass reduces
-    /// to RNG-free class bookkeeping plus a FIFO guaranteed fill, so
-    /// one merged pass after a batch of same-instant completions starts
-    /// the same tasks in the same order as one pass per completion.
     pub(crate) fn schedule(&self, core: &mut EngineCore, now: SimTime) {
         core.background.advance_to(now);
         let total = core.cfg.total_tokens;

@@ -144,21 +144,6 @@ impl ClusterSim {
         self.engine.core.invariants_enabled = enabled;
     }
 
-    /// Enables or disables same-instant completion batching
-    /// (default on). When enabled — and the run qualifies: no spare
-    /// capacity, no background model, no topology (live machine
-    /// placement must see slots free one completion at a time), no
-    /// speculation (kill-on-first-finish is completion-order-sensitive),
-    /// invariant checks off, every running task Guaranteed-class — the run
-    /// loop drains same-instant task completions as one batch and runs
-    /// a single merged scheduling pass. Results are bit-identical to per-event
-    /// stepping; only the interleaving of observer/journal lines
-    /// differs. Equivalence tests disable it to pin the per-event
-    /// reference semantics.
-    pub fn set_batching(&mut self, enabled: bool) {
-        self.engine.core.batching_enabled = enabled;
-    }
-
     /// Enables or disables per-task profile recording (default on).
     /// Training loops that only consume progress samples turn this off
     /// to keep per-run allocations out of the hot path; the returned

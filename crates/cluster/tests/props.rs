@@ -1,47 +1,26 @@
 //! Property-based tests of the cluster simulator's conservation and
 //! robustness invariants under arbitrary job shapes and noise.
 
-use std::sync::Arc;
+mod common;
 
 use jockey_cluster::{
-    BackgroundConfig, ClusterConfig, ClusterSim, FailureConfig, FixedAllocation, JobSpec,
+    BackgroundConfig, ClusterConfig, ClusterSim, FailureConfig, FixedAllocation, JobSpec, RunHooks,
 };
-use jockey_jobgraph::graph::{EdgeKind, JobGraph, JobGraphBuilder};
 use jockey_simrt::dist::{Constant, LogNormal};
+use jockey_simrt::observe::ProgressSink;
 use proptest::prelude::*;
 
-/// Random fork/chain DAGs with consistent one-to-one task counts.
-fn arb_graph() -> impl Strategy<Value = Arc<JobGraph>> {
-    (
-        proptest::collection::vec((1_usize..4, 1_u32..8), 1..5),
-        any::<u64>(),
-    )
-        .prop_map(|(segments, link_seed)| {
-            let mut b = JobGraphBuilder::new("cluster-prop");
-            let mut last = Vec::new();
-            for (si, &(len, tasks)) in segments.iter().enumerate() {
-                let mut prev = None;
-                for k in 0..len {
-                    let s = b.stage(format!("s{si}_{k}"), tasks);
-                    if let Some(p) = prev {
-                        b.edge(p, s, EdgeKind::OneToOne);
-                    }
-                    prev = Some(s);
-                }
-                last.push(prev.expect("non-empty segment"));
-            }
-            for si in 1..last.len() {
-                let from = (link_seed as usize + si) % si;
-                // First stage of segment si.
-                let first_idx: usize = segments[..si].iter().map(|&(l, _)| l).sum();
-                b.edge(
-                    last[from],
-                    jockey_jobgraph::StageId(first_idx),
-                    EdgeKind::AllToAll,
-                );
-            }
-            Arc::new(b.build().expect("valid by construction"))
-        })
+/// One progress-sample record: `(job, elapsed_secs, stage_fractions)`.
+type Sample = (usize, f64, Vec<f64>);
+
+/// Collects every progress sample a run emits.
+#[derive(Default)]
+struct SampleLog(Vec<Sample>);
+
+impl ProgressSink for SampleLog {
+    fn sample(&mut self, job: usize, elapsed_secs: f64, stage_fraction: &[f64]) {
+        self.0.push((job, elapsed_secs, stage_fraction.to_vec()));
+    }
 }
 
 proptest! {
@@ -52,7 +31,7 @@ proptest! {
     /// total, with waste strictly accounting for the extra attempts.
     #[test]
     fn failure_runs_finish_and_account_work(
-        graph in arb_graph(),
+        graph in common::arb_graph("cluster-prop"),
         fail_prob in 0.0_f64..0.4,
         seed in any::<u64>(),
     ) {
@@ -72,7 +51,7 @@ proptest! {
     /// eviction machinery never loses completed work permanently.
     #[test]
     fn noisy_cluster_never_wedges(
-        graph in arb_graph(),
+        graph in common::arb_graph("cluster-prop"),
         mean_util in 0.3_f64..0.99,
         volatility in 0.0_f64..0.2,
         seed in any::<u64>(),
@@ -134,7 +113,7 @@ proptest! {
     /// configured maximum, whatever the controller requests.
     #[test]
     fn guarantee_is_always_capped(
-        graph in arb_graph(),
+        graph in common::arb_graph("cluster-prop"),
         request in 1_u32..1000,
         cap in 1_u32..16,
     ) {
@@ -151,7 +130,7 @@ proptest! {
     /// Determinism under full noise: identical seeds give identical
     /// traces.
     #[test]
-    fn full_noise_determinism(graph in arb_graph(), seed in any::<u64>()) {
+    fn full_noise_determinism(graph in common::arb_graph("cluster-prop"), seed in any::<u64>()) {
         let run = || {
             let spec = JobSpec::uniform(
                 graph.clone(),
@@ -168,5 +147,48 @@ proptest! {
             (r.completed_at, r.work_done_secs, r.wasted_secs, r.spare_task_count)
         };
         prop_assert_eq!(run(), run());
+    }
+
+    /// Two competing jobs on random DAGs in the dedicated failure-prone
+    /// regime, with the per-step invariant checker on: one job has
+    /// jittered runtimes and failures, the other constant runtimes
+    /// (whole waves finish at one instant), and every scheduler pass
+    /// serves both. Both jobs finish, and a second run at the same seed
+    /// returns bit-identical results and progress-sample streams
+    /// (compared through `Debug`, which prints every `f64` in its
+    /// shortest round-trip form).
+    #[test]
+    fn two_jobs_finish_and_replay_bit_identically(
+        graph_a in common::arb_graph("cluster-prop"),
+        graph_b in common::arb_graph("cluster-prop"),
+        seed in any::<u64>(),
+    ) {
+        let a = JobSpec::uniform(
+            graph_a,
+            LogNormal::from_median_p90(3.0, 8.0),
+            Constant(0.2),
+            0.05,
+        );
+        let b = JobSpec::uniform(graph_b, Constant(5.0), Constant(0.0), 0.0);
+        let run = || {
+            let mut sim = ClusterSim::new(ClusterConfig::dedicated_with_failures(8), seed);
+            sim.set_invariant_checks(true);
+            sim.add_job(a.clone(), Box::new(FixedAllocation(5)));
+            sim.add_job(b.clone(), Box::new(FixedAllocation(3)));
+            let mut sink = SampleLog::default();
+            let results = sim.run_hooked(RunHooks {
+                sink: Some(&mut sink),
+                reclaim: None,
+            });
+            (results, sink.0)
+        };
+        let (first, first_samples) = run();
+        prop_assert_eq!(first.len(), 2);
+        for r in &first {
+            prop_assert!(r.completed_at.is_some(), "{} did not finish", r.name);
+        }
+        let (second, second_samples) = run();
+        prop_assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        prop_assert_eq!(format!("{first_samples:?}"), format!("{second_samples:?}"));
     }
 }

@@ -5,53 +5,21 @@
 //! kill-on-first-finish conserves tokens under the per-step invariant
 //! checker.
 
+mod common;
+
 use std::sync::Arc;
 
 use jockey_cluster::{
     ClusterConfig, ClusterSim, FixedAllocation, JobSpec, NoSpeculation, SpeculationConfig,
 };
-use jockey_jobgraph::graph::{EdgeKind, JobGraph, JobGraphBuilder};
+use jockey_jobgraph::graph::JobGraphBuilder;
 use jockey_simrt::dist::{Constant, Dist, LogNormal};
 use proptest::prelude::*;
-
-/// Random fork/chain DAGs (same shape family as `props.rs`).
-fn arb_graph() -> impl Strategy<Value = Arc<JobGraph>> {
-    (
-        proptest::collection::vec((1_usize..4, 1_u32..8), 1..5),
-        any::<u64>(),
-    )
-        .prop_map(|(segments, link_seed)| {
-            let mut b = JobGraphBuilder::new("spec-equiv");
-            let mut last = Vec::new();
-            for (si, &(len, tasks)) in segments.iter().enumerate() {
-                let mut prev = None;
-                for k in 0..len {
-                    let s = b.stage(format!("s{si}_{k}"), tasks);
-                    if let Some(p) = prev {
-                        b.edge(p, s, EdgeKind::OneToOne);
-                    }
-                    prev = Some(s);
-                }
-                last.push(prev.expect("non-empty segment"));
-            }
-            for si in 1..last.len() {
-                let from = (link_seed as usize + si) % si;
-                let first_idx: usize = segments[..si].iter().map(|&(l, _)| l).sum();
-                b.edge(
-                    last[from],
-                    jockey_jobgraph::StageId(first_idx),
-                    EdgeKind::AllToAll,
-                );
-            }
-            Arc::new(b.build().expect("valid by construction"))
-        })
-}
 
 /// Runs `spec` on `cfg` and returns the full journal dump plus the
 /// scalar outcome. `explicit_off` swaps in the [`NoSpeculation`]
 /// policy; the default arm keeps the stock `CloneOnSlow` (inert
-/// without a `cfg.speculation`). Batching is disabled so the journals
-/// are comparable line for line.
+/// without a `cfg.speculation`).
 fn journal_run(
     cfg: &ClusterConfig,
     spec: &JobSpec,
@@ -60,7 +28,6 @@ fn journal_run(
     explicit_off: bool,
 ) -> (String, (Option<jockey_simrt::time::SimTime>, f64, f64, u64)) {
     let mut sim = ClusterSim::new(cfg.clone(), seed);
-    sim.set_batching(false);
     if explicit_off {
         sim.set_speculation_policy(Box::new(NoSpeculation));
     }
@@ -89,7 +56,7 @@ proptest! {
     /// speculation seam leaves no trace in the event stream.
     #[test]
     fn speculation_off_is_event_for_event_identical(
-        graph in arb_graph(),
+        graph in common::arb_graph("spec-equiv"),
         fail_prob in 0.0_f64..0.3,
         seed in any::<u64>(),
     ) {

@@ -188,13 +188,24 @@ impl JobProfile {
 
     /// Deserializes a profile written by [`JobProfile::to_kv`].
     ///
-    /// Returns `None` if any required key is missing or malformed.
+    /// Returns `None` if any required key is missing or malformed, if
+    /// `task_failure_prob` lies outside `[0, 1]`, or if a stage's
+    /// runtimes or queue times are empty, negative or not finite — the
+    /// values a simulation could not sample from.
     pub fn from_kv(kv: &KvStore) -> Option<JobProfile> {
         let job_name = kv.get("job")?.to_string();
         let duration = kv.get_f64("duration")?;
         let task_failure_prob = kv.get_f64("task_failure_prob")?;
+        if !(0.0..=1.0).contains(&task_failure_prob) {
+            return None;
+        }
         let total_data_gb = kv.get_f64("total_data_gb")?;
         let n = kv.get_u64("stages")? as usize;
+        let samples = |key: String| {
+            let xs = kv.get_f64_list(&key)?;
+            let valid = !xs.is_empty() && xs.iter().all(|v| v.is_finite() && *v >= 0.0);
+            valid.then_some(xs)
+        };
         let mut stages = Vec::with_capacity(n);
         for i in 0..n {
             stages.push(StageProfile {
@@ -202,8 +213,8 @@ impl JobProfile {
                 tasks: kv.get_u64(&format!("stage.{i}.tasks"))? as u32,
                 rel_start: kv.get_f64(&format!("stage.{i}.rel_start"))?,
                 rel_end: kv.get_f64(&format!("stage.{i}.rel_end"))?,
-                runtimes: kv.get_f64_list(&format!("stage.{i}.runtimes"))?,
-                queue_times: kv.get_f64_list(&format!("stage.{i}.queue_times"))?,
+                runtimes: samples(format!("stage.{i}.runtimes"))?,
+                queue_times: samples(format!("stage.{i}.queue_times"))?,
             });
         }
         Some(JobProfile {
@@ -416,6 +427,34 @@ mod tests {
         let mut kv = sample_profile(&g).to_kv();
         kv.set("stages", "4"); // Claims more stages than present.
         assert!(JobProfile::from_kv(&kv).is_none());
+    }
+
+    #[test]
+    fn from_kv_rejects_values_a_simulation_cannot_sample() {
+        let g = graph();
+        let kv = sample_profile(&g).to_kv();
+        for (key, value) in [
+            ("stage.0.runtimes", "NaN,1"),
+            ("stage.0.runtimes", "-5,1"),
+            ("stage.0.runtimes", "inf"),
+            ("stage.0.runtimes", ""),
+            ("stage.1.queue_times", "1,-0.5"),
+            ("stage.1.queue_times", ""),
+            ("task_failure_prob", "2"),
+            ("task_failure_prob", "-0.1"),
+            ("task_failure_prob", "NaN"),
+        ] {
+            let mut bad = kv.clone();
+            bad.set(key, value);
+            assert!(
+                JobProfile::from_kv(&bad).is_none(),
+                "{key}={value} accepted"
+            );
+        }
+        let mut edge = kv.clone();
+        edge.set("task_failure_prob", "1");
+        edge.set("stage.0.runtimes", "0");
+        assert!(JobProfile::from_kv(&edge).is_some());
     }
 
     #[test]

@@ -187,16 +187,6 @@ impl<E> EventQueue<E> {
         Some((s.at, s.event))
     }
 
-    /// Removes and returns the next event only if it fires exactly at
-    /// `at` — the helper batch-draining consumers use to pull every
-    /// same-instant event without disturbing later ones.
-    pub fn pop_at(&mut self, at: SimTime) -> Option<E> {
-        if self.peek_time() != Some(at) {
-            return None;
-        }
-        self.pop().map(|(_, e)| e)
-    }
-
     /// The firing time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
@@ -305,22 +295,6 @@ mod tests {
         q.schedule(SimTime::from_secs(2), 2);
         assert_eq!(q.pop(), Some((SimTime::from_secs(2), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_secs(50), 50)));
-    }
-
-    #[test]
-    fn pop_at_drains_only_the_given_instant() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(3);
-        q.schedule(t, 1);
-        q.schedule(t, 2);
-        q.schedule(SimTime::from_secs(4), 3);
-        assert_eq!(q.pop(), Some((t, 1)));
-        assert_eq!(q.pop_at(t), Some(2));
-        // Next event is later: pop_at must leave it alone.
-        assert_eq!(q.pop_at(t), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(4), 3)));
-        assert_eq!(q.pop_at(SimTime::from_secs(9)), None);
     }
 
     #[test]

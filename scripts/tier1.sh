@@ -36,7 +36,7 @@ out="$(taskset -c "$cpu" cargo run --release --offline -q --manifest-path perfbe
 grep -q "digest=$service_digest" <<<"$out" \
   || { echo "tier1: perfbench service digest drifted from $service_digest" >&2; exit 1; }
 # Benches must keep compiling (full runs stay manual; DESIGN.md §9,
-# §10 and §12 hold the recorded numbers).
+# §10, §12, §13 and §15 hold the recorded numbers).
 cargo bench --workspace --no-run
 # Smoke-run the multi-job control-plane bench (small fleets, minimal
 # sampling) so the sharded path is exercised end to end, not just
@@ -55,8 +55,8 @@ JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench engine
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench service
 # Smoke-run the online-model NFR bench: absorb, store-publish and
 # window-retrain on a live C(p, a) (recorded numbers live in
-# BENCH_online.json; the 20x absorb-vs-retrain floor is asserted by
-# the full run).
+# DESIGN.md §13; the 20x absorb-vs-retrain floor is asserted by the
+# full run).
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench online
 # Legacy-model gate: the flat (no-topology) training path must stay
 # bit-identical across the topology/scenario work. The example prints

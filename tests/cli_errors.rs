@@ -1,5 +1,6 @@
-//! Usage errors of the `jockey-cli` binary: a bad flag value is
-//! reported as `error: ...` with exit code 1, never as a panic.
+//! Usage errors of the `jockey-cli` binary: a bad flag value, script
+//! or bundle is reported as `error: ...` with exit code 1, never as a
+//! panic.
 
 use std::process::Command;
 
@@ -180,4 +181,87 @@ fn profile_rejects_a_cost_that_overflows_the_runtime_model() {
 #[test]
 fn profile_rejects_a_cost_whose_training_run_cannot_finish() {
     assert_huge_cost_rejected(279, "did not finish");
+}
+
+/// Profiles a small script into a bundle, sets the bundle's `key` line
+/// to `value`, and asserts that `train` and `run` both refuse the
+/// bundle with a clean error naming its profile section.
+fn assert_bundle_rejected(name: &str, key: &str, value: &str) {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let script = dir.join(format!("cli-errors-bundle-{name}.scope"));
+    let bundle = dir.join(format!("cli-errors-bundle-{name}.job"));
+    std::fs::write(
+        &script,
+        "a = EXTRACT FROM \"f\" PARTITIONS 4;\nr = REDUCE a ON \"k\" PARTITIONS 2;\nOUTPUT r TO \"o\";\n",
+    )
+    .expect("script written");
+    let profiled = Command::new(env!("CARGO_BIN_EXE_jockey-cli"))
+        .arg("profile")
+        .arg(&script)
+        .arg("-o")
+        .arg(&bundle)
+        .args(["--tokens", "4"])
+        .output()
+        .expect("jockey-cli starts");
+    assert!(profiled.status.success(), "profile failed: {profiled:?}");
+    let text = std::fs::read_to_string(&bundle).expect("bundle written");
+    let prefix = format!("{key}=");
+    assert!(
+        text.lines().any(|l| l.starts_with(&prefix)),
+        "no {key} line"
+    );
+    let edited: String = text
+        .lines()
+        .map(|l| {
+            if l.starts_with(&prefix) {
+                format!("{prefix}{value}\n")
+            } else {
+                format!("{l}\n")
+            }
+        })
+        .collect();
+    std::fs::write(&bundle, edited).expect("bundle edited");
+    for (command, rest) in [("train", &[][..]), ("run", &["--deadline", "10"][..])] {
+        let out = Command::new(env!("CARGO_BIN_EXE_jockey-cli"))
+            .arg(command)
+            .arg(&bundle)
+            .args(rest)
+            .output()
+            .expect("jockey-cli starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{command} with {key}={value}: expected an error; stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(error.starts_with("error: "), "{stderr}");
+        assert!(error.contains("profile section"), "{error}");
+    }
+}
+
+#[test]
+fn bundle_rejects_a_nan_runtime() {
+    assert_bundle_rejected("nan-runtime", "profile.stage.0.runtimes", "NaN,1");
+}
+
+#[test]
+fn bundle_rejects_a_negative_runtime() {
+    assert_bundle_rejected("negative-runtime", "profile.stage.0.runtimes", "-5,1");
+}
+
+#[test]
+fn bundle_rejects_an_infinite_queue_time() {
+    assert_bundle_rejected("inf-queue", "profile.stage.1.queue_times", "inf,1");
+}
+
+#[test]
+fn bundle_rejects_an_empty_runtimes_list() {
+    assert_bundle_rejected("empty-runtimes", "profile.stage.0.runtimes", "");
+}
+
+#[test]
+fn bundle_rejects_a_failure_probability_above_one() {
+    assert_bundle_rejected("failure-prob", "profile.task_failure_prob", "2");
 }
