@@ -16,6 +16,10 @@
 //! - `store-publish`: `ModelStore::record_completion` end to end
 //!   (absorb, drift bookkeeping, snapshot clone, generation bump), what
 //!   the service driver pays per completion;
+//! - `cold-start`: `CpaModel::empty` on the service family's grid plus
+//!   one nominal run absorbed per allocation (`family_model`, which
+//!   mirrors the service driver's `bootstrap_family_model`): what each
+//!   service instance pays before its first admission;
 //! - `window-retrain`: the drift response — `vacant_copy` plus
 //!   re-absorbing the retained window with `CpaModel::absorb_runs` —
 //!   i.e. the worst-case bounded work a drift fire performs inline;
@@ -187,6 +191,18 @@ fn main() {
     publish_us.sort_by(f64::total_cmp);
     let publish_mean_us = publish_us.iter().sum::<f64>() / publish_us.len() as f64;
 
+    // Phase 2c — cold start: an empty family-shaped model plus its 16
+    // bootstrap absorbs, as each service instance builds it.
+    let mut cold_us = Vec::with_capacity(absorb_iters);
+    for _ in 0..absorb_iters {
+        let t0 = Instant::now();
+        let bootstrapped = family_model(3_600.0, 16);
+        cold_us.push(1e6 * t0.elapsed().as_secs_f64());
+        assert!(bootstrapped.sample_count() > 0);
+    }
+    cold_us.sort_by(f64::total_cmp);
+    let cold_mean_us = cold_us.iter().sum::<f64>() / cold_us.len() as f64;
+
     // Phase 3 — window retrain: what a drift fire pays inline.
     let window: Vec<RecordedRun> = (0..OnlineConfig::default().retain_runs)
         .map(|i| synthetic_run(cfg.allocations[i % cfg.allocations.len()], 500.0, ticks))
@@ -239,6 +255,14 @@ fn main() {
         publish_mean_us,
         percentile(&publish_us, 50.0),
         percentile(&publish_us, 99.0)
+    );
+    println!(
+        "{:<16} {:>12} {:>9.1} us {:>9.1} us {:>9.1} us",
+        "cold-start",
+        absorb_iters,
+        cold_mean_us,
+        percentile(&cold_us, 50.0),
+        percentile(&cold_us, 99.0)
     );
     println!(
         "{:<16} {:>12} {:>9.1} us {:>12} {:>12}",

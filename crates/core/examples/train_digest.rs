@@ -1,5 +1,8 @@
 //! Prints a digest of a fixed-seed `C(p, a)` training table — a quick
-//! way to confirm training determinism across code changes:
+//! way to confirm training determinism across code changes — and a
+//! second digest of a bounded-sketch model trained on the same profile,
+//! whose cells have compacted into several levels, so the serialized
+//! `.l<i>` level lists and `.c` compaction counters are covered too:
 //!
 //! ```text
 //! cargo run --release -p jockey-core --example train_digest
@@ -52,4 +55,18 @@ fn main() {
     println!("profile_work={:.9}", profile.total_work());
     println!("samples={}", model.sample_count());
     println!("digest={:016x}", fnv1a(text.as_bytes()));
+
+    // Capacity-8 sketches over 24 runs per allocation: the busiest
+    // cells compact twice over, writing `.l1`, `.l2` and `.c` keys.
+    let bounded_cfg = TrainConfig {
+        runs_per_allocation: 24,
+        sketch_capacity: Some(8),
+        ..cfg
+    };
+    let bounded = CpaModel::train(&graph, &profile, &ctx, &bounded_cfg, 1234);
+    let text = bounded.to_kv().to_text();
+    for key in [".l1=", ".l2=", ".c="] {
+        assert!(text.contains(key), "no {key:?} key in the bounded model");
+    }
+    println!("bounded_digest={:016x}", fnv1a(text.as_bytes()));
 }

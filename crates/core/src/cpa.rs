@@ -377,43 +377,46 @@ impl CpaModel {
     ///
     /// Panics on an invalid [`TrainConfig`].
     pub fn empty(cfg: &TrainConfig) -> Self {
-        let mut model = Self::empty_unbuilt(cfg);
-        model.build_table();
-        model
-    }
-
-    /// [`CpaModel::empty`] without the initial table build. Private to
-    /// the training paths, which absorb every harvested sample and
-    /// *then* build the table once — the all-empty table (150 cells,
-    /// each running the full outward fallback scan) would be thrown
-    /// away unread.
-    fn empty_unbuilt(cfg: &TrainConfig) -> Self {
         cfg.validate();
-        CpaModel {
-            allocations: cfg.allocations.clone(),
-            bins: cfg.progress_bins,
-            percentile: cfg.percentile,
-            sketch_k: cfg.sketch_capacity,
-            cells: vacant_rows(
-                cfg.allocations.len(),
-                cfg.progress_bins,
-                cfg.sketch_capacity,
-            ),
-            table: Vec::new(),
-            fresh_monotone: false,
-        }
+        Self::vacant(
+            cfg.allocations.clone(),
+            cfg.progress_bins,
+            cfg.percentile,
+            cfg.sketch_capacity,
+        )
     }
 
     /// A sample-free model with the same shape (grid, bins, percentile,
     /// sketch capacity) as `self` — the seed for drift-triggered
     /// retraining from a retained run window.
     pub fn vacant_copy(&self) -> Self {
+        Self::vacant(
+            self.allocations.clone(),
+            self.bins,
+            self.percentile,
+            self.sketch_k,
+        )
+    }
+
+    /// A sample-free model of the given shape, its table all
+    /// `INFINITY`. Its cells own no heap buffer, so this costs one
+    /// allocation per row plus the table.
+    fn vacant(
+        allocations: Vec<u32>,
+        bins: usize,
+        percentile: f64,
+        sketch_k: Option<usize>,
+    ) -> Self {
+        // One `Arc` per row, so a first absorb into a row copies nothing.
+        let cells = (0..allocations.len())
+            .map(|_| Arc::new(vec![CellSketch::new(sketch_k); bins]))
+            .collect();
         let mut model = CpaModel {
-            allocations: self.allocations.clone(),
-            bins: self.bins,
-            percentile: self.percentile,
-            sketch_k: self.sketch_k,
-            cells: vacant_rows(self.allocations.len(), self.bins, self.sketch_k),
+            allocations,
+            bins,
+            percentile,
+            sketch_k,
+            cells,
             table: Vec::new(),
             fresh_monotone: false,
         };
@@ -475,9 +478,8 @@ impl CpaModel {
         // — the same batches in the same order as one serial
         // grid-then-run pass — and then computes its query-table row,
         // which reads no other row.
-        let mut model = CpaModel::empty_unbuilt(cfg);
+        let mut model = CpaModel::empty(cfg);
         let bins = model.bins;
-        model.table = vec![0.0; cfg.allocations.len() * bins];
         let mut rows: Vec<_> = model
             .cells
             .iter_mut()
@@ -501,9 +503,7 @@ impl CpaModel {
                     scratch.stage(&cfg.allocations, bins, obs, run.total_secs, completed_alloc);
                     scratch.merge(std::slice::from_mut(*row), ai, None);
                 }
-                for (bin, v) in table_row.iter_mut().enumerate() {
-                    *v = grid_remaining(row, bin, cfg.percentile);
-                }
+                fill_row(row, cfg.percentile, |_| true, table_row);
             },
         );
         model.check_fresh_monotone();
@@ -594,46 +594,34 @@ impl CpaModel {
     /// configured-percentile value per `(allocation, bin)`, identical to
     /// what the outward-scanning [`CpaModel::remaining_at_grid`] path
     /// returns (including the all-empty-allocation `INFINITY` case), so
-    /// `remaining()` is a load + interpolation per tick.
+    /// `remaining()` is a load + interpolation per tick. Each row fills
+    /// in `O(bins)` (see [`fill_row`]).
     fn build_table(&mut self) {
-        let mut table = Vec::with_capacity(self.allocations.len() * self.bins);
-        for ai in 0..self.allocations.len() {
-            for bin in 0..self.bins {
-                table.push(self.remaining_at_grid(ai, bin, self.percentile));
-            }
+        let bins = self.bins;
+        self.table = vec![0.0; self.allocations.len() * bins];
+        for (cells, row) in self.cells.iter().zip(self.table.chunks_mut(bins)) {
+            fill_row(cells, self.percentile, |_| true, row);
         }
-        self.table = table;
         self.check_fresh_monotone();
     }
 
-    /// Recomputes the table cells that `touched` (one flag per
+    /// Recomputes the table rows that `touched` (one flag per
     /// `(allocation, bin)` cell, row-major) can have changed, and
     /// re-derives the monotone flag. Rows never read other
     /// allocations' cells, so untouched rows keep their exact bytes.
-    /// In a touched row the unit depends on whether the row still has
-    /// an empty cell:
-    ///
-    /// - With one, the whole row is recomputed: an empty cell answers
-    ///   with the nearest non-empty cell's quantile (the outward
-    ///   fallback), so one new sample can change every bin of the row.
-    /// - Without one, only the touched cells are recomputed. Each cell
-    ///   then answers with its own quantile, and merges only add
-    ///   samples, so a cell that was empty before the merge and filled
-    ///   after it was touched; every untouched cell read its own,
-    ///   unchanged sketch before the merge as well.
+    /// In a touched row only the touched cells' quantiles are
+    /// recomputed: merges only add samples, so an untouched non-empty
+    /// cell was non-empty, with the same sketch, at the last fill and
+    /// its table value is still its own quantile. The empty cells then
+    /// take their nearest non-empty neighbour's value again, since one
+    /// new sample can move that neighbour.
     fn rebuild_rows(&mut self, touched: &[bool]) {
         let bins = self.bins;
         debug_assert_eq!(touched.len(), self.allocations.len() * bins);
-        for (ai, (row_touched, cells)) in touched.chunks(bins).zip(&self.cells).enumerate() {
-            if !row_touched.contains(&true) {
-                continue;
-            }
-            let whole = cells.iter().any(CellSketch::is_empty);
-            let row = &mut self.table[ai * bins..(ai + 1) * bins];
-            for (bin, v) in row.iter_mut().enumerate() {
-                if whole || row_touched[bin] {
-                    *v = grid_remaining(cells, bin, self.percentile);
-                }
+        let rows = touched.chunks(bins).zip(&self.cells);
+        for ((row_touched, cells), row) in rows.zip(self.table.chunks_mut(bins)) {
+            if row_touched.contains(&true) {
+                fill_row(cells, self.percentile, |bin| row_touched[bin], row);
             }
         }
         self.check_fresh_monotone();
@@ -825,7 +813,8 @@ impl CpaModel {
     /// Bounded sketches additionally emit a top-level `sketch_k`, one
     /// `cell.<alloc>.<bin>.l<i>` list per non-empty upper level, and a
     /// `cell.<alloc>.<bin>.c` compaction-counter list per compacted
-    /// cell, which is everything needed to resume absorbing.
+    /// cell (one entry per level), which is everything needed to
+    /// resume absorbing.
     pub fn to_kv(&self) -> jockey_simrt::table::KvStore {
         let mut kv = jockey_simrt::table::KvStore::new();
         kv.set_u64("bins", self.bins as u64);
@@ -843,19 +832,7 @@ impl CpaModel {
         }
         for (ai, alloc_cells) in self.cells.iter().enumerate() {
             for (bin, cell) in alloc_cells.iter().enumerate() {
-                let levels = cell.levels();
-                if !levels[0].is_empty() {
-                    kv.set_f64_list(&format!("cell.{ai}.{bin}"), &levels[0]);
-                }
-                for (li, level) in levels.iter().enumerate().skip(1) {
-                    if !level.is_empty() {
-                        kv.set_f64_list(&format!("cell.{ai}.{bin}.l{li}"), level);
-                    }
-                }
-                if cell.compactions().iter().any(|&c| c > 0) {
-                    let comps: Vec<f64> = cell.compactions().iter().map(|&c| c as f64).collect();
-                    kv.set_f64_list(&format!("cell.{ai}.{bin}.c"), &comps);
-                }
+                write_cell(&mut kv, &format!("cell.{ai}.{bin}"), cell);
             }
         }
         kv
@@ -889,10 +866,17 @@ impl CpaModel {
             None => None,
         };
         // Raw per-cell parts (sketch levels, per-level compaction
-        // counts), grown level-by-level as keys arrive.
+        // counts), grown level-by-level as keys arrive; a cell with no
+        // key allocates nothing.
         type RawCell = (Vec<Vec<f64>>, Vec<u64>);
         let mut raw: Vec<Vec<RawCell>> =
-            vec![vec![(vec![Vec::new()], Vec::new()); bins]; allocations.len()];
+            vec![vec![(Vec::new(), Vec::new()); bins]; allocations.len()];
+        fn level_mut(levels: &mut Vec<Vec<f64>>, li: usize) -> &mut Vec<f64> {
+            if levels.len() <= li {
+                levels.resize(li + 1, Vec::new());
+            }
+            &mut levels[li]
+        }
         for key in kv.keys() {
             if let Some(rest) = key.strip_prefix("cell.") {
                 let bad = || ModelLoadError::BadCell(key.to_string());
@@ -908,7 +892,7 @@ impl CpaModel {
                 let values = kv.get_f64_list(key).ok_or_else(bad)?;
                 let (levels, comps) = &mut raw[ai][bin];
                 match parts.get(2) {
-                    None => levels[0] = values,
+                    None => *level_mut(levels, 0) = values,
                     Some(&"c") => {
                         if values.len() > MAX_SKETCH_LEVELS {
                             return Err(bad());
@@ -920,8 +904,8 @@ impl CpaModel {
                             }
                             parsed.push(c as u64);
                         }
-                        if levels.len() < parsed.len() {
-                            levels.resize(parsed.len(), Vec::new());
+                        if let Some(top) = parsed.len().checked_sub(1) {
+                            level_mut(levels, top);
                         }
                         *comps = parsed;
                     }
@@ -931,10 +915,7 @@ impl CpaModel {
                             .and_then(|s| s.parse().ok())
                             .filter(|&li| (1..MAX_SKETCH_LEVELS).contains(&li))
                             .ok_or_else(bad)?;
-                        if levels.len() <= li {
-                            levels.resize(li + 1, Vec::new());
-                        }
-                        levels[li] = values;
+                        *level_mut(levels, li) = values;
                     }
                 }
             }
@@ -963,6 +944,28 @@ impl CpaModel {
     }
 }
 
+/// Writes one cell under `key` (`cell.<alloc>.<bin>`) as
+/// [`CpaModel::to_kv`] serializes it: level 0's items as `key` and each
+/// other level `i` as `key.l<i>`, both only when non-empty; and, once
+/// any level has compacted, the counters as `key.c`, one entry per
+/// level, trailing zeros included. An exact or never-compacted cell
+/// therefore writes only its plain sample list.
+pub(crate) fn write_cell(kv: &mut jockey_simrt::table::KvStore, key: &str, cell: &CellSketch) {
+    if !cell.level(0).is_empty() {
+        kv.set_f64_list(key, cell.level(0));
+    }
+    let levels = 0..cell.num_levels();
+    for li in levels.clone().skip(1) {
+        if !cell.level(li).is_empty() {
+            kv.set_f64_list(&format!("{key}.l{li}"), cell.level(li));
+        }
+    }
+    if levels.clone().any(|li| cell.compactions(li) > 0) {
+        let comps: Vec<f64> = levels.map(|li| cell.compactions(li) as f64).collect();
+        kv.set_f64_list(&format!("{key}.c"), &comps);
+    }
+}
+
 /// The grid index nearest to `allocation` (lower index wins ties).
 fn nearest_grid_index(grid: &[u32], allocation: u32) -> usize {
     let hi = grid.partition_point(|&g| g < allocation);
@@ -980,7 +983,10 @@ fn nearest_grid_index(grid: &[u32], allocation: u32) -> usize {
 }
 
 /// The remaining-time estimate of one allocation row at `bin`,
-/// searching outward from the bin for the nearest non-empty cell.
+/// searching outward from the bin for the nearest non-empty cell (the
+/// lower bin first at each distance). It answers explicit-percentile
+/// queries, which read one bin; the query table fills whole rows with
+/// [`fill_row`], which the tests hold to this scan bit for bit.
 fn grid_remaining(cells: &[CellSketch], bin: usize, percentile: f64) -> f64 {
     let bins = cells.len();
     // Search outward: prefer the queried bin, then neighbors.
@@ -995,6 +1001,44 @@ fn grid_remaining(cells: &[CellSketch], bin: usize, percentile: f64) -> f64 {
     // No samples at this allocation at all: treat it as unusably
     // slow, never as instantaneous.
     f64::INFINITY
+}
+
+/// Writes one allocation row's query-table values to `out`: each
+/// non-empty cell answers its own `percentile`, each empty cell the
+/// nearest non-empty cell's answer with the lower bin winning a tie,
+/// and a row with no sample at all `INFINITY` — what [`grid_remaining`]
+/// returns at every bin, in `O(bins)` rather than its `O(bins²)`, with
+/// each quantile computed once. Only the non-empty cells that `stale`
+/// names are recomputed; every other non-empty cell must already hold
+/// its own quantile in `out`.
+fn fill_row(cells: &[CellSketch], percentile: f64, stale: impl Fn(usize) -> bool, out: &mut [f64]) {
+    // The nearest non-empty bin below the one being visited.
+    let mut below: Option<usize> = None;
+    for (bin, cell) in cells.iter().enumerate() {
+        if cell.is_empty() {
+            continue;
+        }
+        if stale(bin) {
+            out[bin] = cell.quantile(percentile);
+        }
+        // The empty bins between `below` and `bin` each copy the nearer
+        // end, the lower one on a tie.
+        for gap in below.map_or(0, |b| b + 1)..bin {
+            let from = match below {
+                Some(b) if gap - b <= bin - gap => b,
+                _ => bin,
+            };
+            out[gap] = out[from];
+        }
+        below = Some(bin);
+    }
+    match below {
+        None => out.fill(f64::INFINITY),
+        Some(last) => {
+            let v = out[last];
+            out[last + 1..].fill(v);
+        }
+    }
 }
 
 /// The absorb path's staging buffers: one run's samples are staged,
@@ -1081,14 +1125,6 @@ impl FoldScratch {
         }
         staged.len()
     }
-}
-
-/// `allocations` rows of `bins` empty sketches, each row its own
-/// [`Arc`] so that a first absorb into a row copies nothing.
-fn vacant_rows(allocations: usize, bins: usize, k: Option<usize>) -> Vec<Arc<Vec<CellSketch>>> {
-    (0..allocations)
-        .map(|_| Arc::new(vec![CellSketch::new(k); bins]))
-        .collect()
 }
 
 /// Why a serialized `C(p, a)` table failed to load
@@ -1666,12 +1702,12 @@ mod absorb_tests {
                     assert!(bounded.cells[ai][bin].is_empty());
                     continue;
                 }
-                let sorted = &cell.levels()[0];
+                let sorted = cell.level(0);
                 let sk = &bounded.cells[ai][bin];
                 // Documented bound: rank error <= sum of compaction
                 // errors, plus one top-level item weight for the
                 // interpolation straddle.
-                let slop = (sk.rank_error_bound() + (1 << (sk.levels().len() - 1))) as f64;
+                let slop = (sk.rank_error_bound() + (1 << (sk.num_levels() - 1))) as f64;
                 for q in [10.0, 50.0, 90.0, 95.0] {
                     let v = sk.quantile(q);
                     let rank = q / 100.0 * (sorted.len() as f64 - 1.0);
@@ -1805,6 +1841,90 @@ mod absorb_tests {
         a.absorb_observations(&obs, total, true);
         b.absorb_observations(&obs, total, true);
         assert_eq!(a.cells, b.cells);
+    }
+
+    /// The `O(bins)` row fill answers what the outward scan answers at
+    /// every bin, bit for bit: on random rows with anywhere from no to
+    /// every cell filled, in exact and bounded mode, including empty
+    /// bins equidistant from two filled ones (the lower must win). With
+    /// `stale` naming only some filled cells, the others keep the value
+    /// already in the row, so a row whose filled cells hold their own
+    /// quantiles and whose empty cells hold garbage fills the same.
+    #[test]
+    fn row_fill_matches_the_outward_scan() {
+        let mut rng = SeedDeriver::new(31).rng("row-fill");
+        let (mut ties, mut vacant, mut full) = (0, 0, 0);
+        for trial in 0..600 {
+            let bins = rng.gen_range(1..=24);
+            let k = (trial % 2 == 1).then_some(8);
+            let filled_pct = rng.gen_range(0..=100);
+            let cells: Vec<CellSketch> = (0..bins)
+                .map(|_| {
+                    let mut cell = CellSketch::new(k);
+                    if rng.gen_range(0..100) < filled_pct {
+                        for _ in 0..rng.gen_range(1..40) {
+                            cell.push(rng.gen_range(0.0..1_000.0));
+                        }
+                    }
+                    cell
+                })
+                .collect();
+            let filled: Vec<usize> = (0..bins).filter(|&b| !cells[b].is_empty()).collect();
+            vacant += usize::from(filled.is_empty());
+            full += usize::from(filled.len() == bins);
+            ties += (0..bins)
+                .filter(|&b| {
+                    let below = filled.iter().rev().find(|&&f| f < b);
+                    let above = filled.iter().find(|&&f| f > b);
+                    cells[b].is_empty()
+                        && matches!((below, above), (Some(&l), Some(&h)) if b - l == h - b)
+                })
+                .count();
+            let scan: Vec<u64> = (0..bins)
+                .map(|b| grid_remaining(&cells, b, 95.0).to_bits())
+                .collect();
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut row = vec![f64::NAN; bins];
+            fill_row(&cells, 95.0, |_| true, &mut row);
+            assert_eq!(bits(&row), scan, "trial {trial}");
+            // Refill with only some filled cells stale: the others keep
+            // their quantiles, every empty cell starts as garbage.
+            let stale: Vec<bool> = (0..bins).map(|_| rng.gen_bool(0.3)).collect();
+            for (b, v) in row.iter_mut().enumerate() {
+                if cells[b].is_empty() || stale[b] {
+                    *v = -1.0;
+                }
+            }
+            fill_row(&cells, 95.0, |b| stale[b], &mut row);
+            assert_eq!(bits(&row), scan, "trial {trial}, partial refill");
+        }
+        assert!(
+            ties > 20 && vacant > 5 && full > 5,
+            "{ties} ties, {vacant} vacant rows, {full} full rows"
+        );
+    }
+
+    /// An empty model and a vacant copy hold no heap buffer in any
+    /// cell: every row is the same run of allocation-free sketches.
+    #[test]
+    fn empty_and_vacant_cells_own_no_buffer() {
+        for k in [None, Some(64)] {
+            let c = cfg(k);
+            let mut m = CpaModel::empty(&c);
+            let no_buffers = |m: &CpaModel| {
+                m.cells
+                    .iter()
+                    .flat_map(|row| row.iter())
+                    .all(|c| c.heap_buffers() == 0)
+            };
+            assert!(no_buffers(&m), "empty, k={k:?}");
+            for i in 0..20 {
+                let (obs, total) = synth_run(600 + i, c.allocations[(i % 4) as usize]);
+                m.absorb_observations(&obs, total, true);
+            }
+            assert!(!no_buffers(&m));
+            assert!(no_buffers(&m.vacant_copy()), "vacant copy, k={k:?}");
+        }
     }
 
     #[test]

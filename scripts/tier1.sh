@@ -60,15 +60,20 @@ JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench service
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench online
 # Legacy-model gate: the flat (no-topology) training path must stay
 # bit-identical across the topology/scenario work. The example prints
-# an FNV-1a digest of a fixed-seed C(p, a) table. It runs twice: with
-# one training worker per available core, and pinned to one CPU, where
+# an FNV-1a digest of a fixed-seed C(p, a) table, whose exact-mode
+# cells have one level each, and a bounded_digest of a capacity-8
+# sketch model trained on the same profile, whose serialized cells
+# carry upper levels and compaction counters. It runs twice: with one
+# training worker per available core, and pinned to one CPU, where
 # training runs a single worker inline. Both must print the same
-# digest, so the training schedule's thread-count independence is
+# digests, so the training schedule's thread-count independence is
 # gated on a machine of any core count.
 for pin in "" "taskset -c $cpu"; do
-  $pin cargo run --release -p jockey-core --example train_digest \
-    | grep -qx 'digest=39c32f08b9cd7eea' \
+  out="$($pin cargo run --release -p jockey-core --example train_digest)"
+  grep -qx 'digest=39c32f08b9cd7eea' <<<"$out" \
     || { echo "tier1: flat-model training digest drifted from 39c32f08b9cd7eea${pin:+ under $pin}" >&2; exit 1; }
+  grep -qx 'bounded_digest=fc165bebcfa7d846' <<<"$out" \
+    || { echo "tier1: bounded-sketch model digest drifted from fc165bebcfa7d846${pin:+ under $pin}" >&2; exit 1; }
 done
 # Multi-job example: the offline arbitrate split plus a live run whose
 # jobs enter a ControlPlane through admission (each prints admitted or

@@ -226,6 +226,13 @@ fn load_bundle(path: &str) -> Result<(KvStore, Arc<JobGraph>, JobProfile), Strin
         .ok_or_else(|| format!("{path} has no valid graph section"))?;
     let profile = JobProfile::from_kv(&section(&kv, "profile"))
         .ok_or_else(|| format!("{path} has no valid profile section"))?;
+    if profile.stages.len() != graph.num_stages() {
+        return Err(format!(
+            "{path} has a profile section for {} stages but a graph of {}",
+            profile.stages.len(),
+            graph.num_stages()
+        ));
+    }
     Ok((kv, Arc::new(graph), profile))
 }
 

@@ -242,6 +242,11 @@ fn assert_bundle_rejected(name: &str, key: &str, value: &str) {
 }
 
 #[test]
+fn bundle_rejects_a_stage_count_mismatch() {
+    assert_bundle_rejected("stage-count", "profile.stages", "1");
+}
+
+#[test]
 fn bundle_rejects_a_nan_runtime() {
     assert_bundle_rejected("nan-runtime", "profile.stage.0.runtimes", "NaN,1");
 }
