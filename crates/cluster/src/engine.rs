@@ -3,7 +3,7 @@
 //! [`EngineCore`] owns the mutable simulation state — jobs, the event
 //! queue, the background model, diagnostics — and the *mechanics* every
 //! policy layer composes: starting task attempts, killing or evicting
-//! running tasks, and rolling back lost outputs. The [`Engine`] drives
+//! running tasks, and rolling back lost outputs. The `Engine` drives
 //! the discrete-event loop and delegates every policy decision to the
 //! layer that owns it:
 //!
@@ -11,8 +11,8 @@
 //!   in which class, who is evicted under pressure);
 //! - `DefaultFailureModel` — task-attempt failures, machine-failure
 //!   arrivals and their blast radius;
-//! - [`SpeculationPolicy`] — clone-on-slow watching (the one swappable
-//!   seam: [`CloneOnSlow`] or [`NoSpeculation`](crate::speculation::NoSpeculation)).
+//! - `speculation::watch` — clone-on-slow straggler scans, scheduled
+//!   only when `ClusterConfig::speculation` is set.
 //!
 //! Implementation notes that matter:
 //!
@@ -47,7 +47,7 @@ use crate::failure::DefaultFailureModel;
 use crate::invariants;
 use crate::job::JobSpec;
 use crate::scheduler::WeightedFair;
-use crate::speculation::{CloneOnSlow, SpeculationPolicy};
+use crate::speculation;
 use crate::topology::{ClusterTopology, LocalityFirst};
 use crate::trace::RunTrace;
 use crate::workspace::{JobBuffers, SimWorkspace};
@@ -269,9 +269,8 @@ pub(crate) enum Event {
         job: usize,
     },
     BackgroundTick,
-    /// Periodic straggler scan (only scheduled when a
-    /// [`SpeculationPolicy`](crate::speculation::SpeculationPolicy)
-    /// declares a watch period).
+    /// Periodic straggler scan (only scheduled when
+    /// [`ClusterConfig::speculation`] is set).
     SpeculationTick,
     MachineFailure,
     RackFailure,
@@ -456,7 +455,7 @@ impl JobRun {
 /// The mutable simulation state plus the mechanics every policy layer
 /// composes.
 ///
-/// The scheduler, failure model and speculation policy receive `&mut
+/// The scheduler, failure model and speculation watcher receive `&mut
 /// EngineCore` and act through the mechanics methods ([`start_task`]
 /// [`evict_spare`], [`kill_running_tasks`], ...) — the engine keeps the
 /// event queue, stale-attempt filtering and accounting consistent so
@@ -996,7 +995,6 @@ pub(crate) struct Engine {
     pub(crate) core: EngineCore,
     pub(crate) scheduler: WeightedFair,
     pub(crate) failure: DefaultFailureModel,
-    pub(crate) speculation: Box<dyn SpeculationPolicy>,
 }
 
 impl Engine {
@@ -1029,11 +1027,6 @@ impl Engine {
             },
             scheduler: WeightedFair,
             failure,
-            // Inert unless `cfg.speculation` is set: with no config the
-            // default policy declares no watch period, so no
-            // SpeculationTick is ever scheduled and the event stream is
-            // bit-identical to the pre-speculation engine.
-            speculation: Box::new(CloneOnSlow),
         }
     }
 
@@ -1071,9 +1064,8 @@ impl Engine {
                 .schedule(SimTime::ZERO + tick, Event::BackgroundTick);
         }
         // The speculation watcher only exists in the event stream when
-        // the policy asks for one (the default asks only when
-        // `cfg.speculation` is set), keeping the legacy stream intact.
-        if let Some(period) = self.speculation.watch_period(&self.core) {
+        // `cfg.speculation` is set, keeping the legacy stream intact.
+        if let Some(period) = speculation::watch_period(&self.core) {
             self.core
                 .queue
                 .schedule(SimTime::ZERO + period, Event::SpeculationTick);
@@ -1507,15 +1499,15 @@ impl Engine {
         }
     }
 
-    /// One straggler scan: the speculation policy inspects running
+    /// One straggler scan: the clone-on-slow watcher inspects running
     /// attempts and may launch clones through
     /// [`EngineCore::start_clone`]; the pass then re-arms while any job
     /// is unfinished. A trailing scheduling pass keeps the post-event
     /// consistency contract every other event upholds.
     fn on_speculation_tick(&mut self, now: SimTime) {
-        self.speculation.watch(&mut self.core, now);
+        speculation::watch(&mut self.core, now);
         if self.core.jobs.iter().any(|j| !j.is_finished()) {
-            if let Some(period) = self.speculation.watch_period(&self.core) {
+            if let Some(period) = speculation::watch_period(&self.core) {
                 self.core
                     .queue
                     .schedule(now + period, Event::SpeculationTick);

@@ -57,7 +57,7 @@ mod invariants;
 pub mod job;
 mod scheduler;
 pub mod sim;
-pub mod speculation;
+mod speculation;
 pub mod topology;
 pub mod trace;
 pub mod workspace;
@@ -70,7 +70,6 @@ pub use controller::{ControlDecision, FixedAllocation, JobController, JobStatus}
 pub use engine::{EngineCore, JobRun, RunningTask, TaskState, TaskTable, TokenClass};
 pub use job::JobSpec;
 pub use sim::{ClusterSim, JobResult, RunHooks};
-pub use speculation::{CloneOnSlow, NoSpeculation, SpeculationPolicy};
 pub use topology::{ClusterTopology, MachineClass, TopologyConfig};
 pub use trace::RunTrace;
 pub use workspace::SimWorkspace;

@@ -161,16 +161,6 @@ impl ClusterSim {
         self.engine.core.record_trace = enabled;
     }
 
-    /// Replaces the speculation policy (default:
-    /// [`CloneOnSlow`](crate::speculation::CloneOnSlow), which is inert
-    /// unless [`ClusterConfig::speculation`] is set).
-    pub fn set_speculation_policy(
-        &mut self,
-        policy: Box<dyn crate::speculation::SpeculationPolicy>,
-    ) {
-        self.engine.speculation = policy;
-    }
-
     /// Adds a job starting at time zero. Returns its index.
     pub fn add_job(&mut self, spec: JobSpec, controller: Box<dyn JobController>) -> usize {
         self.add_job_at(spec, controller, SimTime::ZERO)

@@ -1,25 +1,21 @@
-//! The speculative-execution policy seam: straggler detection and
-//! clone-on-slow mitigation.
+//! Straggler detection and clone-on-slow mitigation.
 //!
 //! Jockey's paper treats stragglers as noise the §4.3 controller reacts
 //! to after the fact. The task-cloning line of work (Xu & Lau's
 //! clone-on-slow with kill-on-first-finish, PCS's argument that the
 //! scheduler should *expose* such knobs) makes speculation a first-class
-//! control dimension instead. This module is the trait seam: the engine
-//! dispatches a periodic [`Event::SpeculationTick`] to whichever
-//! [`SpeculationPolicy`] is installed, and the policy acts through the
+//! control dimension instead. The engine dispatches a periodic
+//! `Event::SpeculationTick` to [`watch`], which acts through the
 //! [`EngineCore`] mechanics — inspect running attempts, launch clones
 //! with [`EngineCore::start_clone`]. Kill-on-first-finish itself lives
-//! in the engine's completion mechanics, so no policy can leak sibling
-//! attempts.
+//! in the engine's completion mechanics, so the watcher cannot leak
+//! sibling attempts.
 //!
-//! The default [`CloneOnSlow`] policy is configuration-driven: with no
+//! Clone-on-slow is configuration-driven: with no
 //! [`SpeculationConfig`](crate::config::SpeculationConfig) in the
-//! [`ClusterConfig`](crate::config::ClusterConfig) it declares no watch
-//! period, no `SpeculationTick` is ever scheduled, and the event stream
+//! [`ClusterConfig`](crate::config::ClusterConfig), [`watch_period`] is
+//! `None`, no `SpeculationTick` is ever scheduled, and the event stream
 //! is bit-identical to the pre-speculation engine.
-//!
-//! [`Event::SpeculationTick`]: crate::engine::Event
 
 use jockey_simrt::observe;
 use jockey_simrt::observe::EntryKind;
@@ -27,44 +23,19 @@ use jockey_simrt::time::{SimDuration, SimTime};
 
 use crate::engine::{attempt_timing, class_multiplier, EngineCore, TokenClass};
 
-/// Decides when running attempts are stragglers and what to do about
-/// them. Installed with
-/// [`ClusterSim::set_speculation_policy`](crate::ClusterSim::set_speculation_policy);
-/// the default is [`CloneOnSlow`].
-pub trait SpeculationPolicy: Send {
-    /// How often the engine should dispatch a watch tick, or `None` to
-    /// keep speculation entirely out of the event stream. Consulted at
-    /// prime time and after every tick, so a policy may stop watching
-    /// mid-run.
-    fn watch_period(&self, core: &EngineCore) -> Option<SimDuration>;
-
-    /// One straggler scan at time `now`. Implementations act through
-    /// the [`EngineCore`] mechanics (typically
-    /// [`EngineCore::start_clone`]); the engine runs a scheduling pass
-    /// after every tick, so a scan must be idempotent when nothing
-    /// changed.
-    fn watch(&mut self, core: &mut EngineCore, now: SimTime);
+/// How often the engine dispatches a watch tick, or `None` to keep
+/// speculation entirely out of the event stream. Consulted at prime
+/// time and after every tick.
+pub(crate) fn watch_period(core: &EngineCore) -> Option<SimDuration> {
+    core.config().speculation.as_ref().map(|sp| sp.watch_period)
 }
 
-/// Speculation disabled regardless of configuration. Useful as the
-/// explicit reference policy in equivalence tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoSpeculation;
-
-impl SpeculationPolicy for NoSpeculation {
-    fn watch_period(&self, _core: &EngineCore) -> Option<SimDuration> {
-        None
-    }
-
-    fn watch(&mut self, _core: &mut EngineCore, _now: SimTime) {}
-}
-
-/// Clone-on-slow with kill-on-first-finish (the default policy).
+/// One clone-on-slow scan at time `now`, with kill-on-first-finish
+/// left to the engine.
 ///
-/// Each watch tick compares every non-clone running attempt against its
-/// *expected occupancy* — the per-stage queue/runtime distribution
-/// means pushed through the engine's shared
-/// [`attempt_timing`](crate::engine::attempt_timing) derivation, so
+/// Compares every non-clone running attempt against its *expected
+/// occupancy* — the per-stage queue/runtime distribution means pushed
+/// through the engine's shared [`attempt_timing`] derivation, so
 /// watcher and engine use one formula. An attempt whose elapsed
 /// occupancy exceeds `slowdown_threshold` times its expectation gets a
 /// clone, provided:
@@ -75,87 +46,80 @@ impl SpeculationPolicy for NoSpeculation {
 ///   spare, or background demand — they only soak up slack).
 ///
 /// The clone runs at full speed ([`TokenClass::Clone`]); whichever
-/// sibling finishes first wins and the engine kills the rest.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CloneOnSlow;
+/// sibling finishes first wins and the engine kills the rest. The
+/// engine runs a scheduling pass after every tick, so a scan is
+/// idempotent when nothing changed.
+pub(crate) fn watch(core: &mut EngineCore, now: SimTime) {
+    let Some(sp) = core.config().speculation.clone() else {
+        return;
+    };
+    let total = core.config().total_tokens;
+    core.background_mut().advance_to(now);
+    let bg_demand = core.background().demand_tokens(now, total);
+    let slowdown = core.background().slowdown(now);
+    let spare_slowdown = core.config().spare_slowdown;
 
-impl SpeculationPolicy for CloneOnSlow {
-    fn watch_period(&self, core: &EngineCore) -> Option<SimDuration> {
-        core.config().speculation.as_ref().map(|sp| sp.watch_period)
+    // Tokens the whole cluster currently holds; clones below only
+    // ever claim genuinely idle capacity.
+    let mut held: u32 = bg_demand;
+    for j in 0..core.num_jobs() {
+        held += core.job(j).running().len() as u32;
     }
 
-    fn watch(&mut self, core: &mut EngineCore, now: SimTime) {
-        let Some(sp) = core.config().speculation.clone() else {
-            return;
-        };
-        let total = core.config().total_tokens;
-        core.background_mut().advance_to(now);
-        let bg_demand = core.background().demand_tokens(now, total);
-        let slowdown = core.background().slowdown(now);
-        let spare_slowdown = core.config().spare_slowdown;
-
-        // Tokens the whole cluster currently holds; clones below only
-        // ever claim genuinely idle capacity.
-        let mut held: u32 = bg_demand;
-        for j in 0..core.num_jobs() {
-            held += core.job(j).running().len() as u32;
+    for j in 0..core.num_jobs() {
+        if !core.job(j).is_active() {
+            continue;
         }
-
-        for j in 0..core.num_jobs() {
-            if !core.job(j).is_active() {
-                continue;
-            }
-            let mut clones_running = core.job(j).running_in_class(TokenClass::Clone);
-            // Collect straggling tasks first: launching a clone mutates
-            // the running list under scan.
-            let mut stragglers = Vec::new();
-            {
-                let job = core.job(j);
-                let spec = job.spec();
-                for r in job.running() {
-                    if r.class == TokenClass::Clone {
-                        continue;
-                    }
-                    // Already racing a sibling? One clone per straggler.
-                    if job
-                        .running()
-                        .iter()
-                        .any(|o| o.task == r.task && o.attempt != r.attempt)
-                    {
-                        continue;
-                    }
-                    let s = r.task.stage.index();
-                    let (Some(run_mean), Some(queue_mean)) =
-                        (spec.stage_runtimes[s].mean(), spec.stage_queues[s].mean())
-                    else {
-                        continue;
-                    };
-                    let class_mult = class_multiplier(r.class, spare_slowdown);
-                    let (eq, er) = attempt_timing(queue_mean, run_mean, slowdown, class_mult, 1.0);
-                    let expected = eq + er;
-                    let elapsed = now.saturating_since(r.started).as_secs_f64();
-                    if expected > 0.0 && elapsed > sp.slowdown_threshold * expected {
-                        stragglers.push(r.task);
-                    }
+        let mut clones_running = core.job(j).running_in_class(TokenClass::Clone);
+        // Collect straggling tasks first: launching a clone mutates
+        // the running list under scan.
+        let mut stragglers = Vec::new();
+        {
+            let job = core.job(j);
+            let spec = job.spec();
+            for r in job.running() {
+                if r.class == TokenClass::Clone {
+                    continue;
+                }
+                // Already racing a sibling? One clone per straggler.
+                if job
+                    .running()
+                    .iter()
+                    .any(|o| o.task == r.task && o.attempt != r.attempt)
+                {
+                    continue;
+                }
+                let s = r.task.stage.index();
+                let (Some(run_mean), Some(queue_mean)) =
+                    (spec.stage_runtimes[s].mean(), spec.stage_queues[s].mean())
+                else {
+                    continue;
+                };
+                let class_mult = class_multiplier(r.class, spare_slowdown);
+                let (eq, er) = attempt_timing(queue_mean, run_mean, slowdown, class_mult, 1.0);
+                let expected = eq + er;
+                let elapsed = now.saturating_since(r.started).as_secs_f64();
+                if expected > 0.0 && elapsed > sp.slowdown_threshold * expected {
+                    stragglers.push(r.task);
                 }
             }
-            for task in stragglers {
-                if clones_running >= sp.clone_budget || held >= total {
-                    break;
-                }
-                if core.start_clone(j, task, now, slowdown) {
-                    clones_running += 1;
-                    held += 1;
-                    observe!(
-                        core.observer,
-                        now,
-                        EntryKind::Decision,
-                        "job {j}: straggler s{}/{} cloned ({clones_running}/{} clone tokens held)",
-                        task.stage.index(),
-                        task.index,
-                        sp.clone_budget
-                    );
-                }
+        }
+        for task in stragglers {
+            if clones_running >= sp.clone_budget || held >= total {
+                break;
+            }
+            if core.start_clone(j, task, now, slowdown) {
+                clones_running += 1;
+                held += 1;
+                observe!(
+                    core.observer,
+                    now,
+                    EntryKind::Decision,
+                    "job {j}: straggler s{}/{} cloned ({clones_running}/{} clone tokens held)",
+                    task.stage.index(),
+                    task.index,
+                    sp.clone_budget
+                );
             }
         }
     }
@@ -163,7 +127,6 @@ impl SpeculationPolicy for CloneOnSlow {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{ClusterConfig, SpeculationConfig};
     use crate::controller::FixedAllocation;
     use crate::job::JobSpec;
@@ -196,18 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn no_speculation_policy_declares_no_watch_period() {
-        let mut sim = ClusterSim::new(ClusterConfig::dedicated(4), 1);
-        sim.set_speculation_policy(Box::new(NoSpeculation));
-        sim.add_job(heavy_tailed_spec(4, 0.0), Box::new(FixedAllocation(4)));
-        let r = sim.run_single();
-        assert!(r.completed_at.is_some());
-        assert_eq!(r.clone_task_count, 0);
-    }
-
-    #[test]
     fn clone_on_slow_is_inert_without_a_config() {
-        // The default policy with no `cfg.speculation` never clones.
+        // With no `cfg.speculation` the watcher never clones.
         let mut sim = ClusterSim::new(ClusterConfig::dedicated(4), 7);
         sim.add_job(heavy_tailed_spec(8, 0.3), Box::new(FixedAllocation(4)));
         let r = sim.run_single();

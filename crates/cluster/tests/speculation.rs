@@ -1,80 +1,13 @@
-//! Integration tests of the speculation subsystem: the
-//! speculation-off path is *event-for-event* identical to the
-//! pre-speculation engine, clone-on-slow strictly improves tail
-//! latency on a heavy-tailed stage at equal total token budget, and
-//! kill-on-first-finish conserves tokens under the per-step invariant
-//! checker.
-
-mod common;
+//! Integration tests of the speculation subsystem: clone-on-slow
+//! strictly improves tail latency on a heavy-tailed stage at equal
+//! total token budget, and kill-on-first-finish conserves tokens under
+//! the per-step invariant checker.
 
 use std::sync::Arc;
 
-use jockey_cluster::{
-    ClusterConfig, ClusterSim, FixedAllocation, JobSpec, NoSpeculation, SpeculationConfig,
-};
+use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec, SpeculationConfig};
 use jockey_jobgraph::graph::JobGraphBuilder;
-use jockey_simrt::dist::{Constant, Dist, LogNormal};
-use proptest::prelude::*;
-
-/// Runs `spec` on `cfg` and returns the full journal dump plus the
-/// scalar outcome. `explicit_off` swaps in the [`NoSpeculation`]
-/// policy; the default arm keeps the stock `CloneOnSlow` (inert
-/// without a `cfg.speculation`).
-fn journal_run(
-    cfg: &ClusterConfig,
-    spec: &JobSpec,
-    alloc: u32,
-    seed: u64,
-    explicit_off: bool,
-) -> (String, (Option<jockey_simrt::time::SimTime>, f64, f64, u64)) {
-    let mut sim = ClusterSim::new(cfg.clone(), seed);
-    if explicit_off {
-        sim.set_speculation_policy(Box::new(NoSpeculation));
-    }
-    let journal = sim.attach_journal(1 << 18);
-    sim.add_job(spec.clone(), Box::new(FixedAllocation(alloc)));
-    let r = sim.run_single();
-    (
-        journal.dump(),
-        (
-            r.completed_at,
-            r.work_done_secs,
-            r.wasted_secs,
-            r.spare_task_count,
-        ),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// With no `SpeculationConfig`, the default engine (stock
-    /// `CloneOnSlow` policy) is event-for-event identical — the whole
-    /// journal, every dispatched event and transition in order — to an
-    /// engine with speculation explicitly replaced by `NoSpeculation`,
-    /// across random DAGs, seeds and noisy configs. This pins the bit-identical contract: an inert
-    /// speculation seam leaves no trace in the event stream.
-    #[test]
-    fn speculation_off_is_event_for_event_identical(
-        graph in common::arb_graph("spec-equiv"),
-        fail_prob in 0.0_f64..0.3,
-        seed in any::<u64>(),
-    ) {
-        let spec = JobSpec::uniform(
-            graph,
-            LogNormal::from_median_p90(3.0, 8.0),
-            Constant(0.2),
-            fail_prob,
-        );
-        let mut cfg = ClusterConfig::production();
-        cfg.total_tokens = 24;
-        cfg.max_guarantee = 8;
-        let (jd, rd) = journal_run(&cfg, &spec, 6, seed, false);
-        let (jn, rn) = journal_run(&cfg, &spec, 6, seed, true);
-        prop_assert_eq!(rd, rn, "results diverged");
-        prop_assert_eq!(jd, jn, "journals diverged");
-    }
-}
+use jockey_simrt::dist::{Constant, Dist};
 
 /// A single heavy-tailed map stage: runtimes are mostly fast with an
 /// occasional straggler drawn from a Pareto tail (alpha 1.5 keeps the

@@ -15,15 +15,7 @@ use jockey_core::cpa::{CpaModel, TrainConfig};
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
 use jockey_simrt::dist::Uniform;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use jockey_simrt::rng::fnv1a;
 
 fn main() {
     let mut b = JobGraphBuilder::new("digest-job");

@@ -27,12 +27,12 @@
 //! ```
 //!
 //! Slack is not a step on this line: it multiplies predictions (the
-//! argmin and the schedule verdicts), never allocations. Every tick is
-//! journalled into a [`ControlTrace`], whose [`ControlTick`] holds the
-//! value after each step, so every grant can be attributed to the step
-//! that moved it.
+//! argmin and the schedule verdicts), never allocations. The latest
+//! tick is kept as a [`ControlTick`] ([`JockeyController::last_tick`])
+//! holding the value after each step, so a caller that reads it after
+//! every tick can attribute each grant to the step that moved it. The
+//! per-run history is the cluster's `RunTrace`.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -134,7 +134,7 @@ impl ControlParams {
 /// One control decision as the controller saw it: the inputs, the
 /// allocation after each conditioning step (`raw → gated → smoothed →
 /// guarantee`), and the dead-zone verdicts that gated the move.
-/// Recorded every tick into a [`ControlTrace`].
+/// The most recent one is [`JockeyController::last_tick`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControlTick {
     /// Elapsed job time `t_r` in seconds.
@@ -162,65 +162,12 @@ pub struct ControlTick {
     pub finished: bool,
 }
 
-/// A bounded journal of [`ControlTick`] records (most recent
-/// `capacity` kept), attached to every [`JockeyController`].
-#[derive(Clone, Debug)]
-pub struct ControlTrace {
-    capacity: usize,
-    ticks: VecDeque<ControlTick>,
-}
-
-impl Default for ControlTrace {
-    fn default() -> Self {
-        ControlTrace::new(4096)
-    }
-}
-
-impl ControlTrace {
-    /// Creates a trace retaining at most `capacity` ticks (clamped to
-    /// at least 1).
-    pub fn new(capacity: usize) -> Self {
-        ControlTrace {
-            capacity: capacity.max(1),
-            ticks: VecDeque::new(),
-        }
-    }
-
-    /// Records one tick, evicting the oldest beyond capacity.
-    pub fn record(&mut self, tick: ControlTick) {
-        if self.ticks.len() == self.capacity {
-            self.ticks.pop_front();
-        }
-        self.ticks.push_back(tick);
-    }
-
-    /// Number of retained ticks.
-    pub fn len(&self) -> usize {
-        self.ticks.len()
-    }
-
-    /// True if no tick has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
-    }
-
-    /// The retained ticks, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &ControlTick> {
-        self.ticks.iter()
-    }
-
-    /// The most recent tick.
-    pub fn last(&self) -> Option<&ControlTick> {
-        self.ticks.back()
-    }
-}
-
 /// Jockey's adaptive controller: a completion model (simulator-trained
 /// `C(p, a)` or Amdahl) driven through the §4.3 control policy.
 ///
 /// The pure [`ArgminPolicy`] picks the raw allocation; the controller
 /// conditions it (dead zone, hysteresis, clamp), wires job status in
-/// and journals decisions out.
+/// and keeps its latest decision as a [`ControlTick`].
 pub struct JockeyController {
     policy: ArgminPolicy,
     indicator: IndicatorContext,
@@ -229,8 +176,8 @@ pub struct JockeyController {
     /// The hysteresis memory `A^s_{t−1}`: `None` before the first
     /// decision and after a deadline change.
     smoothed: Option<f64>,
-    /// Tick-by-tick decision journal.
-    trace: ControlTrace,
+    /// The most recent decision, overwritten every tick.
+    last: Option<ControlTick>,
 }
 
 impl JockeyController {
@@ -253,15 +200,15 @@ impl JockeyController {
             utility,
             params,
             smoothed: None,
-            trace: ControlTrace::default(),
+            last: None,
         }
     }
 
-    /// The tick-by-tick decision journal: inputs, the allocation after
-    /// each conditioning step and the dead-zone verdicts for the most
-    /// recent ticks.
-    pub fn trace(&self) -> &ControlTrace {
-        &self.trace
+    /// The most recent decision: its inputs, the allocation after each
+    /// conditioning step and the dead-zone verdicts. `None` before the
+    /// first tick.
+    pub fn last_tick(&self) -> Option<&ControlTick> {
+        self.last.as_ref()
     }
 
     /// The pure argmin decision core.
@@ -314,7 +261,7 @@ fn gate(in_force: Option<f64>, raw: f64, behind: bool) -> f64 {
 
 /// The hysteresis EWMA `A^s_t = A^s_{t−1} + α (target − A^s_{t−1})`;
 /// the first decision jumps straight to the target.
-fn smooth(in_force: Option<f64>, target: f64, alpha: f64) -> f64 {
+pub(crate) fn smooth(in_force: Option<f64>, target: f64, alpha: f64) -> f64 {
     match in_force {
         None => target,
         Some(cur) => cur + alpha * (target - cur),
@@ -322,7 +269,7 @@ fn smooth(in_force: Option<f64>, target: f64, alpha: f64) -> f64 {
 }
 
 /// The applied guarantee: `⌈A^s⌉`, at least `min_allocation`.
-fn clamp(smoothed: f64, min_allocation: u32) -> u32 {
+pub(crate) fn clamp(smoothed: f64, min_allocation: u32) -> u32 {
     (smoothed.ceil().max(f64::from(min_allocation)) as u32).max(min_allocation)
 }
 
@@ -331,7 +278,7 @@ impl JobController for JockeyController {
         let tr = status.elapsed.as_secs_f64();
         if status.finished {
             let g = self.params.min_allocation;
-            self.trace.record(ControlTick {
+            self.last = Some(ControlTick {
                 elapsed_secs: tr,
                 progress: 1.0,
                 raw: f64::from(g),
@@ -364,7 +311,7 @@ impl JobController for JockeyController {
         let guarantee = clamp(smoothed, self.params.min_allocation);
 
         let predicted = tr + self.policy.model().remaining_secs(fs, p, guarantee);
-        self.trace.record(ControlTick {
+        self.last = Some(ControlTick {
             elapsed_secs: tr,
             progress: p,
             raw: f64::from(raw),
@@ -757,7 +704,7 @@ mod tests {
         // allocation lands inside the dead zone, and a single token now
         // suffices.
         let d = c.tick(&status(0.984, 50.0, g0));
-        let last = *c.trace().last().unwrap();
+        let last = *c.last_tick().unwrap();
         assert!(
             !last.behind && !last.ahead,
             "expected the dead-zone middle: {last:?}"
@@ -774,21 +721,18 @@ mod tests {
             min_allocation: 1,
         };
         let mut c = controller(6_000.0, 60, params);
-        assert!(c.trace().is_empty());
+        assert!(c.last_tick().is_none());
         let d0 = c.tick(&status(0.0, 0.0, 0));
+        let t0 = *c.last_tick().unwrap();
         let d1 = c.tick(&status(0.0, 30.0, 2));
-        assert_eq!(c.trace().len(), 2);
-        let ticks: Vec<ControlTick> = c.trace().iter().copied().collect();
-        assert_eq!(ticks[0].guarantee, d0.guarantee);
-        assert_eq!(Some(ticks[1].raw), d1.raw);
-        assert_eq!(Some(ticks[1].progress), d1.progress);
-        assert_eq!(
-            Some(ticks[1].predicted_completion_secs),
-            d1.predicted_completion
-        );
-        assert!(ticks[1].behind, "30 min in with zero progress is behind");
-        assert!(!ticks[1].finished);
-        assert_eq!(ticks[1].elapsed_secs, 1800.0);
+        let t1 = *c.last_tick().unwrap();
+        assert_eq!(t0.guarantee, d0.guarantee);
+        assert_eq!(Some(t1.raw), d1.raw);
+        assert_eq!(Some(t1.progress), d1.progress);
+        assert_eq!(Some(t1.predicted_completion_secs), d1.predicted_completion);
+        assert!(t1.behind, "30 min in with zero progress is behind");
+        assert!(!t1.finished);
+        assert_eq!(t1.elapsed_secs, 1800.0);
     }
 
     #[test]
@@ -796,7 +740,7 @@ mod tests {
         let mut c = controller(6_000.0, 60, ControlParams::default());
         c.tick(&status(0.0, 0.0, 0));
         c.tick(&status(1.0, 20.0, 5));
-        let last = c.trace().last().unwrap();
+        let last = c.last_tick().unwrap();
         assert!(last.finished);
         assert_eq!(last.guarantee, 1);
         assert_eq!(last.progress, 1.0);
@@ -858,9 +802,9 @@ mod tests {
             UtilityFunction::from_knots(vec![(0.0, 1.0), (10_000.0, 0.0)]),
             params,
         );
-        c.tick(&status(0.0, 0.0, 0));
-        c.tick(&status(0.1, 30.0, 1));
-        for t in c.trace().iter() {
+        for st in [status(0.0, 0.0, 0), status(0.1, 30.0, 1)] {
+            c.tick(&st);
+            let t = c.last_tick().unwrap();
             assert!(t.behind && t.ahead, "no deadline: both gates open: {t:?}");
         }
     }
@@ -912,7 +856,7 @@ mod tests {
         // ...and the grant is that argmin, not the argmin times S: no
         // conditioning step scales an allocation.
         let d = c.tick(&status(0.0, 0.0, 0));
-        let t = *c.trace().last().unwrap();
+        let t = *c.last_tick().unwrap();
         assert_eq!((t.raw, t.gated, t.smoothed), (15.0, 15.0, 15.0));
         assert_eq!(d.guarantee, 15);
     }
@@ -974,29 +918,5 @@ mod tests {
         assert_eq!(clamp(3.2, 2), 4);
         assert_eq!(clamp(5.0, 2), 5);
         assert_eq!(clamp(0.4, 2), 2);
-    }
-
-    #[test]
-    fn trace_capacity_evicts_oldest() {
-        let mut tr = ControlTrace::new(2);
-        let tick = |e: f64| ControlTick {
-            elapsed_secs: e,
-            progress: 0.0,
-            raw: 1.0,
-            gated: 1.0,
-            smoothed: 1.0,
-            behind: false,
-            ahead: false,
-            guarantee: 1,
-            predicted_completion_secs: 0.0,
-            finished: false,
-        };
-        tr.record(tick(1.0));
-        tr.record(tick(2.0));
-        tr.record(tick(3.0));
-        assert_eq!(tr.len(), 2);
-        let kept: Vec<f64> = tr.iter().map(|t| t.elapsed_secs).collect();
-        assert_eq!(kept, vec![2.0, 3.0]);
-        assert_eq!(tr.last().unwrap().elapsed_secs, 3.0);
     }
 }

@@ -19,8 +19,8 @@
 //! # Living models
 //!
 //! Each `(allocation, bin)` cell is a mergeable
-//! [`CellSketch`](crate::sketch::CellSketch), so a completed run folds
-//! into the model with [`CpaModel::absorb`] in `O(cells)` — no
+//! [`CellSketch`], so a completed run folds
+//! into the model with [`CpaModel::absorb_observations`] in `O(cells)` — no
 //! retraining. With the default `sketch_capacity: None` the sketches
 //! are *exact* (plain sorted sample lists) and the model is
 //! byte-identical to the pre-sketch format; a bounded capacity trades
@@ -31,9 +31,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use jockey_cluster::{
-    ClusterConfig, ClusterSim, FixedAllocation, JobSpec, RunHooks, RunTrace, SimWorkspace,
-};
+use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec, RunHooks, SimWorkspace};
 use jockey_jobgraph::graph::JobGraph;
 use jockey_jobgraph::profile::JobProfile;
 use jockey_simrt::observe::ProgressSink;
@@ -70,7 +68,7 @@ pub struct TrainConfig {
     /// byte-identical to the pre-sketch format. `Some(k)` bounds each
     /// sketch level at `k` items, trading memory for the tracked
     /// rank-error bound documented on
-    /// [`CellSketch`](crate::sketch::CellSketch).
+    /// [`CellSketch`].
     pub sketch_capacity: Option<usize>,
     /// Optional physical topology for the training simulations. `None`
     /// (the default) trains against the legacy flat dedicated cluster;
@@ -184,7 +182,7 @@ pub enum InvalidTrainConfig {
     /// `sample_period` must be positive.
     SamplePeriod,
     /// `sketch_capacity` must be at least
-    /// [`MIN_SKETCH_CAPACITY`](crate::sketch::MIN_SKETCH_CAPACITY).
+    /// [`MIN_SKETCH_CAPACITY`].
     SketchCapacity(usize),
 }
 
@@ -370,7 +368,7 @@ pub struct CpaModel {
 
 impl CpaModel {
     /// An empty (sample-free) model with `cfg`'s shape: the starting
-    /// point for purely online accumulation via [`CpaModel::absorb`].
+    /// point for purely online accumulation via [`CpaModel::absorb_observations`].
     /// Every query on it answers `INFINITY` until samples arrive.
     ///
     /// # Panics
@@ -560,34 +558,6 @@ impl CpaModel {
         }
         self.rebuild_rows(&touched);
         added
-    }
-
-    /// Folds one recorded run trace into the model (see
-    /// [`CpaModel::absorb_observations`]). Elapsed times are measured
-    /// from the trace's first guarantee point (the admission tick);
-    /// the allocation paired with each progress point is the applied
-    /// guarantee at that instant. Returns the number of samples added
-    /// (0 for traces with no progress points).
-    pub fn absorb(&mut self, trace: &RunTrace, total_secs: f64, completed: bool) -> usize {
-        let start = trace
-            .guarantee
-            .points()
-            .first()
-            .map_or(SimTime::ZERO, |&(at, _)| at);
-        let obs: Vec<RunObservation> = trace
-            .progress
-            .points()
-            .iter()
-            .filter_map(|&(at, p)| {
-                let tokens = trace.guarantee.value_at(at)?;
-                Some(RunObservation {
-                    elapsed_secs: at.saturating_since(start).as_secs_f64(),
-                    progress: p,
-                    allocation: tokens as u32,
-                })
-            })
-            .collect();
-        self.absorb_observations(&obs, total_secs, completed)
     }
 
     /// Precomputes the dense query table from the raw cells: one
@@ -1766,30 +1736,6 @@ mod absorb_tests {
         m.absorb_observations(&obs, 100.0, false);
         assert!(m.fresh_latency(4).is_finite(), "sample landed at grid 4");
         assert_eq!(m.fresh_latency(2), f64::INFINITY);
-    }
-
-    /// `absorb(&RunTrace)` pairs each progress point with the applied
-    /// guarantee at that instant and measures elapsed time from the
-    /// first guarantee point.
-    #[test]
-    fn absorb_run_trace_feeds_observations() {
-        let c = cfg(None);
-        let mut m = CpaModel::empty(&c);
-        let mut trace = RunTrace::new();
-        let t0 = SimTime::from_mins(5);
-        trace.guarantee.push(t0, 4.0);
-        for i in 0..10_u32 {
-            let at = t0 + SimDuration::from_secs(u64::from(i) * 30);
-            trace.progress.push(at, f64::from(i) / 10.0);
-        }
-        let added = m.absorb(&trace, 300.0, true);
-        assert_eq!(added, 11, "10 samples + completion marker");
-        assert!(m.fresh_latency(4).is_finite());
-        // First observation: elapsed 0, remaining = full latency.
-        assert!((m.remaining_percentile(0.0, 4, 100.0) - 300.0).abs() < 1e-9);
-
-        // An empty trace absorbs nothing.
-        assert_eq!(m.absorb(&RunTrace::new(), 100.0, false), 0);
     }
 
     /// Bounded sketches cap the stored footprint while the represented

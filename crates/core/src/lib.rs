@@ -70,9 +70,7 @@ pub mod utility;
 
 pub use admission::{AdmissionController, AdmissionError, Reservation};
 pub use alloc::{ArgminPolicy, SpeculationLevel, SpeculativeDecision};
-pub use control::{
-    ControlParams, ControlTick, ControlTrace, InvalidControlParams, JockeyController,
-};
+pub use control::{ControlParams, ControlTick, InvalidControlParams, JockeyController};
 pub use cpa::{CpaModel, InvalidTrainConfig, ModelLoadError, RunObservation, TrainConfig};
 pub use fallback::FallbackGuard;
 pub use online::{

@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use jockey_jobgraph::graph::{EdgeKind, JobGraph};
+use jockey_simrt::rng::fnv1a;
 use jockey_simrt::time::SimDuration;
 
 use crate::cpa::{CpaModel, RunObservation};
@@ -569,16 +570,6 @@ fn fill_from_floor(
             *v = floor.remaining_secs(fs, progress, a);
         }
     }
-}
-
-/// FNV-1a over a canonical description of the plan structure.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Hashes the *structure* of a plan graph: stage count, edge shape

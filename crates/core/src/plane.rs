@@ -67,6 +67,7 @@ use jockey_simrt::time::SimDuration;
 
 use crate::admission::{AdmissionController, AdmissionError};
 use crate::arbiter::{arbitrate, ArbiterJob};
+use crate::control::{clamp, smooth};
 use crate::online::ModelLifecycleStats;
 use crate::predict::CompletionModel;
 use crate::progress::IndicatorContext;
@@ -792,13 +793,10 @@ impl JobController for JobHandle {
                 predicted_completion: None,
             };
         }
-        let next = match self.smoothed {
-            None => f64::from(raw),
-            Some(cur) => cur + PLANE_HYSTERESIS * (f64::from(raw) - cur),
-        };
+        let next = smooth(self.smoothed, f64::from(raw), PLANE_HYSTERESIS);
         self.smoothed = Some(next);
         ControlDecision {
-            guarantee: (next.ceil() as u32).max(1),
+            guarantee: clamp(next, 1),
             raw: Some(f64::from(raw)),
             progress: Some(p),
             predicted_completion: None,

@@ -22,7 +22,7 @@
 //! is a *tracked, worst-case* bound on the rank error of any quantile
 //! answer, in units of original samples. Queries interpolate on the
 //! expanded weighted multiset exactly as
-//! [`percentile_sorted`](jockey_simrt::stats::percentile_sorted) does
+//! [`percentile_sorted`] does
 //! on a raw sorted slice, so a sketch that has never compacted —
 //! including every sketch in *exact* mode (`capacity == None`, level 0
 //! unbounded) — answers **bit-identically** to the raw sample list.

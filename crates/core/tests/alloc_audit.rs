@@ -1,4 +1,5 @@
-//! Counting-allocator audit of the training hot path.
+//! Counting-allocator audits of the training hot path and the control
+//! tick.
 //!
 //! The `C(p, a)` training loop runs the same job thousands of times;
 //! every per-run heap allocation multiplies accordingly. The workspace
@@ -9,14 +10,26 @@
 //! budget with a counting `#[global_allocator]`: it fails if a change
 //! reintroduces per-event or per-task allocations into the loop.
 //!
+//! The §4.3 controller ticks once per control period of every
+//! controlled run; a tick must not allocate at all.
+//!
 //! Integration tests are separate binaries, so the global allocator
-//! here affects no other test.
+//! here affects no other test. The count is per thread, so the audits
+//! in this binary may run in parallel without seeing each other's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec, RunHooks, SimWorkspace};
+use jockey_cluster::{
+    ClusterConfig, ClusterSim, FixedAllocation, JobController, JobSpec, JobStatus, RunHooks,
+    SimWorkspace,
+};
+use jockey_core::control::{ControlParams, JockeyController};
+use jockey_core::cpa::{CpaModel, TrainConfig};
+use jockey_core::progress::{IndicatorContext, ProgressIndicator};
+use jockey_core::utility::UtilityFunction;
 use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
 use jockey_simrt::dist::Uniform;
 use jockey_simrt::observe::ProgressSink;
@@ -24,11 +37,23 @@ use jockey_simrt::time::{SimDuration, SimTime};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so reading it never
+    // allocates (which would recurse into the allocator).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its caller's pointer and layout
+// contract unchanged to the system allocator; counting touches only a
+// thread-local integer and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -37,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,8 +70,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations (and reallocations) made so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A sink that only counts samples — mirrors training's borrowed
@@ -135,5 +161,73 @@ fn training_loop_allocations_are_pooled_and_constant_per_run() {
     assert!(
         spread <= 8,
         "per-run allocations drift between batches: {per_run_a} vs {per_run_b}"
+    );
+}
+
+/// A controller over a trained `C(p, a)` table for a two-stage job.
+fn controller() -> JockeyController {
+    let spec = training_spec();
+    let graph = spec.graph.clone();
+    let mut sim = ClusterSim::new(ClusterConfig::dedicated(12), 3);
+    sim.add_job_shared(spec, Box::new(FixedAllocation(12)));
+    let profile = sim.run_single().profile;
+    let ctx = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
+    let model = CpaModel::train(
+        &graph,
+        &profile,
+        &ctx,
+        &TrainConfig::fast(vec![1, 2, 4, 8, 12]),
+        7,
+    );
+    JockeyController::new(
+        Arc::new(model),
+        ctx,
+        UtilityFunction::deadline(SimDuration::from_mins(30)),
+        ControlParams::default(),
+    )
+}
+
+#[test]
+fn controller_ticks_allocate_nothing() {
+    let mut c = controller();
+    let stages = training_spec().graph.num_stages();
+    let mut status = JobStatus {
+        now: SimTime::ZERO,
+        elapsed: SimDuration::ZERO,
+        stage_fraction: vec![0.0; stages],
+        stage_completed: vec![0; stages],
+        running: 0,
+        running_guaranteed: 0,
+        guarantee: 0,
+        work_done: 0.0,
+        finished: false,
+    };
+    let first = c.initial(&status);
+    status.guarantee = first.guarantee;
+
+    // Past the 4096 ticks any bounded journal would hold, with progress
+    // sweeping every stage, deadline pressure rising and the guarantee
+    // fed back, so the argmin, the dead-zone gate and the hysteresis
+    // memory all move.
+    const TICKS: u32 = 5_000;
+    let before = allocations();
+    for i in 1..=TICKS {
+        let frac = f64::from(i % 1_000) / 1_000.0;
+        for (s, f) in status.stage_fraction.iter_mut().enumerate() {
+            *f = (frac * stages as f64 - s as f64).clamp(0.0, 1.0);
+        }
+        status.elapsed = SimDuration::from_secs(u64::from(i % 2_400));
+        status.now = SimTime::ZERO + status.elapsed;
+        status.finished = i == TICKS;
+        let d = c.tick(&status);
+        status.guarantee = d.guarantee;
+        status.running = d.guarantee;
+        status.running_guaranteed = d.guarantee;
+    }
+    let allocated = allocations() - before;
+    assert!(c.last_tick().is_some_and(|t| t.finished));
+    assert_eq!(
+        allocated, 0,
+        "{TICKS} controller ticks allocated {allocated} times"
     );
 }

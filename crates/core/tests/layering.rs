@@ -15,7 +15,7 @@ use std::sync::Arc;
 use jockey_cluster::{
     ClusterConfig, ClusterSim, ControlDecision, FixedAllocation, JobController, JobSpec, JobStatus,
 };
-use jockey_core::control::{ControlParams, ControlTrace, JockeyController};
+use jockey_core::control::{ControlParams, ControlTick, JockeyController};
 use jockey_core::cpa::{CpaModel, TrainConfig};
 use jockey_core::fallback::FallbackGuard;
 use jockey_core::predict::CompletionModel;
@@ -342,9 +342,53 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     })
 }
 
+/// Drives a controller and records its inner [`JockeyController`]'s
+/// `last_tick()` after every `initial` and `tick` call (each wrapper
+/// calls the inner controller exactly once per call).
+struct Journaled<C> {
+    ctl: C,
+    inner: fn(&C) -> &JockeyController,
+    ticks: Vec<ControlTick>,
+}
+
+impl<C: JobController> Journaled<C> {
+    fn new(ctl: C, inner: fn(&C) -> &JockeyController) -> Self {
+        Journaled {
+            ctl,
+            inner,
+            ticks: Vec::new(),
+        }
+    }
+
+    fn record(&mut self, d: ControlDecision) -> ControlDecision {
+        let tick = (self.inner)(&self.ctl)
+            .last_tick()
+            .expect("inner controller ticked");
+        self.ticks.push(*tick);
+        d
+    }
+}
+
+impl<C: JobController> JobController for Journaled<C> {
+    fn tick(&mut self, status: &JobStatus) -> ControlDecision {
+        let d = self.ctl.tick(status);
+        self.record(d)
+    }
+
+    fn initial(&mut self, status: &JobStatus) -> ControlDecision {
+        let d = self.ctl.initial(status);
+        self.record(d)
+    }
+}
+
+/// The plain controller is its own inner controller.
+fn plain_inner(c: &JockeyController) -> &JockeyController {
+    c
+}
+
 /// One word per field of every decision, then `raw`, `smoothed` and
-/// `guarantee` of every journalled tick (`None` digests as all ones).
-fn stream_digest(decisions: &[ControlDecision], trace: &ControlTrace) -> u64 {
+/// `guarantee` of every recorded tick (`None` digests as all ones).
+fn stream_digest(decisions: &[ControlDecision], ticks: &[ControlTick]) -> u64 {
     let opt = |x: Option<f64>| x.map_or(u64::MAX, f64::to_bits);
     let words = decisions.iter().flat_map(|d| {
         [
@@ -354,7 +398,7 @@ fn stream_digest(decisions: &[ControlDecision], trace: &ControlTrace) -> u64 {
             opt(d.predicted_completion),
         ]
     });
-    let ticks = trace.iter().flat_map(|t| {
+    let ticks = ticks.iter().flat_map(|t| {
         [
             t.raw.to_bits(),
             t.smoothed.to_bits(),
@@ -424,35 +468,41 @@ fn drive_fig6<C: JobController>(c: &mut C) -> Vec<ControlDecision> {
 #[test]
 fn decision_streams_are_pinned() {
     let (model, ctx) = fig6_trained();
-    let mut plain = jockey(model as Arc<dyn CompletionModel>, &ctx);
+    let mut plain = Journaled::new(jockey(model as Arc<dyn CompletionModel>, &ctx), plain_inner);
     let decisions = drive_fig6(&mut plain);
     // The run exercised the slowdown: a behind-schedule stretch after
     // the map stage finished.
     assert!(plain
-        .trace()
+        .ticks
         .iter()
         .any(|t| t.behind && t.elapsed_secs > 12.0 * 60.0));
-    let fig6 = stream_digest(&decisions, plain.trace());
+    let fig6 = stream_digest(&decisions, &plain.ticks);
 
     let (model, ctx) = trained();
-    let mut guard = FallbackGuard::new(
-        jockey(model.clone() as Arc<dyn CompletionModel>, &ctx),
-        11,
-        0.5,
-        3,
+    let mut guard = Journaled::new(
+        FallbackGuard::new(
+            jockey(model.clone() as Arc<dyn CompletionModel>, &ctx),
+            11,
+            0.5,
+            3,
+        ),
+        FallbackGuard::inner,
     );
     let decisions = drive(&mut guard);
-    assert!(guard.fallen_back());
-    let fallback = stream_digest(&decisions, guard.inner().trace());
+    assert!(guard.ctl.fallen_back());
+    let fallback = stream_digest(&decisions, &guard.ticks);
 
-    let mut recal = recalibrated(
-        model,
-        ctx,
-        UtilityFunction::deadline(SimDuration::from_mins(45)),
-        ControlParams::default(),
+    let mut recal = Journaled::new(
+        recalibrated(
+            model,
+            ctx,
+            UtilityFunction::deadline(SimDuration::from_mins(45)),
+            ControlParams::default(),
+        ),
+        RecalibratingController::inner,
     );
     let decisions = drive(&mut recal);
-    let recalibrating = stream_digest(&decisions, recal.inner().trace());
+    let recalibrating = stream_digest(&decisions, &recal.ticks);
 
     assert_eq!(
         [fig6, fallback, recalibrating],

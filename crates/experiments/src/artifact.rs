@@ -2,7 +2,7 @@
 //! evaluation pipeline.
 //!
 //! A handful of artifacts feed many experiments — the §5.2 policy
-//! [`sweep`](crate::figures::sweep) backs Figs. 4 and 5, the Fig. 6
+//! [`sweep`] backs Figs. 4 and 5, the Fig. 6
 //! scenario traces back four tables, and every experiment leans on the
 //! trained `C(p, a)` models inside the [`Env`]. The store memoizes each
 //! of them once per process, so a pipeline run never recomputes a
@@ -26,6 +26,10 @@ use jockey_core::cpa::{CpaModel, TrainConfig};
 use jockey_jobgraph::graph::JobGraph;
 use jockey_jobgraph::profile::JobProfile;
 use jockey_simrt::table::KvStore;
+
+/// The workspace's content hash, used here for artifact cache keys and
+/// emitted-output digests.
+pub use jockey_simrt::rng::fnv1a;
 
 use crate::env::{Env, Scale};
 use crate::figures::fig6::Scenario;
@@ -160,18 +164,6 @@ impl ArtifactStore {
     }
 }
 
-/// FNV-1a over `bytes` — the workspace's standing content-hash
-/// (identical to the `train_digest` example's), used for artifact
-/// cache keys and emitted-output digests.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The expensive trained parts of one job's
 /// [`JockeySetup`](jockey_core::policy::JockeySetup), as cached on
 /// disk: everything else (graph, profile, indicator, budget) is
@@ -290,14 +282,6 @@ pub fn store_trained(dir: &Path, key: u64, parts: &TrainedParts) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn artifact_ids_have_unique_names() {

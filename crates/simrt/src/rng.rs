@@ -22,8 +22,10 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a byte string, used to fold stream labels into seeds.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a hash of a byte string — the workspace's one content hash:
+/// it folds stream labels into seeds here, and keys plan structures,
+/// artifact caches and emitted-output digests elsewhere.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -105,6 +107,14 @@ impl SeedDeriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
     use rand::Rng;
 
     #[test]

@@ -7,6 +7,9 @@ cargo build --workspace --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
+# Rustdoc gate: a doc link to a renamed, deleted or private item fails
+# here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # The benchmark package (its own workspace under perfbench/) calls the
 # library's public API; its tests fail here, not at benchmark time, if
 # a change removes or renames something it uses.
