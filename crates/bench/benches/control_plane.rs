@@ -18,7 +18,10 @@
 //! progress bins, the closed-form model as its floor), so each refresh
 //! pins the store once and reads every job's `C(p, ·)` curve from that
 //! one pinned view. Its jobs sit at progress spread over the bins.
-//! DESIGN §12 records this row.
+//! `plane_family_on_track` is the same fleet with looser deadlines:
+//! seven jobs in eight meet theirs at one token, so the split asks
+//! their models for that one allocation and skips them, the common
+//! case in the service's fleet. DESIGN §12 records both rows.
 
 // Criterion macros expand to undocumented items.
 #![allow(missing_docs)]
@@ -113,15 +116,27 @@ fn deadline_mins(i: usize) -> u64 {
     30 + 5 * (i as u64 % 12)
 }
 
+/// A deadline with room to spare: the family's 3600 s of work at one
+/// token, five minutes in, still finishes inside it. Every eighth job
+/// keeps its tight [`deadline_mins`].
+fn on_track_deadline_mins(i: usize) -> u64 {
+    if i.is_multiple_of(8) {
+        deadline_mins(i)
+    } else {
+        deadline_mins(i) + 40
+    }
+}
+
 /// Exactly the fleet's summed admission reservations under `model`, so
 /// every job is admitted. The `plane` rows' ticks report jobs behind
 /// schedule, whose summed demand exceeds their reservations, so
 /// arbitration always runs its grant loop to exhaustion.
-fn budget_for(model: &dyn CompletionModel, jobs: usize) -> u32 {
-    (0..jobs)
-        .map(|i| {
+fn budget_for(model: &dyn CompletionModel, deadlines: &[u64]) -> u32 {
+    deadlines
+        .iter()
+        .map(|&mins| {
             model
-                .size_for_deadline(&[0.0], SimDuration::from_mins(deadline_mins(i)), 1.0)
+                .size_for_deadline(&[0.0], SimDuration::from_mins(mins), 1.0)
                 .expect("feasible deadline")
         })
         .sum()
@@ -143,15 +158,18 @@ fn bench_control_plane(c: &mut Criterion) {
         // Five minutes in with no progress: every job is behind.
         let st = status(5, 0.0, 4);
         // Sharded plane: per-job slots, amortized snapshot refresh.
-        let plane = ControlPlane::new(budget_for(&Toy::new(36_000.0), n));
-        let mut plane_handles: Vec<_> = (0..n)
-            .map(|i| {
+        let deadlines: Vec<u64> = (0..n).map(deadline_mins).collect();
+        let plane = ControlPlane::new(budget_for(&Toy::new(36_000.0), &deadlines));
+        let mut plane_handles: Vec<_> = deadlines
+            .iter()
+            .enumerate()
+            .map(|(i, &mins)| {
                 plane
                     .try_add_job(
                         &format!("job-{i}"),
                         Arc::new(Toy::new(36_000.0)),
                         toy_indicator(),
-                        SimDuration::from_mins(deadline_mins(i)),
+                        SimDuration::from_mins(mins),
                         1.0,
                     )
                     .expect("budget holds every reservation")
@@ -169,24 +187,34 @@ fn bench_control_plane(c: &mut Criterion) {
     // Service-family plane: one shared handle, job i at progress
     // (i mod 16) / 16, so the jobs spread evenly over the 16 bins.
     let family_fleets: &[usize] = if smoke { &[16] } else { &[16, 256] };
-    for &n in family_fleets {
+    let kinds = [
+        ("plane_family", deadline_mins as fn(usize) -> u64),
+        ("plane_family_on_track", on_track_deadline_mins),
+    ];
+    for (row, deadline, &n) in kinds
+        .into_iter()
+        .flat_map(|(row, deadline)| family_fleets.iter().map(move |n| (row, deadline, n)))
+    {
         let model = family_handle();
-        let plane = ControlPlane::new(budget_for(model.as_ref(), n));
-        let mut handles: Vec<_> = (0..n)
-            .map(|i| {
+        let deadlines: Vec<u64> = (0..n).map(deadline).collect();
+        let plane = ControlPlane::new(budget_for(model.as_ref(), &deadlines));
+        let mut handles: Vec<_> = deadlines
+            .iter()
+            .enumerate()
+            .map(|(i, &mins)| {
                 let h = plane
                     .try_add_job(
                         &format!("job-{i}"),
                         model.clone(),
                         toy_indicator(),
-                        SimDuration::from_mins(deadline_mins(i)),
+                        SimDuration::from_mins(mins),
                         1.0,
                     )
                     .expect("budget holds every reservation");
                 (h, status(5, (i % 16) as f64 / 16.0, 4))
             })
             .collect();
-        group.bench_function(BenchmarkId::new("plane_family", n), |b| {
+        group.bench_function(BenchmarkId::new(row, n), |b| {
             b.iter(|| {
                 for (h, st) in &mut handles {
                     std::hint::black_box(h.tick(st));

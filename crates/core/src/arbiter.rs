@@ -11,16 +11,15 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::predict::CompletionModel;
 use crate::utility::UtilityFunction;
 
-/// One job's state as seen by the arbiter.
+/// One job's state as seen by the arbiter. The job's completion model
+/// is passed beside it (see [`arbitrate`]), so a caller lends its
+/// models for one split instead of storing them with the job.
 #[derive(Clone)]
 pub struct ArbiterJob {
-    /// Completion model (typically a trained [`crate::cpa::CpaModel`]).
-    pub model: Arc<dyn CompletionModel>,
     /// The job's utility function.
     pub utility: UtilityFunction,
     /// Current progress (from the job's indicator).
@@ -33,7 +32,17 @@ pub struct ArbiterJob {
     pub slack: f64,
 }
 
-/// Greedily splits `budget` tokens across `jobs` by marginal utility.
+impl ArbiterJob {
+    /// The job's utility if it finishes `remaining_secs` from now.
+    fn utility_after(&self, remaining_secs: f64) -> f64 {
+        self.utility
+            .eval(self.elapsed_secs + self.slack * remaining_secs)
+    }
+}
+
+/// Greedily splits `budget` tokens across `jobs` by marginal utility,
+/// predicting job `i`'s completion with `models[i]` (typically a
+/// trained [`crate::cpa::CpaModel`]).
 ///
 /// Every job receives at least one token — the **1-token floor**: a
 /// running job stripped to zero guaranteed tokens would be evicted
@@ -62,24 +71,36 @@ pub struct ArbiterJob {
 /// improvement — exactly the shape a drifted `C(p, a)` produces, where
 /// it starves jobs below the allocation admission reserved for them.
 ///
-/// Each job's utility is evaluated once per call, at every allocation
-/// its scans can reach — from the floor up to its cap or one past the
-/// spare pool, whichever is lower — with one
+/// Each job's utility is first evaluated at its floor alone. A job
+/// already **on track** there — its floor utility equals
+/// [`UtilityFunction::ceiling`], the most its utility can ever return —
+/// cannot gain from any grant: every gain is at most zero or not
+/// finite, so its candidates' rates are at most 0. The grant loop ends
+/// at the first pop whose rate is at most `1e-12`; such a candidate
+/// could only end it, and the next pop, of no higher rate, ends it
+/// just the same. So the job keeps its floor without further model
+/// queries or a grant candidate, and the split is exactly the one
+/// scanning it would give. Every other job is evaluated once more, at
+/// every allocation its scans can reach — from 2 up to its cap or one
+/// past the spare pool, whichever is lower — with one
 /// [`CompletionModel::remaining_curve`] call; every scan reads that
 /// memo. A job's candidate jump changes only when *it* is granted
 /// tokens, so the grant loop keeps one candidate per job in a max-heap
-/// and re-inserts only the winner's next jump: O(jobs × reach) curve
-/// work plus O(budget × (log jobs + reach)) for the grants, where
-/// reach is the smaller of the model's allocation cap and the pool —
-/// far below the naive O(budget × jobs × cap) full rescan at a 10k-job
-/// fleet. Ties are broken by the lowest job index, then the smallest
-/// jump, matching the single-token rescan on concave inputs.
+/// and re-inserts only the winner's next jump: O(jobs) floor queries,
+/// O(behind × reach) curve work for the jobs not on track, plus
+/// O(budget × (log jobs + reach)) for the grants, where reach is the
+/// smaller of the model's allocation cap and the pool — far below the
+/// naive O(budget × jobs × cap) full rescan at a 10k-job fleet. Ties
+/// are broken by the lowest job index, then the smallest jump,
+/// matching the single-token rescan on concave inputs.
 ///
 /// # Panics
 ///
-/// Panics if `budget < jobs.len()` (cannot give everyone a token) and
-/// `jobs` is non-empty.
-pub fn arbitrate(jobs: &[ArbiterJob], budget: u32) -> Vec<u32> {
+/// Panics if `models` and `jobs` differ in length, or if
+/// `budget < jobs.len()` (cannot give everyone a token) and `jobs` is
+/// non-empty.
+pub fn arbitrate(jobs: &[ArbiterJob], models: &[&dyn CompletionModel], budget: u32) -> Vec<u32> {
+    assert_eq!(models.len(), jobs.len(), "one model per job");
     if jobs.is_empty() {
         return Vec::new();
     }
@@ -97,21 +118,37 @@ pub fn arbitrate(jobs: &[ArbiterJob], budget: u32) -> Vec<u32> {
     // `utility[offsets[i]..offsets[i + 1]]` holds job `i`'s utility at
     // allocations 1, 2, …: all a job can ever be granted (the pool, on
     // top of its floor, within its cap). The first scan from the floor
-    // reads every entry, so the whole curve is filled up front.
+    // reads every entry, so the whole curve is filled up front. A job
+    // that can gain nothing — on track at its floor, or capped at one
+    // token — gets an empty curve, so it never enters the grant heap.
+    // `offsets[i + 1]` first holds job `i`'s reach, which sizes the
+    // buffer once, then the end of its curve.
     let mut offsets = Vec::with_capacity(jobs.len() + 1);
     offsets.push(0);
-    for job in jobs {
-        let reach = job.model.max_allocation().min(remaining + 1);
-        offsets.push(offsets[offsets.len() - 1] + reach as usize);
-    }
-    let mut utility = vec![0.0; offsets[jobs.len()]];
-    for (i, job) in jobs.iter().enumerate() {
-        let curve = &mut utility[offsets[i]..offsets[i + 1]];
-        job.model
-            .remaining_curve(&job.stage_fraction, job.progress, 1, curve);
-        for v in curve.iter_mut() {
-            *v = job.utility.eval(job.elapsed_secs + job.slack * *v);
+    offsets.extend(
+        models
+            .iter()
+            .map(|model| model.max_allocation().min(remaining + 1) as usize),
+    );
+    let mut utility: Vec<f64> = Vec::with_capacity(offsets.iter().sum());
+    for (i, (job, model)) in jobs.iter().zip(models).enumerate() {
+        let reach = offsets[i + 1];
+        if reach > 1 {
+            let mut floor = [0.0];
+            model.remaining_curve(&job.stage_fraction, job.progress, 1, &mut floor);
+            let at_floor = job.utility_after(floor[0]);
+            if job.utility.ceiling() != Some(at_floor) {
+                let start = utility.len();
+                utility.push(at_floor);
+                utility.resize(start + reach, 0.0);
+                let ahead = &mut utility[start + 1..];
+                model.remaining_curve(&job.stage_fraction, job.progress, 2, ahead);
+                for v in ahead.iter_mut() {
+                    *v = job.utility_after(*v);
+                }
+            }
         }
+        offsets[i + 1] = utility.len();
     }
     let curve = |i: usize| &utility[offsets[i]..offsets[i + 1]];
 
@@ -201,6 +238,8 @@ impl Ord for OrderedGain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
     use jockey_simrt::time::SimDuration;
 
     /// remaining = work * (1 - progress) / a.
@@ -217,10 +256,19 @@ mod tests {
         }
     }
 
-    fn job(work: f64, deadline_mins: u64, progress: f64, elapsed_secs: f64) -> ArbiterJob {
+    /// Jobs with the models that predict them, as `arbitrate` takes
+    /// them apart.
+    type Fleet = [(ArbiterJob, Box<dyn CompletionModel>)];
+
+    fn split(fleet: &Fleet, budget: u32) -> Vec<u32> {
+        let jobs: Vec<ArbiterJob> = fleet.iter().map(|(job, _)| job.clone()).collect();
+        let models: Vec<&dyn CompletionModel> = fleet.iter().map(|(_, m)| m.as_ref()).collect();
+        arbitrate(&jobs, &models, budget)
+    }
+
+    fn state(utility: UtilityFunction, progress: f64, elapsed_secs: f64) -> ArbiterJob {
         ArbiterJob {
-            model: Arc::new(Toy { work }),
-            utility: UtilityFunction::deadline(SimDuration::from_mins(deadline_mins)),
+            utility,
             progress,
             stage_fraction: vec![],
             elapsed_secs,
@@ -228,11 +276,24 @@ mod tests {
         }
     }
 
+    fn job(
+        work: f64,
+        deadline_mins: u64,
+        progress: f64,
+        elapsed_secs: f64,
+    ) -> (ArbiterJob, Box<dyn CompletionModel>) {
+        let utility = UtilityFunction::deadline(SimDuration::from_mins(deadline_mins));
+        (
+            state(utility, progress, elapsed_secs),
+            Box::new(Toy { work }),
+        )
+    }
+
     #[test]
     fn tight_deadline_wins_tokens() {
         // Same work; one job has half the time left.
         let jobs = [job(36_000.0, 60, 0.0, 0.0), job(36_000.0, 120, 0.0, 0.0)];
-        let alloc = arbitrate(&jobs, 20);
+        let alloc = split(&jobs, 20);
         assert!(alloc.iter().sum::<u32>() <= 20);
         assert!(alloc[0] > alloc[1], "{alloc:?}");
         // The tight job needs 10 tokens (36000/3600) to be on time.
@@ -243,7 +304,7 @@ mod tests {
     fn stops_when_no_marginal_gain() {
         // Tiny jobs: one token each already maximizes utility.
         let jobs = [job(60.0, 60, 0.0, 0.0), job(60.0, 60, 0.0, 0.0)];
-        let alloc = arbitrate(&jobs, 50);
+        let alloc = split(&jobs, 50);
         assert_eq!(alloc, vec![1, 1]);
     }
 
@@ -254,20 +315,27 @@ mod tests {
             job(100_000.0, 30, 0.0, 0.0),
             job(100_000.0, 30, 0.0, 0.0),
         ];
-        let alloc = arbitrate(&jobs, 10);
+        let alloc = split(&jobs, 10);
         assert_eq!(alloc.iter().sum::<u32>(), 10);
     }
 
     #[test]
     fn progressed_jobs_release_demand() {
         let jobs = [job(36_000.0, 60, 0.9, 600.0), job(36_000.0, 60, 0.0, 600.0)];
-        let alloc = arbitrate(&jobs, 20);
+        let alloc = split(&jobs, 20);
         assert!(alloc[1] > alloc[0], "{alloc:?}");
     }
 
     #[test]
     fn empty_input_is_empty_output() {
-        assert!(arbitrate(&[], 10).is_empty());
+        assert!(arbitrate(&[], &[], 10).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "one model per job")]
+    fn a_missing_model_panics() {
+        let (state, _) = job(1.0, 60, 0.0, 0.0);
+        arbitrate(&[state], &[], 10);
     }
 
     /// remaining = table[a - 1]: arbitrary per-allocation curves, the
@@ -285,6 +353,13 @@ mod tests {
         }
     }
 
+    fn table_job(
+        remaining: Vec<f64>,
+        utility: UtilityFunction,
+    ) -> (ArbiterJob, Box<dyn CompletionModel>) {
+        (state(utility, 0.0, 0.0), Box::new(Table { remaining }))
+    }
+
     #[test]
     fn jump_grants_escape_a_non_concave_valley() {
         // A drifted learned model blended with an optimistic floor: the
@@ -293,17 +368,11 @@ mod tests {
         // — but three tokens meet the deadline outright. The jump grant
         // must climb out of the valley instead of stranding the job at
         // its 1-token floor.
-        let jobs = [ArbiterJob {
-            model: Arc::new(Table {
-                remaining: vec![3_600.0, 5_460.0, 1_200.0, 900.0, 720.0],
-            }),
-            utility: UtilityFunction::deadline(SimDuration::from_secs_f64(3_000.0)),
-            progress: 0.0,
-            stage_fraction: vec![],
-            elapsed_secs: 0.0,
-            slack: 1.0,
-        }];
-        let alloc = arbitrate(&jobs, 12);
+        let jobs = [table_job(
+            vec![3_600.0, 5_460.0, 1_200.0, 900.0, 720.0],
+            UtilityFunction::deadline(SimDuration::from_secs_f64(3_000.0)),
+        )];
+        let alloc = split(&jobs, 12);
         assert_eq!(alloc, vec![3], "stranded below the valley");
     }
 
@@ -315,19 +384,14 @@ mod tests {
         // must be re-scanned under the tighter limit and settle for the
         // single useful step to 8 000 s instead of stalling at the
         // floor.
-        let table = || Table {
-            remaining: vec![9_000.0, 8_000.0, 600.0, 300.0],
-        };
-        let mk = || ArbiterJob {
-            model: Arc::new(table()),
-            utility: UtilityFunction::deadline(SimDuration::from_secs_f64(1_000.0)),
-            progress: 0.0,
-            stage_fraction: vec![],
-            elapsed_secs: 0.0,
-            slack: 1.0,
+        let mk = || {
+            table_job(
+                vec![9_000.0, 8_000.0, 600.0, 300.0],
+                UtilityFunction::deadline(SimDuration::from_secs_f64(1_000.0)),
+            )
         };
         let jobs = [mk(), mk()];
-        let alloc = arbitrate(&jobs, 5);
+        let alloc = split(&jobs, 5);
         assert_eq!(alloc, vec![3, 2], "jump then clamped rescan");
     }
 
@@ -335,15 +399,60 @@ mod tests {
     #[should_panic(expected = "budget")]
     fn budget_below_job_count_panics() {
         let jobs = [job(1.0, 60, 0.0, 0.0), job(1.0, 60, 0.0, 0.0)];
-        arbitrate(&jobs, 1);
+        split(&jobs, 1);
+    }
+
+    /// A [`Toy`] that records every allocation it is asked about.
+    struct Asked {
+        toy: Toy,
+        asked: Mutex<Vec<u32>>,
+    }
+
+    impl CompletionModel for Asked {
+        fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
+            self.asked.lock().unwrap().push(allocation);
+            self.toy.remaining_secs(fs, progress, allocation)
+        }
+        fn max_allocation(&self) -> u32 {
+            self.toy.max_allocation()
+        }
+    }
+
+    #[test]
+    fn on_track_jobs_are_asked_for_their_floor_only() {
+        let asked = |work| Asked {
+            toy: Toy { work },
+            asked: Mutex::new(Vec::new()),
+        };
+        // Job 0 meets its hour at one token; job 1 is behind and needs
+        // ten; job 2 would also finish in time at one token, but its
+        // utility keeps rising the earlier it finishes, so it has no
+        // ceiling to be on track at.
+        let models = [asked(600.0), asked(36_000.0), asked(600.0)];
+        let hour = UtilityFunction::deadline(SimDuration::from_mins(60));
+        let rising = UtilityFunction::from_knots(vec![(0.0, 1.0), (3_600.0, 0.0)]);
+        let jobs = [
+            state(hour.clone(), 0.0, 0.0),
+            state(hour, 0.0, 0.0),
+            state(rising, 0.0, 0.0),
+        ];
+        let refs: Vec<&dyn CompletionModel> = models.iter().map(|m| m as _).collect();
+        let alloc = arbitrate(&jobs, &refs, 40);
+        assert_eq!(alloc[0], 1, "{alloc:?}");
+        assert!(alloc[1] >= 10, "{alloc:?}");
+        let asked: Vec<Vec<u32>> = models
+            .iter()
+            .map(|m| m.asked.lock().unwrap().clone())
+            .collect();
+        assert_eq!(asked[0], vec![1], "an on-track job is asked past its floor");
+        assert_eq!(asked[1], (1..=38).collect::<Vec<_>>());
+        assert_eq!(asked[2], (1..=38).collect::<Vec<_>>());
     }
 
     /// A job's utility at `allocation`, queried from its model directly.
-    fn utility_at(job: &ArbiterJob, allocation: u32) -> f64 {
-        let remaining = job.slack
-            * job
-                .model
-                .remaining_secs(&job.stage_fraction, job.progress, allocation);
+    fn utility_at(job: &ArbiterJob, model: &dyn CompletionModel, allocation: u32) -> f64 {
+        let remaining =
+            job.slack * model.remaining_secs(&job.stage_fraction, job.progress, allocation);
         job.utility.eval(job.elapsed_secs + remaining)
     }
 
@@ -352,20 +461,21 @@ mod tests {
     /// model query per allocation and no memo, and grants the highest
     /// average gain per token (first index, then smallest jump, among
     /// ties). On concave curves every best jump is one token and this
-    /// is the classic single-token greedy.
-    fn arbitrate_rescan(jobs: &[ArbiterJob], budget: u32) -> Vec<u32> {
-        let mut alloc: Vec<u32> = vec![1; jobs.len()];
-        let mut remaining = budget - jobs.len() as u32;
+    /// is the classic single-token greedy. It scans on-track jobs like
+    /// every other.
+    fn arbitrate_rescan(fleet: &Fleet, budget: u32) -> Vec<u32> {
+        let mut alloc: Vec<u32> = vec![1; fleet.len()];
+        let mut remaining = budget - fleet.len() as u32;
         while remaining > 0 {
             let mut best: Option<(f64, usize, u32)> = None;
-            for (i, job) in jobs.iter().enumerate() {
-                let cap = job.model.max_allocation();
+            for (i, (job, model)) in fleet.iter().enumerate() {
+                let cap = model.max_allocation();
                 if alloc[i] >= cap {
                     continue;
                 }
-                let base = utility_at(job, alloc[i]);
+                let base = utility_at(job, model.as_ref(), alloc[i]);
                 for k in 1..=remaining.min(cap - alloc[i]) {
-                    let g = utility_at(job, alloc[i] + k) - base;
+                    let g = utility_at(job, model.as_ref(), alloc[i] + k) - base;
                     let rate = if g.is_finite() {
                         g / f64::from(k)
                     } else {
@@ -387,20 +497,25 @@ mod tests {
         alloc
     }
 
-    #[test]
-    fn heap_grant_loop_matches_the_full_rescan() {
-        // Pseudo-random fleets: mixed works, deadlines, progress and
-        // elapsed times, across budgets from the floor to saturation.
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = |m: u64| {
+    /// A small linear congruential generator: `next(m)` is uniform-ish
+    /// in `0..m`.
+    fn lcg(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |m| {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (state >> 33) % m
-        };
+        }
+    }
+
+    #[test]
+    fn heap_grant_loop_matches_the_full_rescan() {
+        // Pseudo-random fleets: mixed works, deadlines, progress and
+        // elapsed times, across budgets from the floor to saturation.
+        let mut next = lcg(0x9e37_79b9);
         for trial in 0..40 {
             let n = 1 + next(12) as usize;
-            let jobs: Vec<ArbiterJob> = (0..n)
+            let jobs: Vec<_> = (0..n)
                 .map(|_| {
                     job(
                         1_000.0 + next(50_000) as f64,
@@ -412,7 +527,7 @@ mod tests {
                 .collect();
             let budget = n as u32 + next(60) as u32;
             assert_eq!(
-                arbitrate(&jobs, budget),
+                split(&jobs, budget),
                 arbitrate_rescan(&jobs, budget),
                 "trial {trial}: {n} jobs, budget {budget}"
             );
@@ -420,25 +535,32 @@ mod tests {
     }
 
     /// Property: on arbitrary per-allocation curves — NaN and infinite
-    /// predictions, utilities that reach ±inf, caps above and below the
-    /// pool, and zero-gain plateaus in front of large drops — the
-    /// memoised heap split equals the per-query full rescan.
+    /// predictions (at the floor too), utilities that reach ±inf, caps
+    /// above and below the pool, zero-gain plateaus in front of large
+    /// drops, utilities whose knots never rise (flat prefixes, tied
+    /// values, shifted deadlines) beside ones with a rising knot, and
+    /// fleets where most jobs are on track at their floor — the
+    /// memoised heap split, with its on-track skip, equals the
+    /// per-query full rescan.
     #[test]
     fn memoised_split_matches_the_rescan_on_arbitrary_curves() {
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = |m: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        for trial in 0..400 {
+        let mut next = lcg(0x2545_f491_4f6c_dd1d);
+        let mut on_track = 0;
+        let mut jobs_seen = 0;
+        for trial in 0..600 {
             let n = 1 + next(8) as usize;
-            let jobs: Vec<ArbiterJob> = (0..n)
+            // One trial in three is a fleet mostly on track: loose
+            // deadlines and short work.
+            let easy = trial % 3 == 0;
+            let jobs: Vec<_> = (0..n)
                 .map(|_| {
                     let cap = 1 + next(24) as usize;
-                    let mut cur = 500.0 + next(9_000) as f64;
-                    let remaining = (0..cap)
+                    let mut cur = if easy {
+                        50.0 + next(500) as f64
+                    } else {
+                        500.0 + next(9_000) as f64
+                    };
+                    let mut remaining: Vec<f64> = (0..cap)
                         .map(|_| match next(12) {
                             0 => f64::NAN,
                             1 => f64::INFINITY,
@@ -453,31 +575,74 @@ mod tests {
                             }
                         })
                         .collect();
-                    // Deadline utilities fall to -inf past the last
-                    // knot; a rising final slope reaches +inf.
-                    let utility = if next(4) == 0 {
-                        UtilityFunction::from_knots(vec![(0.0, 0.0), (1_000.0, 1.0)])
-                    } else {
-                        UtilityFunction::deadline(SimDuration::from_secs_f64(
-                            600.0 + next(6_000) as f64,
-                        ))
+                    // Non-finite predictions at the floor, more often
+                    // than the draw above gives them.
+                    match next(10) {
+                        0 => remaining[0] = f64::NAN,
+                        1 => remaining[0] = f64::INFINITY,
+                        2 => remaining[0] = f64::NEG_INFINITY,
+                        _ => {}
+                    }
+                    let horizon = if easy { 20_000 } else { 6_000 };
+                    let deadline = UtilityFunction::deadline(SimDuration::from_secs_f64(
+                        600.0 + next(horizon) as f64,
+                    ));
+                    let utility = match next(6) {
+                        // A rising knot: the utility has no ceiling and
+                        // its final slope reaches +inf.
+                        0 => UtilityFunction::from_knots(vec![(0.0, 0.0), (1_000.0, 1.0)]),
+                        // Never rising, with a flat prefix and tied
+                        // values.
+                        1 => {
+                            let top = next(5) as f64;
+                            let t = 200.0 + next(horizon) as f64;
+                            UtilityFunction::from_knots(vec![
+                                (0.0, top),
+                                (t, top),
+                                (t + 300.0, top),
+                                (t + 600.0, top - 1.0),
+                                (t + 900.0, top - 1.0),
+                                (t + 5_000.0, top - 50.0),
+                            ])
+                        }
+                        // Rising after a flat prefix.
+                        2 => UtilityFunction::from_knots(vec![
+                            (0.0, 1.0),
+                            (500.0, 1.0),
+                            (2_000.0, 0.0),
+                            (4_000.0, 0.5),
+                        ]),
+                        // The control loop's dead zone: knots before 0.
+                        3 => deadline
+                            .shifted_left(SimDuration::from_secs_f64(next(1_500) as f64 + 0.25)),
+                        _ => deadline,
                     };
-                    ArbiterJob {
-                        model: Arc::new(Table { remaining }),
+                    let job = ArbiterJob {
                         utility,
                         progress: 0.0,
                         stage_fraction: vec![],
                         elapsed_secs: next(1_200) as f64,
                         slack: 1.0 + next(3) as f64 / 10.0,
+                    };
+                    let model: Box<dyn CompletionModel> = Box::new(Table { remaining });
+                    jobs_seen += 1;
+                    if job.utility.ceiling() == Some(utility_at(&job, model.as_ref(), 1)) {
+                        on_track += 1;
                     }
+                    (job, model)
                 })
                 .collect();
             let budget = n as u32 + next(40) as u32;
             assert_eq!(
-                arbitrate(&jobs, budget),
+                split(&jobs, budget),
                 arbitrate_rescan(&jobs, budget),
                 "trial {trial}: {n} jobs, budget {budget}"
             );
         }
+        // Both kinds of job are well represented.
+        assert!(
+            on_track * 4 > jobs_seen && on_track * 4 < 3 * jobs_seen,
+            "{on_track} of {jobs_seen} jobs on track"
+        );
     }
 }

@@ -1027,23 +1027,23 @@ mod tests {
         let handle: Arc<dyn CompletionModel> =
             Arc::new(ModelHandle::with_floor(store, Arc::new(Flat)));
         let pinned = handle.pinned().expect("a handle pins");
-        let jobs = |model: &Arc<dyn CompletionModel>| -> Vec<ArbiterJob> {
-            (0..12_u32)
-                .map(|i| ArbiterJob {
-                    model: model.clone(),
-                    utility: UtilityFunction::deadline(SimDuration::from_secs(
-                        200 + u64::from(i) * 37,
-                    )),
-                    progress: f64::from(i % 5) / 5.0,
-                    stage_fraction: vec![f64::from(i % 5) / 5.0],
-                    elapsed_secs: f64::from(i % 4) * 30.0,
-                    slack: 1.2,
-                })
-                .collect()
-        };
+        let jobs: Vec<ArbiterJob> = (0..12_u32)
+            .map(|i| ArbiterJob {
+                utility: UtilityFunction::deadline(SimDuration::from_secs(200 + u64::from(i) * 37)),
+                progress: f64::from(i % 5) / 5.0,
+                stage_fraction: vec![f64::from(i % 5) / 5.0],
+                elapsed_secs: f64::from(i % 4) * 30.0,
+                slack: 1.2,
+            })
+            .collect();
+        let models = |model| vec![model; jobs.len()];
         for budget in [12, 20, 40, 90] {
-            let split = arbitrate(&jobs(&handle), budget);
-            assert_eq!(arbitrate(&jobs(&pinned), budget), split, "budget {budget}");
+            let split = arbitrate(&jobs, &models(handle.as_ref()), budget);
+            assert_eq!(
+                arbitrate(&jobs, &models(pinned.as_ref()), budget),
+                split,
+                "budget {budget}"
+            );
             assert!(split.iter().sum::<u32>() <= budget);
             if budget > 12 {
                 assert!(split.iter().any(|&a| a > 1), "budget {budget}: {split:?}");

@@ -125,13 +125,19 @@ impl Snapshot {
 
 /// The refresh's gather buffers, kept under the refresh gate and
 /// overwritten by each refresh, so re-gathering a fleet of the same
-/// size reuses every job's stage-fraction and utility storage.
+/// size reuses every job's stage-fraction and utility storage. It
+/// holds no model: each split borrows the slots' models, or a pinned
+/// view that lives only as long as the split.
 #[derive(Default)]
 struct Gather {
     /// One arbitration input per active job, in slot order.
     jobs: Vec<ArbiterJob>,
     /// The slot id of each entry of `jobs`.
     active: Vec<usize>,
+    /// For each entry of `jobs`, the index of its model's pinned view
+    /// in the split's view list, or `None` when its slot's own model
+    /// answers.
+    view_index: Vec<Option<usize>>,
 }
 
 /// Counters describing how much arbitration work the plane performed.
@@ -634,16 +640,24 @@ impl ControlPlane {
     /// across them. The gather's buffers are overwritten in place, so
     /// each refresh reuses the storage earlier refreshes grew.
     fn split(&self, slots: &[Option<Arc<JobSlot>>], gather: &mut Gather) -> Snapshot {
-        let Gather { jobs, active } = gather;
+        let Gather {
+            jobs,
+            active,
+            view_index,
+        } = gather;
         active.clear();
+        view_index.clear();
         let mut serial = vec![0_u64; slots.len()];
         // One frozen view per distinct model per refresh: the jobs of a
         // service family share one handle, so the split reads its store
         // once, not once per C(p, a) query, and sees one generation.
-        // Models that do not pin are used as they are and never enter
-        // the map, so a fleet of per-job closed-form models hashes
-        // nothing.
-        let mut pins: HashMap<*const (), Arc<dyn CompletionModel>> = HashMap::new();
+        // The views live in `views` until the split returns; `view_of`
+        // maps a shared model to its view, and `view_index` records
+        // each job's. Models that do not pin are borrowed from their
+        // slots as they are and never enter the map, so a fleet of
+        // per-job closed-form models hashes nothing.
+        let mut views: Vec<Arc<dyn CompletionModel>> = Vec::new();
+        let mut view_of: HashMap<*const (), usize> = HashMap::new();
         let mut n = 0;
         for (i, slot) in slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
@@ -654,15 +668,15 @@ impl ControlPlane {
             }
             active.push(i);
             let key = Arc::as_ptr(&slot.model).cast::<()>();
-            let model = match pins.get(&key) {
-                Some(pinned) => pinned.clone(),
-                None => match slot.model.pinned() {
-                    Some(pinned) => pins.entry(key).or_insert(pinned).clone(),
-                    None => slot.model.clone(),
-                },
-            };
+            view_index.push(match view_of.get(&key) {
+                Some(&v) => Some(v),
+                None => slot.model.pinned().map(|pinned| {
+                    views.push(pinned);
+                    view_of.insert(key, views.len() - 1);
+                    views.len() - 1
+                }),
+            });
             if let Some(job) = jobs.get_mut(n) {
-                job.model = model;
                 job.utility.clone_from(&s.utility);
                 job.progress = s.progress;
                 job.stage_fraction.clone_from(&s.stage_fraction);
@@ -670,7 +684,6 @@ impl ControlPlane {
                 job.slack = slot.slack;
             } else {
                 jobs.push(ArbiterJob {
-                    model,
                     utility: s.utility.clone(),
                     progress: s.progress,
                     stage_fraction: s.stage_fraction.clone(),
@@ -683,16 +696,18 @@ impl ControlPlane {
         jobs.truncate(n);
         let mut alloc = vec![1_u32; slots.len()];
         if !jobs.is_empty() {
+            let models: Vec<&dyn CompletionModel> = active
+                .iter()
+                .zip(view_index.iter())
+                .map(|(&i, v)| match *v {
+                    Some(v) => views[v].as_ref(),
+                    None => slots[i].as_ref().expect("gathered slot").model.as_ref(),
+                })
+                .collect();
             let budget = self.budget.max(jobs.len() as u32);
-            for (pos, share) in arbitrate(jobs, budget).into_iter().enumerate() {
+            for (pos, share) in arbitrate(jobs, &models, budget).into_iter().enumerate() {
                 alloc[active[pos]] = share;
             }
-        }
-        // Between refreshes the gather holds each slot's own model, not
-        // a pinned view, so no published model snapshot outlives the
-        // refresh that read it.
-        for (job, &i) in jobs.iter_mut().zip(active.iter()) {
-            job.model = slots[i].as_ref().expect("gathered slot").model.clone();
         }
         Snapshot { alloc, serial }
     }
@@ -822,6 +837,7 @@ mod tests {
     use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
     use jockey_simrt::dist::Constant;
     use jockey_simrt::time::SimTime;
+    use std::sync::Weak;
 
     /// remaining = work * (1 - progress) / a.
     struct Toy {
@@ -911,10 +927,22 @@ mod tests {
         assert!(stats.refreshes <= 25 && stats.refreshes >= 10, "{stats:?}");
     }
 
-    /// A [`Toy`] that counts the refreshes that pin it.
+    /// A [`Toy`] that counts the refreshes that pin it and keeps a weak
+    /// reference to the last view it handed out.
     struct PinCounter {
         work: f64,
         pins: AtomicU64,
+        last_view: Mutex<Weak<dyn CompletionModel>>,
+    }
+
+    impl PinCounter {
+        fn new(work: f64) -> Self {
+            PinCounter {
+                work,
+                pins: AtomicU64::new(0),
+                last_view: Mutex::new(Weak::<Toy>::new()),
+            }
+        }
     }
 
     impl CompletionModel for PinCounter {
@@ -926,7 +954,9 @@ mod tests {
         }
         fn pinned(&self) -> Option<Arc<dyn CompletionModel>> {
             self.pins.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::new(Toy { work: self.work }))
+            let view: Arc<dyn CompletionModel> = Arc::new(Toy { work: self.work });
+            *self.last_view.lock().unwrap() = Arc::downgrade(&view);
+            Some(view)
         }
     }
 
@@ -934,12 +964,7 @@ mod tests {
     fn each_refresh_pins_each_shared_model_once() {
         let plane = ControlPlane::new(200);
         let shared: Vec<Arc<PinCounter>> = (0..2)
-            .map(|_| {
-                Arc::new(PinCounter {
-                    work: 36_000.0,
-                    pins: AtomicU64::new(0),
-                })
-            })
+            .map(|_| Arc::new(PinCounter::new(36_000.0)))
             .collect();
         // Four jobs on the first model, two on the second.
         let mut handles: Vec<JobHandle> = (0..6)
@@ -1071,14 +1096,14 @@ mod tests {
     /// A gather reused across refreshes splits exactly as a fresh one
     /// while the fleet shrinks, grows and recycles slot ids, jobs
     /// change deadlines, and one pinning model is shared beside per-job
-    /// ones; between refreshes it holds no pinned view.
+    /// ones. After a split nothing holds a model on the gather's behalf:
+    /// the shared model is held by its slots alone, and its pinned view
+    /// is gone.
     #[test]
     fn reused_gather_splits_as_a_fresh_one_across_churn() {
         let plane = ControlPlane::new(60);
-        let shared: Arc<dyn CompletionModel> = Arc::new(PinCounter {
-            work: 20_000.0,
-            pins: AtomicU64::new(0),
-        });
+        let counter = Arc::new(PinCounter::new(20_000.0));
+        let shared: Arc<dyn CompletionModel> = counter.clone();
         let mut state = 0x5851_f42d_4c95_7f2d_u64;
         let mut next = |m: u64| {
             state = state
@@ -1140,13 +1165,22 @@ mod tests {
             assert_eq!(again.alloc, fresh.alloc, "round {round}");
             assert_eq!(again.serial, fresh.serial, "round {round}");
             assert_eq!(reused.jobs.len(), handles.len(), "round {round}");
-            for (job, &i) in reused.jobs.iter().zip(&reused.active) {
-                let own = &slots[i].as_ref().expect("gathered slot").model;
-                assert!(
-                    Arc::ptr_eq(&job.model, own),
-                    "round {round}: pinned view kept"
-                );
-            }
+            // This test's two handles, plus one per slot it occupies.
+            let holders = slots
+                .iter()
+                .flatten()
+                .filter(|slot| Arc::ptr_eq(&slot.model, &shared))
+                .count();
+            assert_eq!(
+                Arc::strong_count(&counter),
+                2 + holders,
+                "round {round}: a model outlived the split"
+            );
+            let view = counter.last_view.lock().unwrap().upgrade();
+            assert!(
+                view.is_none(),
+                "round {round}: a pinned view outlived the split"
+            );
             smallest = smallest.min(handles.len());
             largest = largest.max(handles.len());
         }

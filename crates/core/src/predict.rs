@@ -41,11 +41,16 @@ pub trait CompletionModel: Send + Sync {
     /// `remaining_secs(fs, progress, first + i)` to `out[i]` for every
     /// `i`, each value equal to the single query bit for bit.
     ///
-    /// One call answers what an arbitration refresh asks of a job —
-    /// every allocation its grant scans can reach — so a model whose
-    /// per-query work repeats (a table lookup, a grid search) does that
-    /// work once per curve. The default asks the single query per
-    /// allocation.
+    /// So an entry does not depend on where the request starts or how
+    /// long it is: [`crate::arbiter::arbitrate`] asks for a job's floor
+    /// allocation alone, then for allocations `2..` in a second call,
+    /// and relies on the two answering what one curve from 1 would.
+    ///
+    /// One call answers what an arbitration refresh asks of a job that
+    /// is behind — every allocation its grant scans can reach — so a
+    /// model whose per-query work repeats (a table lookup, a grid
+    /// search) does that work once per curve. The default asks the
+    /// single query per allocation.
     fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
         for (a, v) in (first..).zip(out.iter_mut()) {
             *v = self.remaining_secs(fs, progress, a);

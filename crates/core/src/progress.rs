@@ -63,11 +63,11 @@ impl ProgressIndicator {
 pub struct IndicatorContext {
     kind: ProgressIndicator,
     /// `Q_s + T_s` per stage.
-    work_with_q: Vec<f64>,
+    work_with_q: Weights,
     /// `T_s` per stage.
-    work: Vec<f64>,
+    work: Weights,
     /// Task counts per stage.
-    tasks: Vec<f64>,
+    tasks: Weights,
     /// `l_s` per stage (longest task runtime).
     max_runtime: Vec<f64>,
     /// `L_s` per stage (longest path from completion to job end).
@@ -125,9 +125,9 @@ impl IndicatorContext {
         };
         IndicatorContext {
             kind,
-            work_with_q,
-            work,
-            tasks,
+            work_with_q: Weights::new(work_with_q),
+            work: Weights::new(work),
+            tasks: Weights::new(tasks),
             max_runtime,
             longest_path,
             cp_total,
@@ -143,7 +143,7 @@ impl IndicatorContext {
 
     /// Number of stages this context was built for.
     pub fn stage_count(&self) -> usize {
-        self.tasks.len()
+        self.tasks.per_stage.len()
     }
 
     /// Evaluates the indicator at completion fractions `fs`, returning
@@ -153,11 +153,11 @@ impl IndicatorContext {
     ///
     /// Panics if `fs.len()` differs from the stage count.
     pub fn progress(&self, fs: &[f64]) -> f64 {
-        assert_eq!(fs.len(), self.tasks.len(), "fs length mismatch");
+        assert_eq!(fs.len(), self.tasks.per_stage.len(), "fs length mismatch");
         let p = match self.kind {
-            ProgressIndicator::TotalWorkWithQ => weighted_fraction(fs, &self.work_with_q),
-            ProgressIndicator::TotalWork => weighted_fraction(fs, &self.work),
-            ProgressIndicator::VertexFrac => weighted_fraction(fs, &self.tasks),
+            ProgressIndicator::TotalWorkWithQ => self.work_with_q.fraction(fs),
+            ProgressIndicator::TotalWork => self.work.fraction(fs),
+            ProgressIndicator::VertexFrac => self.tasks.fraction(fs),
             ProgressIndicator::CriticalPath => {
                 if self.cp_total <= 0.0 {
                     1.0
@@ -184,13 +184,32 @@ impl IndicatorContext {
     }
 }
 
-/// `Σ f_s w_s / Σ w_s`, or 1 when the weights sum to zero.
-fn weighted_fraction(fs: &[f64], weights: &[f64]) -> f64 {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return 1.0;
+/// Per-stage weights with their sum, taken once at construction
+/// rather than on every progress evaluation.
+#[derive(Clone, Debug)]
+struct Weights {
+    per_stage: Vec<f64>,
+    /// `Σ w_s`, summed in stage order.
+    total: f64,
+}
+
+impl Weights {
+    fn new(per_stage: Vec<f64>) -> Self {
+        let total = per_stage.iter().sum();
+        Weights { per_stage, total }
     }
-    fs.iter().zip(weights).map(|(&f, &w)| f * w).sum::<f64>() / total
+
+    /// `Σ f_s w_s / Σ w_s`, or 1 when the weights sum to zero.
+    fn fraction(&self, fs: &[f64]) -> f64 {
+        if self.total <= 0.0 {
+            return 1.0;
+        }
+        fs.iter()
+            .zip(&self.per_stage)
+            .map(|(&f, &w)| f * w)
+            .sum::<f64>()
+            / self.total
+    }
 }
 
 /// `min_{s: f_s<1} tb_s + f_s (te_s − tb_s)`, or 1 if all finished.

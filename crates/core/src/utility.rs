@@ -101,6 +101,25 @@ impl UtilityFunction {
         u1 + (u1 - u0) / (t1 - t0) * (t_secs - t1)
     }
 
+    /// The most this utility can return, if its knot values never
+    /// rise: the first knot's value. `None` when some knot's value
+    /// rises above (or is not comparable to) the one before it.
+    ///
+    /// With non-rising knots, [`UtilityFunction::eval`] never exceeds
+    /// the first knot's value: before the first knot it returns that
+    /// value, each interpolation adds a non-positive term to a knot's
+    /// value, and so does the extrapolation past the last knot (IEEE
+    /// rounding is monotone, so adding a non-positive term never
+    /// rounds up). A NaN time evaluates to NaN. So a job whose utility
+    /// already equals its ceiling can gain nothing from more tokens,
+    /// which is what lets [`crate::arbiter::arbitrate`] skip it.
+    pub fn ceiling(&self) -> Option<f64> {
+        self.knots
+            .windows(2)
+            .all(|w| w[1].1 <= w[0].1)
+            .then_some(self.knots[0].1)
+    }
+
     /// A copy shifted left by `shift`: `U'(t) = U(t + shift)`. This is
     /// how the control loop's dead zone tightens the deadline (§4.3).
     pub fn shifted_left(&self, shift: SimDuration) -> Self {
@@ -201,6 +220,64 @@ mod tests {
         assert_eq!(u.eval(-5.0), 10.0);
         assert_eq!(u.eval(50.0), 5.0);
         assert_eq!(u.eval(100.0), 0.0);
+    }
+
+    #[test]
+    fn ceiling_is_the_first_knot_of_non_rising_knots() {
+        let d = UtilityFunction::deadline(SimDuration::from_mins(60));
+        assert_eq!(d.ceiling(), Some(1.0));
+        assert_eq!(
+            d.shifted_left(SimDuration::from_mins(90)).ceiling(),
+            Some(1.0)
+        );
+        // Flat and tied knots still never rise.
+        let flat = UtilityFunction::from_knots(vec![(0.0, 3.0), (5.0, 3.0), (9.0, 3.0)]);
+        assert_eq!(flat.ceiling(), Some(3.0));
+        let falling = UtilityFunction::from_knots(vec![(0.0, 2.0), (5.0, 2.0), (9.0, -4.0)]);
+        assert_eq!(falling.ceiling(), Some(2.0));
+        // One rising knot anywhere removes the ceiling.
+        let rising = UtilityFunction::from_knots(vec![(0.0, 2.0), (5.0, 1.0), (9.0, 1.5)]);
+        assert_eq!(rising.ceiling(), None);
+        let nan = UtilityFunction::from_knots(vec![(0.0, 2.0), (5.0, f64::NAN)]);
+        assert_eq!(nan.ceiling(), None);
+    }
+
+    #[test]
+    fn eval_never_exceeds_the_ceiling() {
+        let utilities = [
+            UtilityFunction::deadline(SimDuration::from_secs_f64(700.0)),
+            UtilityFunction::deadline(SimDuration::from_mins(60))
+                .shifted_left(SimDuration::from_secs_f64(1_234.5)),
+            UtilityFunction::from_knots(vec![(0.0, 0.1), (0.3, 0.1), (1e9, 0.1 - 1e-17)]),
+            UtilityFunction::from_knots(vec![(-5.0, f64::INFINITY), (5.0, 1.0)]),
+            UtilityFunction::from_knots(vec![(1.0, 7.0), (2.0, 7.0)]),
+        ];
+        let times = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            0.0,
+            1e-300,
+            0.3,
+            1.0,
+            1.5,
+            2.0,
+            699.999_999_999,
+            700.0,
+            700.000_000_001,
+            4_321.0,
+            1e9,
+            1e300,
+            f64::INFINITY,
+        ];
+        for (i, u) in utilities.iter().enumerate() {
+            let c = u.ceiling().expect("non-rising knots");
+            for &t in &times {
+                let v = u.eval(t);
+                assert!(v.is_nan() || v <= c, "utility {i} at {t}: {v} > {c}");
+            }
+            assert!(u.eval(f64::NAN).is_nan(), "utility {i}");
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use jockey_core::recal::{recalibrated, RecalibratingController, ScaledModel};
 use jockey_core::utility::UtilityFunction;
 use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
 use jockey_simrt::dist::Constant;
+use jockey_simrt::rng::fnv1a;
 use jockey_simrt::time::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------
@@ -333,15 +334,6 @@ fn recalibrating_controller_matches_the_reference_tick_for_tick() {
 // Pinned decision streams.
 // ---------------------------------------------------------------------
 
-/// FNV-1a over 64-bit words.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        w.to_le_bytes()
-            .iter()
-            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-    })
-}
-
 /// Drives a controller and records its inner [`JockeyController`]'s
 /// `last_tick()` after every `initial` and `tick` call (each wrapper
 /// calls the inner controller exactly once per call).
@@ -405,7 +397,8 @@ fn stream_digest(decisions: &[ControlDecision], ticks: &[ControlTick]) -> u64 {
             u64::from(t.guarantee),
         ]
     });
-    fnv1a(words.chain(ticks))
+    let bytes: Vec<u8> = words.chain(ticks).flat_map(u64::to_le_bytes).collect();
+    fnv1a(&bytes)
 }
 
 /// The Fig. 6(b) fixture: a map stage that runs on model, then a

@@ -583,15 +583,11 @@ mod tests {
         bernoulli(&mut rng, 1.5);
     }
 
-    /// FNV-1a over a stream of 64-bit words.
-    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
-        for w in words {
-            for b in w.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-        h
+    /// [`crate::rng::fnv1a`] over the little-endian bytes of a stream
+    /// of 64-bit words.
+    fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+        let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
+        crate::rng::fnv1a(&bytes)
     }
 
     /// Every draw consumes a fixed `next_u64` stream through fixed
@@ -631,19 +627,19 @@ mod tests {
                 let mut r = rng(i);
                 let bits: Vec<u64> = (0..DRAWS).map(|_| d.sample(&mut r).to_bits()).collect();
                 let mean = d.mean().map_or(u64::MAX, f64::to_bits);
-                (bits[0], fnv1a(bits.iter().copied().chain([mean])))
+                (bits[0], digest(bits.iter().copied().chain([mean])))
             })
             .collect();
         let mut r = rng(dists.len());
         let exp: Vec<u64> = (0..DRAWS)
             .map(|_| exp_duration(&mut r, 30.0).as_secs_f64().to_bits())
             .collect();
-        got.push((exp[0], fnv1a(exp)));
+        got.push((exp[0], digest(exp)));
         let mut r = rng(dists.len() + 1);
         let coins: Vec<u64> = (0..DRAWS)
             .map(|_| u64::from(bernoulli(&mut r, 0.3)))
             .collect();
-        got.push((coins[0], fnv1a(coins)));
+        got.push((coins[0], digest(coins)));
         let want = [
             (0x400c_0000_0000_0000, 0xa906_8b35_fb6f_4999),
             (0x4012_49c8_89f4_73f8, 0x0163_408d_792d_e5e1),

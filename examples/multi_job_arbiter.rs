@@ -10,11 +10,10 @@
 //!
 //! Run with: `cargo run --release --example multi_job_arbiter`
 
-use std::sync::Arc;
-
 use jockey::core::arbiter::{arbitrate, ArbiterJob};
 use jockey::core::cpa::TrainConfig;
 use jockey::core::policy::JockeySetup;
+use jockey::core::predict::CompletionModel;
 use jockey::core::progress::ProgressIndicator;
 use jockey::core::utility::UtilityFunction;
 use jockey::simrt::time::SimDuration;
@@ -74,7 +73,6 @@ fn main() {
             .zip(&deadlines)
             .zip([p0, p1])
             .map(|((setup, &deadline), progress)| ArbiterJob {
-                model: setup.cpa.clone() as Arc<dyn jockey::core::predict::CompletionModel>,
                 utility: UtilityFunction::deadline(deadline),
                 progress,
                 stage_fraction: vec![progress; setup.graph.num_stages()],
@@ -82,7 +80,9 @@ fn main() {
                 slack: 1.2,
             })
             .collect();
-        let alloc = arbitrate(&jobs, 80);
+        let models: Vec<&dyn CompletionModel> =
+            setups.iter().map(|setup| setup.cpa.as_ref() as _).collect();
+        let alloc = arbitrate(&jobs, &models, 80);
         println!("{label:<28}{:>12}{:>12}", alloc[0], alloc[1]);
     }
     println!(

@@ -38,6 +38,31 @@ out="$(taskset -c "$cpu" cargo run --release --offline -q --manifest-path perfbe
   --workload service --seed 1 --seconds 0.1 --trace 0)"
 grep -q "digest=$service_digest" <<<"$out" \
   || { echo "tier1: perfbench service digest drifted from $service_digest" >&2; exit 1; }
+# Plane split gate: the perfbench gate above runs only the online,
+# pinned path, and no figure golden touches the plane. One service
+# driver worker runs deterministically, so every line it prints except
+# the wall-clock `throughput:` and `tick latency:` lines is pinned, once
+# with per-job closed-form models (`exact`, no pinning) and once with a
+# shared online model (`online`, one pinned view per refresh).
+service_lines() {
+  ./target/release/jockey-cli service --workers 1 --concurrent 128 --budget 192 \
+    --jobs 4000 --seed 3 --model "$1" | grep -v '^throughput:\|^tick latency:'
+}
+diff - <(service_lines exact) <<'EOF' \
+  || { echo "tier1: jockey-cli service --model exact counts drifted" >&2; exit 1; }
+service: 4000 submitted, 188 admitted (4.7%), 3812 capacity-rejected, 0 infeasible
+SLO: 188/188 met (100.0%), 26 mid-flight deadline changes
+plane: 8408 ticks, 171 refreshes (49 ticks/refresh), 0 over-committed rounds, peak 84 slots
+drain: 0 tokens reserved, 0 jobs active after shutdown
+EOF
+diff - <(service_lines online) <<'EOF' \
+  || { echo "tier1: jockey-cli service --model online counts drifted" >&2; exit 1; }
+service: 4000 submitted, 3792 admitted (94.8%), 208 capacity-rejected, 0 infeasible
+SLO: 3792/3792 met (100.0%), 541 mid-flight deadline changes
+plane: 169401 ticks, 1673 refreshes (101 ticks/refresh), 0 over-committed rounds, peak 128 slots
+model: 3792 generations published, 2 drift fires, 0 prior hits / 1 misses
+drain: 0 tokens reserved, 0 jobs active after shutdown
+EOF
 # Benches must keep compiling (full runs stay manual; DESIGN.md §9,
 # §10, §12, §13 and §15 hold the recorded numbers).
 cargo bench --workspace --no-run
