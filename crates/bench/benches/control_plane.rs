@@ -29,12 +29,14 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use jockey_bench::family_model;
+use jockey_bench::{family_model, smoke_env};
 use jockey_cluster::{JobController, JobStatus};
 use jockey_core::alloc::ArgminPolicy;
+use jockey_core::control::{ControlParams, JockeyController};
 use jockey_core::online::{ModelHandle, ModelStore, OnlineConfig};
-use jockey_core::predict::CompletionModel;
+use jockey_core::predict::{AmdahlModel, CompletionModel};
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
+use jockey_core::recal::ScaledModel;
 use jockey_core::utility::UtilityFunction;
 use jockey_core::ControlPlane;
 use jockey_jobgraph::graph::JobGraphBuilder;
@@ -227,7 +229,13 @@ fn bench_control_plane(c: &mut Criterion) {
 
 /// Decision-core cost of the §4.3 argmin: one scan over
 /// `max_allocation` candidates, the part of a control tick that grows
-/// with the token cap.
+/// with the token cap. `argmin_1d` scans the closed-form toy; the
+/// `argmin_1d/<model>` rows time one whole controller decision (a
+/// `JockeyController` tick: progress, argmin, dead-zone verdict,
+/// prediction) over the first smoke job's trained `C(p, a)`
+/// (`cpa`), its Amdahl model (`amdahl`) and the trained table scaled
+/// by λ = 1.3 (`scaled`), at minute 5 of a 30-minute deadline with
+/// every stage 40% done. DESIGN §12 records the rows.
 fn bench_argmin(c: &mut Criterion) {
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
     let policy = ArgminPolicy::new(
@@ -240,6 +248,46 @@ fn bench_argmin(c: &mut Criterion) {
     group.bench_function("argmin_1d", |b| {
         b.iter(|| std::hint::black_box(policy.raw_allocation(&[0.25], 0.25, 300.0, 1.0)));
     });
+
+    let job = &smoke_env().jobs[0];
+    let setup = &job.setup;
+    let stages = setup.graph.num_stages();
+    let status = JobStatus {
+        now: SimTime::from_mins(5),
+        elapsed: SimDuration::from_mins(5),
+        stage_fraction: vec![0.4; stages],
+        stage_completed: vec![1; stages],
+        running: 8,
+        running_guaranteed: 8,
+        guarantee: 8,
+        work_done: 100.0,
+        finished: false,
+    };
+    let scaled = ScaledModel::new(setup.cpa.clone());
+    scaled.set_scale(1.3);
+    let models: [(&str, Arc<dyn CompletionModel>); 3] = [
+        ("cpa", setup.cpa.clone()),
+        (
+            "amdahl",
+            Arc::new(AmdahlModel::new(
+                &setup.graph,
+                &setup.profile,
+                setup.max_tokens,
+            )),
+        ),
+        ("scaled", scaled),
+    ];
+    for (row, model) in models {
+        let mut controller = JockeyController::new(
+            model,
+            setup.indicator_context(),
+            UtilityFunction::deadline(SimDuration::from_mins(30)),
+            ControlParams::default(),
+        );
+        group.bench_function(BenchmarkId::new("argmin_1d", row), |b| {
+            b.iter(|| std::hint::black_box(controller.tick(std::hint::black_box(&status))));
+        });
+    }
     group.finish();
 }
 

@@ -1,8 +1,10 @@
 //! Hot-path kernels: cluster simulation throughput, `C(p, a)` training
-//! and queries, and the per-tick cost of the control loop — the pieces
-//! whose cost determines whether Jockey's offline/online split is
-//! viable (§4.1 argues online simulation would be too slow; these
-//! numbers quantify the claim for this implementation).
+//! and queries, and progress-indicator evaluation — the pieces whose
+//! cost determines whether Jockey's offline/online split is viable
+//! (§4.1 argues online simulation would be too slow; these numbers
+//! quantify the claim for this implementation). A whole control tick
+//! is timed by `control_plane/argmin_1d/{cpa,amdahl,scaled}` in
+//! `benches/control_plane.rs`.
 
 // Criterion macros expand to undocumented items.
 #![allow(missing_docs)]
@@ -10,11 +12,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jockey_bench::smoke_env;
 use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation};
-use jockey_core::control::ControlParams;
 use jockey_core::cpa::{CpaModel, TrainConfig};
-use jockey_core::policy::Policy;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
-use jockey_simrt::time::SimDuration;
 use jockey_workloads::jobs::paper_job;
 
 /// Simulate one full execution of a generated job on a dedicated
@@ -61,39 +60,6 @@ fn bench_cpa_training(c: &mut Criterion) {
     g.finish();
 }
 
-/// One control-loop tick: progress evaluation plus the allocation scan.
-fn bench_control_tick(c: &mut Criterion) {
-    let env = smoke_env();
-    let job = &env.jobs[0];
-    let n = job.gen.graph.num_stages();
-    let controller = |policy| {
-        job.setup
-            .controller(policy, SimDuration::from_mins(30), ControlParams::default())
-    };
-    let status = jockey_cluster::JobStatus {
-        now: jockey_simrt::time::SimTime::from_mins(5),
-        elapsed: SimDuration::from_mins(5),
-        stage_fraction: vec![0.4; n],
-        stage_completed: vec![1; n],
-        running: 8,
-        running_guaranteed: 8,
-        guarantee: 8,
-        work_done: 100.0,
-        finished: false,
-    };
-    let mut g = c.benchmark_group("control");
-    for (label, policy) in [
-        ("tick_cpa_model", Policy::Jockey),
-        ("tick_amdahl_model", Policy::JockeyNoSim),
-    ] {
-        let mut ctl = controller(policy);
-        g.bench_function(label, |b| {
-            b.iter(|| ctl.tick(std::hint::black_box(&status)))
-        });
-    }
-    g.finish();
-}
-
 /// Progress-indicator evaluation (runs every control tick).
 fn bench_indicators(c: &mut Criterion) {
     let job = paper_job(6, 1); // Job G: 110 stages.
@@ -115,7 +81,6 @@ criterion_group!(
     benches,
     bench_cluster_sim,
     bench_cpa_training,
-    bench_control_tick,
     bench_indicators
 );
 criterion_main!(benches);

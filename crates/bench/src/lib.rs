@@ -3,8 +3,10 @@
 //! Each paper table/figure has a benchmark in `benches/figures.rs`
 //! that regenerates it at smoke scale; `benches/kernels.rs` measures
 //! the hot paths (cluster simulation, C(p,a) training and queries,
-//! control ticks); `benches/ablations.rs` compares design alternatives
-//! called out in DESIGN.md (progress indicators, prediction models).
+//! progress indicators); `benches/control_plane.rs` times control
+//! ticks and plane rounds; `benches/ablations.rs` compares design
+//! alternatives called out in DESIGN.md (progress indicators,
+//! prediction models).
 
 use std::sync::OnceLock;
 

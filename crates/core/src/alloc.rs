@@ -8,7 +8,9 @@
 //! `A^r = argmin_a {a : U_a = max_b U_b}` — the minimum allocation
 //! maximizing utility. Everything stateful (dead zone, hysteresis,
 //! clamping) lives in [`JockeyController`](crate::control::JockeyController),
-//! which calls it once per tick.
+//! which fills one `C(p, ·)` curve per tick
+//! ([`ArgminPolicy::fill_curve`]) and reads the argmin from it
+//! ([`ArgminPolicy::argmin`]).
 //!
 //! [`SpeculationLevel`] and [`SpeculativeDecision`] describe the
 //! speculation dimension: the control plane's speculative admission
@@ -58,16 +60,52 @@ impl ArgminPolicy {
         self.shifted_utility = shifted_utility;
     }
 
-    /// Expected remaining seconds at `allocation`, inflated by
-    /// `inflation`.
-    pub fn predicted_remaining(
-        &self,
-        fs: &[f64],
-        progress: f64,
-        allocation: u32,
-        inflation: f64,
-    ) -> f64 {
-        inflation * self.model.remaining_secs(fs, progress, allocation)
+    /// Fills `curve` with `C(p, a)` for every candidate allocation
+    /// `a` in `min_allocation..=max_allocation`, in ascending order,
+    /// with one [`CompletionModel::remaining_curve`] call. The buffer
+    /// is reused: once it has grown to the candidate count, filling it
+    /// allocates nothing. Empty when `min_allocation` exceeds the
+    /// model's cap.
+    pub fn fill_curve(&self, fs: &[f64], progress: f64, curve: &mut Vec<f64>) {
+        let max = self.model.max_allocation();
+        let candidates = max
+            .checked_sub(self.min_allocation)
+            .map_or(0, |span| span as usize + 1);
+        curve.resize(candidates, 0.0);
+        self.model
+            .remaining_curve(fs, progress, self.min_allocation, curve);
+    }
+
+    /// The expected (shifted) utility of finishing `inflation · remaining`
+    /// seconds after `elapsed_secs`.
+    fn utility(&self, remaining: f64, elapsed_secs: f64, inflation: f64) -> f64 {
+        self.shifted_utility
+            .eval(elapsed_secs + inflation * remaining)
+    }
+
+    /// The raw allocation `A^r` read from a `curve` that
+    /// [`ArgminPolicy::fill_curve`] filled, at elapsed job time
+    /// `elapsed_secs`, with model predictions multiplied by
+    /// `inflation` (the slack factor `S`, possibly composed with other
+    /// conditioning stages).
+    pub fn argmin(&self, curve: &[f64], elapsed_secs: f64, inflation: f64) -> u32 {
+        // With no candidate, or none above utility −∞, the answer is
+        // the cap, as for a deadline no allocation meets.
+        let mut best_a = match curve.len() {
+            0 => self.model.max_allocation(),
+            n => self.min_allocation + (n as u32 - 1),
+        };
+        let mut best_u = f64::NEG_INFINITY;
+        // Ascending scan: the *first* allocation achieving the maximum
+        // utility (within epsilon) is the minimal one.
+        for (a, &remaining) in (self.min_allocation..).zip(curve) {
+            let u = self.utility(remaining, elapsed_secs, inflation);
+            if u > best_u + 1e-9 {
+                best_u = u;
+                best_a = a;
+            }
+        }
+        best_a
     }
 
     /// The expected (shifted) utility of every candidate allocation,
@@ -80,18 +118,17 @@ impl ArgminPolicy {
         elapsed_secs: f64,
         inflation: f64,
     ) -> Vec<(u32, f64)> {
-        (self.min_allocation..=self.model.max_allocation())
-            .map(|a| {
-                let remaining = self.predicted_remaining(fs, progress, a, inflation);
-                (a, self.shifted_utility.eval(elapsed_secs + remaining))
-            })
+        let mut curve = Vec::new();
+        self.fill_curve(fs, progress, &mut curve);
+        (self.min_allocation..)
+            .zip(curve)
+            .map(|(a, remaining)| (a, self.utility(remaining, elapsed_secs, inflation)))
             .collect()
     }
 
     /// The raw allocation `A^r` for per-stage fractions `fs`, scalar
-    /// progress `progress`, at elapsed job time `elapsed_secs`, with
-    /// model predictions multiplied by `inflation` (the slack factor
-    /// `S`, possibly composed with other conditioning stages).
+    /// progress `progress`, at elapsed job time `elapsed_secs`:
+    /// [`ArgminPolicy::argmin`] over a freshly filled curve.
     pub fn raw_allocation(
         &self,
         fs: &[f64],
@@ -99,20 +136,9 @@ impl ArgminPolicy {
         elapsed_secs: f64,
         inflation: f64,
     ) -> u32 {
-        let max = self.model.max_allocation();
-        let mut best_u = f64::NEG_INFINITY;
-        let mut best_a = max;
-        // Ascending scan: the *first* allocation achieving the maximum
-        // utility (within epsilon) is the minimal one.
-        for a in self.min_allocation..=max {
-            let remaining = self.predicted_remaining(fs, progress, a, inflation);
-            let u = self.shifted_utility.eval(elapsed_secs + remaining);
-            if u > best_u + 1e-9 {
-                best_u = u;
-                best_a = a;
-            }
-        }
-        best_a
+        let mut curve = Vec::new();
+        self.fill_curve(fs, progress, &mut curve);
+        self.argmin(&curve, elapsed_secs, inflation)
     }
 
     /// The largest allocation worth considering.

@@ -178,6 +178,10 @@ pub struct JockeyController {
     smoothed: Option<f64>,
     /// The most recent decision, overwritten every tick.
     last: Option<ControlTick>,
+    /// This tick's `C(p, min_allocation..=max)`, refilled every tick
+    /// (λ updates and online model generations change the model
+    /// between ticks) into a buffer that keeps its capacity.
+    curve: Vec<f64>,
 }
 
 impl JockeyController {
@@ -201,6 +205,7 @@ impl JockeyController {
             params,
             smoothed: None,
             last: None,
+            curve: Vec::new(),
         }
     }
 
@@ -237,7 +242,7 @@ impl JockeyController {
         let Some(deadline) = self.utility.deadline_duration() else {
             return (true, true);
         };
-        let remaining = self.params.slack * self.policy.model().remaining_secs(fs, progress, probe);
+        let remaining = self.params.slack * self.remaining_at(fs, progress, probe);
         let finish = elapsed_secs + remaining;
         let deadline = deadline.as_secs_f64();
         let dead_zone = self.params.dead_zone.as_secs_f64();
@@ -245,6 +250,18 @@ impl JockeyController {
             finish > deadline - dead_zone,
             finish <= deadline - 2.0 * dead_zone,
         )
+    }
+
+    /// `C(p, allocation)` read from this tick's curve. An allocation
+    /// outside it (below `min_allocation`, or above the model's cap,
+    /// where `⌈A^s⌉` could land after rounding) takes the single query,
+    /// so the answer never depends on whether the curve covers it.
+    fn remaining_at(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
+        allocation
+            .checked_sub(self.params.min_allocation)
+            .and_then(|i| self.curve.get(i as usize))
+            .copied()
+            .unwrap_or_else(|| self.policy.model().remaining_secs(fs, progress, allocation))
     }
 }
 
@@ -294,7 +311,9 @@ impl JobController for JockeyController {
         }
         let fs = &status.stage_fraction;
         let p = self.indicator.progress(fs);
-        let raw = self.policy.raw_allocation(fs, p, tr, self.params.slack);
+        // One curve answers the argmin, the verdicts and the prediction.
+        self.policy.fill_curve(fs, p, &mut self.curve);
+        let raw = self.policy.argmin(&self.curve, tr, self.params.slack);
 
         // The verdicts are taken at the allocation in force (the raw
         // allocation itself on the first decision).
@@ -310,7 +329,7 @@ impl JobController for JockeyController {
         self.smoothed = Some(smoothed);
         let guarantee = clamp(smoothed, self.params.min_allocation);
 
-        let predicted = tr + self.policy.model().remaining_secs(fs, p, guarantee);
+        let predicted = tr + self.remaining_at(fs, p, guarantee);
         self.last = Some(ControlTick {
             elapsed_secs: tr,
             progress: p,

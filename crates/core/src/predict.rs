@@ -47,10 +47,12 @@ pub trait CompletionModel: Send + Sync {
     /// and relies on the two answering what one curve from 1 would.
     ///
     /// One call answers what an arbitration refresh asks of a job that
-    /// is behind — every allocation its grant scans can reach — so a
-    /// model whose per-query work repeats (a table lookup, a grid
-    /// search) does that work once per curve. The default asks the
-    /// single query per allocation.
+    /// is behind — every allocation its grant scans can reach — and
+    /// what a [`crate::control::JockeyController`] tick asks — every
+    /// candidate of the §4.3 argmin — so a model whose per-query work
+    /// repeats (a table lookup, a grid search, Amdahl's per-stage sums)
+    /// does that work once per curve. The default asks the single
+    /// query per allocation.
     fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
         for (a, v) in (first..).zip(out.iter_mut()) {
             *v = self.remaining_secs(fs, progress, a);
@@ -174,18 +176,30 @@ impl AmdahlModel {
             .map(|(s, &f)| (1.0 - f) * self.total_exec[s])
             .sum()
     }
+
+    /// `(S_t, P_t)` at fractions `fs`, where §4.1's `P` is the
+    /// aggregate CPU time *minus the time on the critical path*: work
+    /// on the critical path is already accounted for by the serial
+    /// term `S_t`.
+    fn serial_and_parallel(&self, fs: &[f64]) -> (f64, f64) {
+        assert_eq!(fs.len(), self.max_runtime.len(), "fs length mismatch");
+        let st = self.remaining_critical_path(fs);
+        (st, (self.remaining_work(fs) - st).max(0.0))
+    }
 }
 
 impl CompletionModel for AmdahlModel {
     fn remaining_secs(&self, fs: &[f64], _progress: f64, allocation: u32) -> f64 {
-        assert_eq!(fs.len(), self.max_runtime.len(), "fs length mismatch");
-        let a = allocation.max(1);
-        // §4.1: `P` is the aggregate CPU time *minus the time on the
-        // critical path* — work on the critical path is already
-        // accounted for by the serial term `S_t`.
-        let st = self.remaining_critical_path(fs);
-        let pt = (self.remaining_work(fs) - st).max(0.0);
-        st + pt / f64::from(a)
+        let (st, pt) = self.serial_and_parallel(fs);
+        st + pt / f64::from(allocation.max(1))
+    }
+
+    /// `S_t` and `P_t` summed once for the whole curve.
+    fn remaining_curve(&self, fs: &[f64], _progress: f64, first: u32, out: &mut [f64]) {
+        let (st, pt) = self.serial_and_parallel(fs);
+        for (a, v) in (first..).zip(out.iter_mut()) {
+            *v = st + pt / f64::from(a.max(1));
+        }
     }
 
     fn max_allocation(&self) -> u32 {
@@ -267,6 +281,53 @@ mod tests {
         }
         // Asymptotically bounded below by the critical path.
         assert!(prev >= m.remaining_critical_path(&fs));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Property: a curve from any start, of any length, equals the
+        /// single query bit for bit — over random per-stage profiles,
+        /// fractions that include finished (`1.0`) and out-of-range
+        /// stages, and starts from the zero allocation (read as one)
+        /// to past the cap.
+        #[test]
+        fn remaining_curve_matches_single_queries_bit_for_bit(
+            stages in proptest::collection::vec(
+                (0.0..500.0_f64, 0.0..5_000.0_f64, 0.0..50_000.0_f64, -0.2..1.2_f64),
+                1..8,
+            ),
+            progress in -0.1..1.1_f64,
+            first in 0_u32..=210,
+            len in 0_usize..=220,
+        ) {
+            let m = AmdahlModel {
+                max_runtime: stages.iter().map(|s| s.0).collect(),
+                longest_path: stages.iter().map(|s| s.1).collect(),
+                total_exec: stages.iter().map(|s| s.2).collect(),
+                max_allocation: 200,
+            };
+            // About one stage in seven exactly finished (`1.0`), some
+            // fractions negative.
+            let fs: Vec<f64> = stages.iter().map(|s| if s.3 > 1.0 { 1.0 } else { s.3 }).collect();
+            let mut out = vec![f64::NAN; len];
+            m.remaining_curve(&fs, progress, first, &mut out);
+            for (a, v) in (first..).zip(&out) {
+                proptest::prop_assert_eq!(
+                    v.to_bits(),
+                    m.remaining_secs(&fs, progress, a).to_bits(),
+                    "a={}", a
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fs length mismatch")]
+    fn remaining_curve_keeps_the_stage_count_check() {
+        let (g, p) = fixture();
+        let m = AmdahlModel::new(&g, &p, 100);
+        m.remaining_curve(&[0.0], 0.0, 1, &mut [0.0; 4]);
     }
 
     #[test]

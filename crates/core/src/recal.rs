@@ -83,6 +83,15 @@ impl CompletionModel for ScaledModel {
         self.scale() * self.inner.remaining_secs(fs, progress, allocation)
     }
 
+    /// The base model's curve, each entry scaled by one λ read.
+    fn remaining_curve(&self, _fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
+        self.inner.remaining_curve(progress, first, out);
+        let scale = self.scale();
+        for v in out.iter_mut() {
+            *v *= scale;
+        }
+    }
+
     fn max_allocation(&self) -> u32 {
         self.inner.max_allocation()
     }
@@ -254,6 +263,37 @@ mod tests {
             guarantee,
             work_done: frac * 24.0 * 30.0,
             finished: false,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Property: at any λ ≠ 1, a curve from any start, of any
+        /// length, equals the single query bit for bit, inside the
+        /// grid, between grid points, and clamped past either end.
+        #[test]
+        fn remaining_curve_matches_single_queries_bit_for_bit(
+            lambda in proptest::prelude::Strategy::prop_map(1.0 / 3.0..3.0_f64, |l| {
+                if (l - 1.0).abs() < 0.001 { l + 0.002 } else { l }
+            }),
+            fs in proptest::collection::vec(0.0..=1.0_f64, 0..3),
+            progress in -0.1..1.1_f64,
+            first in 0_u32..=12,
+            len in 0_usize..=16,
+        ) {
+            static BASE: std::sync::OnceLock<Arc<CpaModel>> = std::sync::OnceLock::new();
+            let scaled = ScaledModel::new(BASE.get_or_init(|| trained().0).clone());
+            scaled.set_scale(lambda);
+            let mut out = vec![f64::NAN; len];
+            scaled.remaining_curve(&fs, progress, first, &mut out);
+            for (a, v) in (first..).zip(&out) {
+                proptest::prop_assert_eq!(
+                    v.to_bits(),
+                    scaled.remaining_secs(&fs, progress, a).to_bits(),
+                    "a={}", a
+                );
+            }
         }
     }
 

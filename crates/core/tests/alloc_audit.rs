@@ -11,7 +11,8 @@
 //! reintroduces per-event or per-task allocations into the loop.
 //!
 //! The §4.3 controller ticks once per control period of every
-//! controlled run; a tick must not allocate at all.
+//! controlled run; a tick must not allocate at all, over a trained
+//! `C(p, a)`, the Amdahl model or the λ-recalibrated table.
 //!
 //! Integration tests are separate binaries, so the global allocator
 //! here affects no other test. The count is per thread, so the audits
@@ -28,7 +29,9 @@ use jockey_cluster::{
 };
 use jockey_core::control::{ControlParams, JockeyController};
 use jockey_core::cpa::{CpaModel, TrainConfig};
+use jockey_core::predict::AmdahlModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
+use jockey_core::recal::recalibrated;
 use jockey_core::utility::UtilityFunction;
 use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
 use jockey_simrt::dist::Uniform;
@@ -164,70 +167,99 @@ fn training_loop_allocations_are_pooled_and_constant_per_run() {
     );
 }
 
-/// A controller over a trained `C(p, a)` table for a two-stage job.
-fn controller() -> JockeyController {
+/// The three controllers the §4.3 loop runs: a `JockeyController` over
+/// a trained `C(p, a)` table for the audit job, one over the Amdahl
+/// model of the same profile, and a recalibrating controller over the
+/// λ-scaled table.
+fn controllers() -> Vec<(&'static str, Box<dyn JobController>)> {
     let spec = training_spec();
     let graph = spec.graph.clone();
     let mut sim = ClusterSim::new(ClusterConfig::dedicated(12), 3);
     sim.add_job_shared(spec, Box::new(FixedAllocation(12)));
     let profile = sim.run_single().profile;
     let ctx = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
-    let model = CpaModel::train(
+    let model = Arc::new(CpaModel::train(
         &graph,
         &profile,
         &ctx,
         &TrainConfig::fast(vec![1, 2, 4, 8, 12]),
         7,
-    );
-    JockeyController::new(
-        Arc::new(model),
-        ctx,
-        UtilityFunction::deadline(SimDuration::from_mins(30)),
-        ControlParams::default(),
-    )
+    ));
+    let utility = UtilityFunction::deadline(SimDuration::from_mins(30));
+    let params = ControlParams::default();
+    vec![
+        (
+            "cpa",
+            Box::new(JockeyController::new(
+                model.clone(),
+                ctx.clone(),
+                utility.clone(),
+                params,
+            )),
+        ),
+        (
+            "amdahl",
+            Box::new(JockeyController::new(
+                Arc::new(AmdahlModel::new(&graph, &profile, 12)),
+                ctx.clone(),
+                utility.clone(),
+                params,
+            )),
+        ),
+        (
+            "recalibrated",
+            Box::new(recalibrated(model, ctx, utility, params)),
+        ),
+    ]
 }
 
 #[test]
 fn controller_ticks_allocate_nothing() {
-    let mut c = controller();
-    let stages = training_spec().graph.num_stages();
-    let mut status = JobStatus {
-        now: SimTime::ZERO,
-        elapsed: SimDuration::ZERO,
-        stage_fraction: vec![0.0; stages],
-        stage_completed: vec![0; stages],
-        running: 0,
-        running_guaranteed: 0,
-        guarantee: 0,
-        work_done: 0.0,
-        finished: false,
-    };
-    let first = c.initial(&status);
-    status.guarantee = first.guarantee;
+    for (name, mut c) in controllers() {
+        let stages = training_spec().graph.num_stages();
+        let mut status = JobStatus {
+            now: SimTime::ZERO,
+            elapsed: SimDuration::ZERO,
+            stage_fraction: vec![0.0; stages],
+            stage_completed: vec![0; stages],
+            running: 0,
+            running_guaranteed: 0,
+            guarantee: 0,
+            work_done: 0.0,
+            finished: false,
+        };
+        let first = c.initial(&status);
+        status.guarantee = first.guarantee;
 
-    // Past the 4096 ticks any bounded journal would hold, with progress
-    // sweeping every stage, deadline pressure rising and the guarantee
-    // fed back, so the argmin, the dead-zone gate and the hysteresis
-    // memory all move.
-    const TICKS: u32 = 5_000;
-    let before = allocations();
-    for i in 1..=TICKS {
-        let frac = f64::from(i % 1_000) / 1_000.0;
-        for (s, f) in status.stage_fraction.iter_mut().enumerate() {
-            *f = (frac * stages as f64 - s as f64).clamp(0.0, 1.0);
+        // Past the 4096 ticks any bounded journal would hold, with
+        // progress sweeping every stage, deadline pressure rising and
+        // the guarantee fed back, so the argmin, the dead-zone gate,
+        // the hysteresis memory and (recalibrated) λ all move.
+        const TICKS: u32 = 5_000;
+        let before = allocations();
+        let mut last = None;
+        for i in 1..=TICKS {
+            let frac = f64::from(i % 1_000) / 1_000.0;
+            for (s, f) in status.stage_fraction.iter_mut().enumerate() {
+                *f = (frac * stages as f64 - s as f64).clamp(0.0, 1.0);
+            }
+            status.elapsed = SimDuration::from_secs(u64::from(i % 2_400));
+            status.now = SimTime::ZERO + status.elapsed;
+            status.finished = i == TICKS;
+            let d = c.tick(&status);
+            status.guarantee = d.guarantee;
+            status.running = d.guarantee;
+            status.running_guaranteed = d.guarantee;
+            last = Some(d);
         }
-        status.elapsed = SimDuration::from_secs(u64::from(i % 2_400));
-        status.now = SimTime::ZERO + status.elapsed;
-        status.finished = i == TICKS;
-        let d = c.tick(&status);
-        status.guarantee = d.guarantee;
-        status.running = d.guarantee;
-        status.running_guaranteed = d.guarantee;
+        let allocated = allocations() - before;
+        assert!(
+            last.is_some_and(|d| d.raw.is_none()),
+            "{name}: the last tick reports the job finished"
+        );
+        assert_eq!(
+            allocated, 0,
+            "{name}: {TICKS} controller ticks allocated {allocated} times"
+        );
     }
-    let allocated = allocations() - before;
-    assert!(c.last_tick().is_some_and(|t| t.finished));
-    assert_eq!(
-        allocated, 0,
-        "{TICKS} controller ticks allocated {allocated} times"
-    );
 }

@@ -136,4 +136,13 @@ JOCKEY_SCALE=smoke JOCKEY_SEED=42 \
   | grep '^digest' | cut -f2,3 \
   | diff <(grep -v '^#' crates/experiments/tests/golden_smoke_digests.tsv) - \
   || { echo "tier1: smoke digests drifted from golden_smoke_digests.tsv" >&2; exit 1; }
+# Full-scale golden gate: every registered experiment at the scale
+# EXPERIMENTS.md reports (seed 42; about 5 s on 2 cores), so
+# "byte-identical" covers every controller-driven figure at full
+# scale, not only the smoke subset above.
+JOCKEY_SCALE=full JOCKEY_SEED=42 \
+  ./target/release/jockey-repro --jobs 2 --out "$golden_out/full" --digests \
+  | grep '^digest' | cut -f2,3 \
+  | diff <(grep -v '^#' crates/experiments/tests/golden_full_digests.tsv) - \
+  || { echo "tier1: full-scale digests drifted from golden_full_digests.tsv" >&2; exit 1; }
 echo "tier1: OK"
