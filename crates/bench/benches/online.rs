@@ -14,8 +14,14 @@
 //!   plane-served job's guarantee does. With no empty cell in a row,
 //!   absorb recomputes only the cells a run touched (DESIGN §13);
 //! - `store-publish`: `ModelStore::record_completion` end to end
-//!   (absorb, drift bookkeeping, snapshot clone, generation bump), what
-//!   the service driver pays per completion;
+//!   (absorb, drift bookkeeping, query-table publish, generation bump),
+//!   what the service driver pays per completion;
+//! - `publish-pinned`: the same call on the service family's shape,
+//!   from `absorb-family`'s moving runs, while a pinned `ModelHandle`
+//!   view holds the generation the call supersedes, as the plane's
+//!   refresh and admission sizing hold one between completions. The
+//!   published generation must not change under the reader, so this is
+//!   the row that pays for keeping it isolated;
 //! - `cold-start`: `CpaModel::empty` on the service family's grid plus
 //!   one nominal run absorbed per allocation (`family_model`, which
 //!   mirrors the service driver's `bootstrap_family_model`): what each
@@ -42,7 +48,8 @@ use std::time::Instant;
 use jockey_bench::family_model;
 use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec};
 use jockey_core::cpa::{CpaModel, RunObservation, TrainConfig};
-use jockey_core::online::{ModelStore, OnlineConfig, RecordedRun};
+use jockey_core::online::{ModelHandle, ModelStore, OnlineConfig, RecordedRun};
+use jockey_core::predict::CompletionModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
 use jockey_simrt::dist::Uniform;
@@ -115,8 +122,7 @@ fn main() {
     let ctx = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
     // Bounded sketches: the online deployment shape (the service driver
     // trains its family models the same way). Exact sketches would make
-    // every absorb — and the snapshot clone it publishes — grow with
-    // accumulated history, which is precisely what the compacting
+    // every absorb grow with accumulated history, which is precisely what the compacting
     // sketch exists to avoid. Full mode measures against the *default*
     // training configuration (the 13-allocation production grid the
     // acceptance floor is stated for); smoke keeps the cheap test grid
@@ -176,7 +182,7 @@ fn main() {
     let family_mean_us = family_us.iter().sum::<f64>() / family_us.len() as f64;
 
     // Phase 2b — store publish: record_completion end to end (absorb +
-    // drift bookkeeping + snapshot clone + generation bump), what the
+    // drift bookkeeping + query-table publish + generation bump), what the
     // service driver pays per completion.
     let store = ModelStore::new(model.clone(), OnlineConfig::default());
     let mut publish_us = Vec::with_capacity(absorb_iters);
@@ -190,6 +196,27 @@ fn main() {
     }
     publish_us.sort_by(f64::total_cmp);
     let publish_mean_us = publish_us.iter().sum::<f64>() / publish_us.len() as f64;
+
+    // Phase 2b' — publish under a reader: record_completion into the
+    // service family's shape while a pinned view holds the previous
+    // generation.
+    let family_store = Arc::new(ModelStore::new(
+        family_model(3_600.0, 16),
+        OnlineConfig::default(),
+    ));
+    let handle = ModelHandle::new(family_store.clone());
+    let mut pinned_us = Vec::with_capacity(absorb_iters);
+    for i in 0..absorb_iters {
+        let run = moving_run(i, ticks);
+        let view = handle.pinned();
+        let t0 = Instant::now();
+        let outcome = family_store.record_completion(run);
+        pinned_us.push(1e6 * t0.elapsed().as_secs_f64());
+        drop(view);
+        assert!(outcome.samples_added > 0, "absorb added nothing");
+    }
+    pinned_us.sort_by(f64::total_cmp);
+    let pinned_mean_us = pinned_us.iter().sum::<f64>() / pinned_us.len() as f64;
 
     // Phase 2c — cold start: an empty family-shaped model plus its 16
     // bootstrap absorbs, as each service instance builds it.
@@ -255,6 +282,14 @@ fn main() {
         publish_mean_us,
         percentile(&publish_us, 50.0),
         percentile(&publish_us, 99.0)
+    );
+    println!(
+        "{:<16} {:>12} {:>9.1} us {:>9.1} us {:>9.1} us",
+        "publish-pinned",
+        absorb_iters,
+        pinned_mean_us,
+        percentile(&pinned_us, 50.0),
+        percentile(&pinned_us, 99.0)
     );
     println!(
         "{:<16} {:>12} {:>9.1} us {:>9.1} us {:>9.1} us",

@@ -335,35 +335,132 @@ struct RunHarvest {
 /// The trained `C(p, a)` table.
 #[derive(Clone, Debug)]
 pub struct CpaModel {
-    allocations: Vec<u32>,
-    bins: usize,
-    percentile: f64,
     /// Per-level sketch capacity shared by every cell (`None` = exact).
     sketch_k: Option<usize>,
-    /// `cells[alloc_idx][bin]`: a mergeable quantile sketch over the
-    /// remaining-time samples. Exact (a plain sorted list) unless a
-    /// `sketch_capacity` was configured.
+    /// `cells[alloc_idx * bins + bin]`: a mergeable quantile sketch
+    /// over the remaining-time samples. Exact (a plain sorted list)
+    /// unless a `sketch_capacity` was configured.
     ///
-    /// Each allocation row sits behind its own [`Arc`] and is written
-    /// copy-on-write: cloning a model (what [`crate::online::ModelStore`]
-    /// does to publish a snapshot) copies row pointers, not sketches,
-    /// and a later absorb copies only the rows it touches while the
-    /// published snapshot keeps the old ones.
-    cells: Vec<Arc<Vec<CellSketch>>>,
+    /// The model owns its cells outright and an absorb merges into them
+    /// in place. Cells serve explicit-percentile queries, absorption and
+    /// serialization; no configured-percentile query reads them, so a
+    /// published generation ([`crate::online::ModelStore`]) shares the
+    /// query table alone and never holds a sketch.
+    cells: Vec<CellSketch>,
+    /// What configured-percentile queries read: the grid, the binning
+    /// and the dense percentile table. Shared read-only with every
+    /// published generation; an absorb writes a private copy when a
+    /// reader still holds this one.
+    query: Arc<CpaTable>,
+    /// Buffers [`CpaModel::absorb_runs`] reuses from call to call.
+    scratch: AbsorbScratch,
+}
+
+/// The query surface of a [`CpaModel`]: its allocation grid, progress
+/// binning and configured percentile, plus the dense table every
+/// configured-percentile query reads. It holds no sketch, so an online
+/// store publishes it as an immutable generation for readers to share.
+#[derive(Clone, Debug)]
+pub(crate) struct CpaTable {
+    /// The allocation grid (ascending), shared by every copy.
+    allocations: Arc<[u32]>,
+    bins: usize,
+    percentile: f64,
     /// Dense `allocations.len() x bins` lookup table: the configured
     /// percentile of each `(allocation, bin)` cell, with the outward
     /// empty-cell fallback already resolved. [`CpaModel::remaining`] —
     /// the per-controller-tick query — reads this instead of
-    /// recomputing the percentile over raw samples. Raw `cells` are
-    /// retained for explicit-percentile queries, absorption, and
-    /// serialization.
-    table: Vec<f64>,
-    /// Whether the fresh-latency column (`table[·][bin_of(0)]`) is
+    /// recomputing the percentile over raw samples.
+    values: Vec<f64>,
+    /// Whether the fresh-latency column (`values[·][bin_of(0)]`) is
     /// non-increasing in allocation. When it is — the overwhelmingly
     /// common case, since more tokens never slow a job — feasibility
     /// sizing binary-searches the allocation range; a noisy
     /// non-monotone table falls back to the exhaustive scan.
     fresh_monotone: bool,
+}
+
+impl CpaTable {
+    /// The number of progress bins.
+    pub(crate) fn progress_bins(&self) -> usize {
+        self.bins
+    }
+
+    /// The progress bin a query at progress `p` reads: `p` is clamped
+    /// to `[0, 1]`, and NaN maps to bin 0.
+    pub(crate) fn bin_of(&self, p: f64) -> usize {
+        progress_bin(p, self.bins)
+    }
+
+    /// The largest grid allocation.
+    pub(crate) fn max_allocation(&self) -> u32 {
+        *self.allocations.last().expect("non-empty grid")
+    }
+
+    /// Re-derives [`CpaTable::fresh_monotone`] from the table.
+    fn check_fresh_monotone(&mut self) {
+        let bin0 = self.bin_of(0.0);
+        let bins = self.bins;
+        self.fresh_monotone = (1..self.allocations.len()).all(|ai| {
+            let (prev, cur) = (
+                self.values[(ai - 1) * bins + bin0],
+                self.values[ai * bins + bin0],
+            );
+            // NaN anywhere in the column disqualifies the fast path.
+            prev >= cur
+        });
+    }
+
+    /// [`CpaModel::remaining`].
+    pub(crate) fn remaining(&self, progress: f64, allocation: u32) -> f64 {
+        let mut out = [0.0];
+        self.remaining_curve(progress, allocation, &mut out);
+        out[0]
+    }
+
+    /// [`CpaModel::remaining_curve`].
+    pub(crate) fn remaining_curve(&self, progress: f64, first: u32, out: &mut [f64]) {
+        self.remaining_curve_in_bin(self.bin_of(progress), first, out);
+    }
+
+    /// [`CpaTable::remaining_curve`] at every progress that
+    /// [`CpaTable::bin_of`] maps to `bin`: the curve depends on progress
+    /// only through its bin.
+    pub(crate) fn remaining_curve_in_bin(&self, bin: usize, first: u32, out: &mut [f64]) {
+        let at = |ai: usize| self.values[ai * self.bins + bin];
+        let grid = &self.allocations;
+        let last = grid.len() - 1;
+        // `hi` is the first grid index with `grid[hi] >= allocation`.
+        let mut hi = grid.partition_point(|&g| g < first);
+        for (allocation, v) in (first..).zip(out.iter_mut()) {
+            *v = if allocation <= grid[0] {
+                at(0)
+            } else if allocation >= grid[last] {
+                at(last)
+            } else {
+                while grid[hi] < allocation {
+                    hi += 1;
+                }
+                // `grid[hi - 1] < allocation <= grid[hi]`: interpolate
+                // between the surrounding grid points.
+                let (ga, gb) = (grid[hi - 1], grid[hi]);
+                let w = f64::from(allocation - ga) / f64::from(gb - ga);
+                lerp_grid(at(hi - 1), at(hi), w)
+            };
+        }
+    }
+
+    /// [`CpaModel::min_allocation_for_deadline`].
+    pub(crate) fn min_allocation_for_deadline(
+        &self,
+        deadline: SimDuration,
+        slack: f64,
+    ) -> Option<u32> {
+        let d = deadline.as_secs_f64();
+        min_feasible_allocation(self.max_allocation(), self.fresh_monotone, |a| {
+            self.remaining(0.0, a) * slack <= d
+        })
+    }
 }
 
 impl CpaModel {
@@ -389,37 +486,58 @@ impl CpaModel {
     /// retraining from a retained run window.
     pub fn vacant_copy(&self) -> Self {
         Self::vacant(
-            self.allocations.clone(),
-            self.bins,
-            self.percentile,
+            self.query.allocations.clone(),
+            self.query.bins,
+            self.query.percentile,
             self.sketch_k,
         )
     }
 
     /// A sample-free model of the given shape, its table all
     /// `INFINITY`. Its cells own no heap buffer, so this costs one
-    /// allocation per row plus the table.
+    /// allocation for the cells plus the table.
     fn vacant(
-        allocations: Vec<u32>,
+        allocations: impl Into<Arc<[u32]>>,
         bins: usize,
         percentile: f64,
         sketch_k: Option<usize>,
     ) -> Self {
-        // One `Arc` per row, so a first absorb into a row copies nothing.
-        let cells = (0..allocations.len())
-            .map(|_| Arc::new(vec![CellSketch::new(sketch_k); bins]))
-            .collect();
-        let mut model = CpaModel {
+        let allocations = allocations.into();
+        let cells = vec![CellSketch::new(sketch_k); allocations.len() * bins];
+        Self::with_cells(allocations, bins, percentile, sketch_k, cells)
+    }
+
+    /// A model over `cells` (row-major, `bins` per grid allocation) with
+    /// its query table built from them: one configured-percentile value
+    /// per `(allocation, bin)`, identical to what the outward-scanning
+    /// [`CpaModel::remaining_at_grid`] path returns (including the
+    /// all-empty-allocation `INFINITY` case), so `remaining()` is a
+    /// load + interpolation per tick. Each row fills in `O(bins)` (see
+    /// [`fill_row`]).
+    fn with_cells(
+        allocations: Arc<[u32]>,
+        bins: usize,
+        percentile: f64,
+        sketch_k: Option<usize>,
+        cells: Vec<CellSketch>,
+    ) -> Self {
+        let mut query = CpaTable {
+            values: vec![0.0; allocations.len() * bins],
             allocations,
             bins,
             percentile,
-            sketch_k,
-            cells,
-            table: Vec::new(),
             fresh_monotone: false,
         };
-        model.build_table();
-        model
+        for (cells, row) in cells.chunks(bins).zip(query.values.chunks_mut(bins)) {
+            fill_row(cells, percentile, |_| true, row);
+        }
+        query.check_fresh_monotone();
+        CpaModel {
+            sketch_k,
+            cells,
+            query: Arc::new(query),
+            scratch: AbsorbScratch::default(),
+        }
     }
 
     /// Trains the model by simulating `profile` (replayed through
@@ -477,11 +595,12 @@ impl CpaModel {
         // grid-then-run pass — and then computes its query-table row,
         // which reads no other row.
         let mut model = CpaModel::empty(cfg);
-        let bins = model.bins;
+        let bins = cfg.progress_bins;
+        let table = Arc::get_mut(&mut model.query).expect("a new model's table is unshared");
         let mut rows: Vec<_> = model
             .cells
-            .iter_mut()
-            .zip(model.table.chunks_mut(bins))
+            .chunks_mut(bins)
+            .zip(table.values.chunks_mut(bins))
             .zip(harvests.chunks(runs))
             .collect();
         for_each_pulled(
@@ -499,12 +618,12 @@ impl CpaModel {
                     }));
                     let completed_alloc = run.completed.then_some(allocation);
                     scratch.stage(&cfg.allocations, bins, obs, run.total_secs, completed_alloc);
-                    scratch.merge(std::slice::from_mut(*row), ai, None);
+                    scratch.merge(row, bins, ai, None);
                 }
                 fill_row(row, cfg.percentile, |_| true, table_row);
             },
         );
-        model.check_fresh_monotone();
+        table.check_fresh_monotone();
         model
     }
 
@@ -534,12 +653,19 @@ impl CpaModel {
     /// absorbing them one call at a time: the table is a function of
     /// the cells alone, and the cells see the same batches in the same
     /// order. Returns the number of samples added.
+    ///
+    /// The runs merge into the model's own cells in place, and the
+    /// staging buffers are the model's, reused from call to call. The
+    /// query table is written in place too, unless a published
+    /// generation still shares it: then the table alone is copied once.
     pub fn absorb_runs<'r>(
         &mut self,
         runs: impl IntoIterator<Item = (&'r [RunObservation], f64, bool)>,
     ) -> usize {
-        let mut touched = vec![false; self.allocations.len() * self.bins];
-        let mut scratch = FoldScratch::default();
+        let bins = self.query.bins;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.touched.clear();
+        scratch.touched.resize(self.cells.len(), false);
         let mut added = 0;
         for (obs, total_secs, completed) in runs {
             let completed_alloc = if completed {
@@ -547,32 +673,20 @@ impl CpaModel {
             } else {
                 None
             };
-            scratch.stage(
-                &self.allocations,
-                self.bins,
+            scratch.fold.stage(
+                &self.query.allocations,
+                bins,
                 obs,
                 total_secs,
                 completed_alloc,
             );
-            added += scratch.merge(&mut self.cells, 0, Some(&mut touched));
+            added += scratch
+                .fold
+                .merge(&mut self.cells, bins, 0, Some(&mut scratch.touched));
         }
-        self.rebuild_rows(&touched);
+        self.rebuild_rows(&scratch.touched);
+        self.scratch = scratch;
         added
-    }
-
-    /// Precomputes the dense query table from the raw cells: one
-    /// configured-percentile value per `(allocation, bin)`, identical to
-    /// what the outward-scanning [`CpaModel::remaining_at_grid`] path
-    /// returns (including the all-empty-allocation `INFINITY` case), so
-    /// `remaining()` is a load + interpolation per tick. Each row fills
-    /// in `O(bins)` (see [`fill_row`]).
-    fn build_table(&mut self) {
-        let bins = self.bins;
-        self.table = vec![0.0; self.allocations.len() * bins];
-        for (cells, row) in self.cells.iter().zip(self.table.chunks_mut(bins)) {
-            fill_row(cells, self.percentile, |_| true, row);
-        }
-        self.check_fresh_monotone();
     }
 
     /// Recomputes the table rows that `touched` (one flag per
@@ -586,38 +700,31 @@ impl CpaModel {
     /// take their nearest non-empty neighbour's value again, since one
     /// new sample can move that neighbour.
     fn rebuild_rows(&mut self, touched: &[bool]) {
-        let bins = self.bins;
-        debug_assert_eq!(touched.len(), self.allocations.len() * bins);
-        let rows = touched.chunks(bins).zip(&self.cells);
-        for ((row_touched, cells), row) in rows.zip(self.table.chunks_mut(bins)) {
+        debug_assert_eq!(touched.len(), self.cells.len());
+        let table = Arc::make_mut(&mut self.query);
+        let bins = table.bins;
+        let rows = touched.chunks(bins).zip(self.cells.chunks(bins));
+        for ((row_touched, cells), row) in rows.zip(table.values.chunks_mut(bins)) {
             if row_touched.contains(&true) {
-                fill_row(cells, self.percentile, |bin| row_touched[bin], row);
+                fill_row(cells, table.percentile, |bin| row_touched[bin], row);
             }
         }
-        self.check_fresh_monotone();
+        table.check_fresh_monotone();
     }
 
-    /// Re-derives [`CpaModel::fresh_monotone`] from the dense table.
-    fn check_fresh_monotone(&mut self) {
-        let bin0 = self.bin_of(0.0);
-        self.fresh_monotone = (1..self.allocations.len()).all(|ai| {
-            let (prev, cur) = (
-                self.table[(ai - 1) * self.bins + bin0],
-                self.table[ai * self.bins + bin0],
-            );
-            // NaN anywhere in the column disqualifies the fast path.
-            prev >= cur
-        });
+    /// The model's query table, as an online store publishes it.
+    pub(crate) fn table(&self) -> &Arc<CpaTable> {
+        &self.query
     }
 
     /// The allocation grid the model was trained on.
     pub fn allocations(&self) -> &[u32] {
-        &self.allocations
+        &self.query.allocations
     }
 
     /// The percentile used by [`CpaModel::remaining`] queries.
     pub fn percentile(&self) -> f64 {
-        self.percentile
+        self.query.percentile
     }
 
     /// The per-cell sketch capacity (`None` = exact cells).
@@ -629,47 +736,33 @@ impl CpaModel {
     /// sketches represent more samples than they store — see
     /// [`CpaModel::stored_item_count`].
     pub fn sample_count(&self) -> usize {
-        self.cells
-            .iter()
-            .flat_map(|a| a.iter().map(|c| c.count() as usize))
-            .sum()
+        self.cells.iter().map(|c| c.count() as usize).sum()
     }
 
     /// Number of items physically stored across all sketches — the
     /// model's memory footprint, which a bounded `sketch_capacity`
     /// keeps from growing linearly with absorbed runs.
     pub fn stored_item_count(&self) -> usize {
-        self.cells
-            .iter()
-            .flat_map(|a| a.iter().map(CellSketch::item_count))
-            .sum()
+        self.cells.iter().map(CellSketch::item_count).sum()
     }
 
     /// The summed worst-case rank error across all cells (diagnostics);
     /// zero for exact models.
     pub fn rank_error_bound(&self) -> u64 {
-        self.cells
-            .iter()
-            .flat_map(|a| a.iter().map(CellSketch::rank_error_bound))
-            .sum()
+        self.cells.iter().map(CellSketch::rank_error_bound).sum()
     }
 
-    /// The number of progress bins.
-    pub(crate) fn progress_bins(&self) -> usize {
-        self.bins
-    }
-
-    /// The progress bin a query at progress `p` reads: `p` is clamped
-    /// to `[0, 1]`, and NaN maps to bin 0.
-    pub(crate) fn bin_of(&self, p: f64) -> usize {
-        progress_bin(p, self.bins)
+    /// The sketches of grid allocation `ai`, one per progress bin.
+    fn row(&self, ai: usize) -> &[CellSketch] {
+        let bins = self.query.bins;
+        &self.cells[ai * bins..(ai + 1) * bins]
     }
 
     /// The remaining-time estimate at a single grid allocation index,
     /// searching outward from the progress bin for the nearest
     /// non-empty cell.
     fn remaining_at_grid(&self, ai: usize, bin: usize, percentile: f64) -> f64 {
-        grid_remaining(&self.cells[ai], bin, percentile)
+        grid_remaining(self.row(ai), bin, percentile)
     }
 
     /// `C(p, a)` at the model's configured percentile, linearly
@@ -682,43 +775,14 @@ impl CpaModel {
     /// computation over raw samples. Answers are bit-identical to
     /// [`CpaModel::remaining_percentile`] at the configured percentile.
     pub fn remaining(&self, progress: f64, allocation: u32) -> f64 {
-        let mut out = [0.0];
-        self.remaining_curve(progress, allocation, &mut out);
-        out[0]
+        self.query.remaining(progress, allocation)
     }
 
     /// [`CpaModel::remaining`] at allocations `first, first + 1, …`,
     /// written to `out` in order: one progress-bin lookup and one grid
     /// search for `first`, then a grid cursor that only moves forward.
     pub fn remaining_curve(&self, progress: f64, first: u32, out: &mut [f64]) {
-        self.remaining_curve_in_bin(self.bin_of(progress), first, out);
-    }
-
-    /// [`CpaModel::remaining_curve`] at every progress that
-    /// [`CpaModel::bin_of`] maps to `bin`: the curve depends on progress
-    /// only through its bin.
-    pub(crate) fn remaining_curve_in_bin(&self, bin: usize, first: u32, out: &mut [f64]) {
-        let at = |ai: usize| self.table[ai * self.bins + bin];
-        let grid = &self.allocations;
-        let last = grid.len() - 1;
-        // `hi` is the first grid index with `grid[hi] >= allocation`.
-        let mut hi = grid.partition_point(|&g| g < first);
-        for (allocation, v) in (first..).zip(out.iter_mut()) {
-            *v = if allocation <= grid[0] {
-                at(0)
-            } else if allocation >= grid[last] {
-                at(last)
-            } else {
-                while grid[hi] < allocation {
-                    hi += 1;
-                }
-                // `grid[hi - 1] < allocation <= grid[hi]`: interpolate
-                // between the surrounding grid points.
-                let (ga, gb) = (grid[hi - 1], grid[hi]);
-                let w = f64::from(allocation - ga) / f64::from(gb - ga);
-                lerp_grid(at(hi - 1), at(hi), w)
-            };
-        }
+        self.query.remaining_curve(progress, first, out);
     }
 
     /// `C(p, a)` at an explicit percentile.
@@ -728,8 +792,8 @@ impl CpaModel {
     /// Panics if `percentile` is outside `[0, 100]`.
     pub fn remaining_percentile(&self, progress: f64, allocation: u32, percentile: f64) -> f64 {
         assert!((0.0..=100.0).contains(&percentile));
-        let bin = self.bin_of(progress);
-        let grid = &self.allocations;
+        let bin = self.query.bin_of(progress);
+        let grid = self.allocations();
         if allocation <= grid[0] {
             return self.remaining_at_grid(0, bin, percentile);
         }
@@ -767,11 +831,7 @@ impl CpaModel {
     /// on monotone tables. Shared with the generic trait default via
     /// [`min_feasible_allocation`].
     pub fn min_allocation_for_deadline(&self, deadline: SimDuration, slack: f64) -> Option<u32> {
-        let d = deadline.as_secs_f64();
-        let max = *self.allocations.last().expect("non-empty grid");
-        min_feasible_allocation(max, self.fresh_monotone, |a| {
-            self.fresh_latency(a) * slack <= d
-        })
+        self.query.min_allocation_for_deadline(deadline, slack)
     }
 
     /// Serializes the trained table to a [`jockey_simrt::table::KvStore`],
@@ -787,12 +847,12 @@ impl CpaModel {
     /// resume absorbing.
     pub fn to_kv(&self) -> jockey_simrt::table::KvStore {
         let mut kv = jockey_simrt::table::KvStore::new();
-        kv.set_u64("bins", self.bins as u64);
-        kv.set_f64("percentile", self.percentile);
+        kv.set_u64("bins", self.query.bins as u64);
+        kv.set_f64("percentile", self.query.percentile);
         kv.set_f64_list(
             "allocations",
             &self
-                .allocations
+                .allocations()
                 .iter()
                 .map(|&a| f64::from(a))
                 .collect::<Vec<_>>(),
@@ -800,7 +860,7 @@ impl CpaModel {
         if let Some(k) = self.sketch_k {
             kv.set_u64("sketch_k", k as u64);
         }
-        for (ai, alloc_cells) in self.cells.iter().enumerate() {
+        for (ai, alloc_cells) in self.cells.chunks(self.query.bins).enumerate() {
             for (bin, cell) in alloc_cells.iter().enumerate() {
                 write_cell(&mut kv, &format!("cell.{ai}.{bin}"), cell);
             }
@@ -890,27 +950,21 @@ impl CpaModel {
                 }
             }
         }
-        let mut cells = Vec::with_capacity(allocations.len());
+        let mut cells = Vec::with_capacity(allocations.len() * bins);
         for (ai, alloc_raw) in raw.into_iter().enumerate() {
-            let mut alloc_cells = Vec::with_capacity(bins);
             for (bin, (levels, comps)) in alloc_raw.into_iter().enumerate() {
                 let sketch = CellSketch::from_parts(sketch_k, levels, comps)
                     .ok_or_else(|| ModelLoadError::BadCell(format!("cell.{ai}.{bin}")))?;
-                alloc_cells.push(sketch);
+                cells.push(sketch);
             }
-            cells.push(Arc::new(alloc_cells));
         }
-        let mut model = CpaModel {
-            allocations,
+        Ok(Self::with_cells(
+            allocations.into(),
             bins,
             percentile,
             sketch_k,
             cells,
-            table: Vec::new(),
-            fresh_monotone: false,
-        };
-        model.build_table();
-        Ok(model)
+        ))
     }
 }
 
@@ -1060,20 +1114,18 @@ impl FoldScratch {
             .sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
     }
 
-    /// Merges the staged run into `rows`, which hold grid rows
-    /// `first_row..`, marks each touched `(allocation, bin)` cell in
-    /// `touched` (row-major over the whole grid), and returns the
-    /// number of samples merged. Cells of one row are contiguous, so
-    /// each touched row is made unique (copied if a snapshot shares it)
-    /// once, not once per cell.
+    /// Merges the staged run into `cells`, which hold the grid rows
+    /// `first_row..` row-major with `bins` cells per row, marks each
+    /// touched `(allocation, bin)` cell in `touched` (row-major over
+    /// the whole grid), and returns the number of samples merged.
     fn merge(
         &mut self,
-        rows: &mut [Arc<Vec<CellSketch>>],
+        cells: &mut [CellSketch],
+        bins: usize,
         first_row: usize,
         mut touched: Option<&mut [bool]>,
     ) -> usize {
         let staged = &self.staged;
-        let mut row: Option<(usize, &mut Vec<CellSketch>)> = None;
         let mut i = 0;
         while i < staged.len() {
             let key = staged[i].0;
@@ -1083,17 +1135,36 @@ impl FoldScratch {
                 .map_or(staged.len(), |p| i + p);
             self.batch.clear();
             self.batch.extend(staged[i..end].iter().map(|e| e.1));
-            if row.as_ref().is_none_or(|&(ai, _)| ai != key.0) {
-                row = Some((key.0, Arc::make_mut(&mut rows[key.0 - first_row])));
-            }
-            let (_, cells) = row.as_mut().expect("row set above");
             if let Some(t) = touched.as_deref_mut() {
-                t[key.0 * cells.len() + key.1] = true;
+                t[key.0 * bins + key.1] = true;
             }
-            cells[key.1].extend_sorted(&self.batch);
+            cells[(key.0 - first_row) * bins + key.1].extend_sorted(&self.batch);
             i = end;
         }
         staged.len()
+    }
+}
+
+/// The buffers [`CpaModel::absorb_runs`] keeps between calls: the
+/// staging buffers and one touched flag per cell. A clone of a model
+/// starts with empty buffers of its own.
+#[derive(Default)]
+struct AbsorbScratch {
+    fold: FoldScratch,
+    /// One flag per `(allocation, bin)` cell, row-major: whether the
+    /// current call merged into it.
+    touched: Vec<bool>,
+}
+
+impl Clone for AbsorbScratch {
+    fn clone(&self) -> Self {
+        AbsorbScratch::default()
+    }
+}
+
+impl fmt::Debug for AbsorbScratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AbsorbScratch").finish_non_exhaustive()
     }
 }
 
@@ -1142,7 +1213,7 @@ impl CompletionModel for CpaModel {
     }
 
     fn max_allocation(&self) -> u32 {
-        *self.allocations.last().expect("non-empty grid")
+        self.query.max_allocation()
     }
 
     fn size_for_deadline(&self, _fs: &[f64], deadline: SimDuration, slack: f64) -> Option<u32> {
@@ -1313,8 +1384,8 @@ mod tests {
     fn min_allocation_binary_search_matches_exhaustive_scan() {
         let (graph, profile) = fixture();
         let (m, _) = model(&graph, &profile);
-        assert!(m.fresh_monotone, "trained fixture should be monotone");
-        let max = *m.allocations.last().unwrap();
+        assert!(m.query.fresh_monotone, "trained fixture should be monotone");
+        let max = *m.allocations().last().unwrap();
         // Sweep deadlines from far-infeasible to trivially-feasible,
         // including exact grid latencies, for several slacks.
         let mut deadlines: Vec<f64> = (0..200).map(|i| 0.5 + 1.1 * f64::from(i)).collect();
@@ -1337,11 +1408,12 @@ mod tests {
         let (graph, profile) = fixture();
         let (mut m, _) = model(&graph, &profile);
         // Corrupt the fresh column so latency *rises* with allocation.
-        let bin0 = m.bin_of(0.0);
-        m.table[m.bins + bin0] = m.table[bin0] + 100.0;
-        m.check_fresh_monotone();
-        assert!(!m.fresh_monotone);
-        let max = *m.allocations.last().unwrap();
+        let bin0 = m.query.bin_of(0.0);
+        let table = Arc::make_mut(&mut m.query);
+        table.values[table.bins + bin0] = table.values[bin0] + 100.0;
+        table.check_fresh_monotone();
+        assert!(!m.query.fresh_monotone);
+        let max = *m.allocations().last().unwrap();
         for d in [10.0, 50.0, 120.0, 500.0] {
             let deadline = SimDuration::from_secs_f64(d);
             let fast = m.min_allocation_for_deadline(deadline, 1.0);
@@ -1422,14 +1494,20 @@ mod tests {
                     one.cells, other.cells,
                     "{name}: cells, 1 vs {threads:?} threads"
                 );
-                let bits = |m: &CpaModel| m.table.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let bits = |m: &CpaModel| {
+                    m.query
+                        .values
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
                 assert_eq!(
                     bits(&one),
                     bits(&other),
                     "{name}: table, 1 vs {threads:?} threads"
                 );
                 assert_eq!(
-                    one.fresh_monotone, other.fresh_monotone,
+                    one.query.fresh_monotone, other.query.fresh_monotone,
                     "{name}: monotone flag"
                 );
             }
@@ -1499,9 +1577,10 @@ mod tests {
         let (graph, profile) = fixture();
         let (m, _) = model(&graph, &profile);
         let max = *m.allocations().last().unwrap();
-        for bin in 0..m.bins {
+        let bins = m.query.bins;
+        for bin in 0..bins {
             // Probe a progress value inside each bin.
-            let p = (bin as f64 + 0.5) / m.bins as f64;
+            let p = (bin as f64 + 0.5) / bins as f64;
             for a in 1..=(max + 4) {
                 let fast = m.remaining(p, a);
                 let slow = m.remaining_percentile(p, a, m.percentile());
@@ -1665,15 +1744,15 @@ mod absorb_tests {
         assert_eq!(bounded.sample_count(), exact.sample_count());
 
         let mut checked = 0;
-        for ai in 0..exact.allocations.len() {
-            for bin in 0..exact.bins {
-                let cell = &exact.cells[ai][bin];
+        for ai in 0..exact.allocations().len() {
+            for bin in 0..exact.query.bins {
+                let cell = &exact.row(ai)[bin];
                 if cell.is_empty() {
-                    assert!(bounded.cells[ai][bin].is_empty());
+                    assert!(bounded.row(ai)[bin].is_empty());
                     continue;
                 }
                 let sorted = cell.level(0);
-                let sk = &bounded.cells[ai][bin];
+                let sk = &bounded.row(ai)[bin];
                 // Documented bound: rank error <= sum of compaction
                 // errors, plus one top-level item weight for the
                 // interpolation straddle.
@@ -1857,12 +1936,7 @@ mod absorb_tests {
         for k in [None, Some(64)] {
             let c = cfg(k);
             let mut m = CpaModel::empty(&c);
-            let no_buffers = |m: &CpaModel| {
-                m.cells
-                    .iter()
-                    .flat_map(|row| row.iter())
-                    .all(|c| c.heap_buffers() == 0)
-            };
+            let no_buffers = |m: &CpaModel| m.cells.iter().all(|c| c.heap_buffers() == 0);
             assert!(no_buffers(&m), "empty, k={k:?}");
             for i in 0..20 {
                 let (obs, total) = synth_run(600 + i, c.allocations[(i % 4) as usize]);
@@ -1965,8 +2039,11 @@ mod absorb_tests {
         assert_eq!(added, one_by_one.sample_count());
         assert!(batched.rank_error_bound() > 0, "the sketches compacted");
         assert_eq!(batched.to_kv().to_text(), one_by_one.to_kv().to_text());
-        assert_eq!(batched.table, one_by_one.table);
-        assert_eq!(batched.fresh_monotone, one_by_one.fresh_monotone);
+        assert_eq!(batched.query.values, one_by_one.query.values);
+        assert_eq!(
+            batched.query.fresh_monotone,
+            one_by_one.query.fresh_monotone
+        );
     }
 
     /// After every absorb, the table the touched-cell rebuild leaves is
@@ -1978,7 +2055,7 @@ mod absorb_tests {
     fn touched_cell_rebuild_matches_a_fresh_table_build() {
         let row_counts = |m: &CpaModel| -> Vec<(u64, bool)> {
             m.cells
-                .iter()
+                .chunks(m.query.bins)
                 .map(|row| {
                     let count = row.iter().map(CellSketch::count).sum();
                     (count, row.iter().any(CellSketch::is_empty))
@@ -2029,11 +2106,25 @@ mod absorb_tests {
                         (false, false) => full += 1,
                     }
                 }
-                let mut fresh = model.clone();
-                fresh.build_table();
-                let bits = |m: &CpaModel| m.table.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let fresh = CpaModel::with_cells(
+                    model.query.allocations.clone(),
+                    model.query.bins,
+                    model.query.percentile,
+                    model.sketch_k,
+                    model.cells.clone(),
+                );
+                let bits = |m: &CpaModel| {
+                    m.query
+                        .values
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
                 assert_eq!(bits(&model), bits(&fresh), "k={k:?}");
-                assert_eq!(model.fresh_monotone, fresh.fresh_monotone, "k={k:?}");
+                assert_eq!(
+                    model.query.fresh_monotone, fresh.query.fresh_monotone,
+                    "k={k:?}"
+                );
             }
             assert!(
                 partial > 0 && filled > 0 && full > 0,

@@ -5,12 +5,12 @@
 //!
 //! - [`ModelStore`] owns the evolving master model. Every completed
 //!   run folds in through [`CpaModel::absorb_observations`] (`O(cells)`,
-//!   no simulation) and publishes a fresh snapshot behind an atomic
-//!   generation counter, so readers — the control plane's refresh, the
-//!   admission ledger's sizing — swap tables between ticks without ever
-//!   blocking on a learner. This reuses the control plane's
-//!   snapshot-swap idiom: writers prepare a complete immutable value,
-//!   then replace one pointer.
+//!   no simulation) and publishes the master's query table as a new
+//!   generation behind an atomic counter, so readers — the control
+//!   plane's refresh, the admission ledger's sizing — swap tables
+//!   between ticks without ever blocking on a learner. This reuses the
+//!   control plane's snapshot-swap idiom: writers prepare a complete
+//!   immutable value, then replace one pointer.
 //! - [`DriftDetector`] watches completed runs. The master model
 //!   predicts completions at a high percentile `P`, so under a
 //!   stationary workload an observed completion should exceed its
@@ -38,7 +38,7 @@ use jockey_jobgraph::graph::{EdgeKind, JobGraph};
 use jockey_simrt::rng::fnv1a;
 use jockey_simrt::time::SimDuration;
 
-use crate::cpa::{CpaModel, RunObservation};
+use crate::cpa::{CpaModel, CpaTable, RunObservation};
 use crate::predict::CompletionModel;
 
 /// Shared lifecycle counters, updated atomically by stores and prior
@@ -192,27 +192,39 @@ pub struct AbsorbOutcome {
 /// from concurrent workers interleave deterministically per-run.
 struct StoreInner {
     master: CpaModel,
+    /// [`ModelStore::current`]'s deep copy of the master, built on the
+    /// first call in a generation and dropped by the next absorb.
+    snapshot: Option<Arc<CpaModel>>,
     detector: DriftDetector,
     recent: VecDeque<RecordedRun>,
     retain: usize,
 }
 
-/// Owns the evolving master model and publishes immutable snapshots.
+/// Owns the evolving master model and publishes immutable generations.
 ///
-/// Readers call [`ModelStore::current`] (a read lock and an `Arc`
+/// What a generation publishes is the master's query table — grid,
+/// binning, percentile and the dense percentile table — with no
+/// sketch: that is all a configured-percentile query reads. Readers
+/// ([`ModelHandle`]) take the newest one under a read lock (an `Arc`
 /// clone, no contention with learners beyond the pointer swap) and
 /// never observe a half-updated table; each absorb bumps
 /// [`ModelStore::generation`] so consumers can cheaply detect
 /// staleness. That read is cheap but not free, so a reader that asks
-/// many queries for one decision takes the snapshot once and queries
-/// it (see [`ModelHandle`]).
+/// many queries for one decision takes the table once and queries it.
 ///
-/// A publish is a shallow clone of the master: the master and every
-/// snapshot share their sketch rows, and the next absorb copies only
-/// the rows it writes (copy-on-write), so a published snapshot never
-/// changes after it is taken.
+/// The master owns its sketches outright: an absorb merges into them
+/// in place and copies none. Its query table is the generation the
+/// store last published, so the absorb writes the rows it touched into
+/// one copy of the table, which the next publish hands out. A
+/// published table therefore never changes, and a publish costs one
+/// table copy, however many readers hold older generations.
+///
+/// [`ModelStore::current`] returns the full model, sketches included.
+/// It deep-copies the master, once per generation, so it belongs to
+/// end-of-run reporting and tests rather than to the query path.
 pub struct ModelStore {
-    current: RwLock<Arc<CpaModel>>,
+    /// The newest generation's query table.
+    current: RwLock<Arc<CpaTable>>,
     generation: AtomicU64,
     stats: Arc<ModelLifecycleStats>,
     inner: Mutex<StoreInner>,
@@ -227,11 +239,12 @@ impl ModelStore {
     /// A store publishing into shared lifecycle counters.
     pub fn with_stats(model: CpaModel, cfg: OnlineConfig, stats: Arc<ModelLifecycleStats>) -> Self {
         ModelStore {
-            current: RwLock::new(Arc::new(model.clone())),
+            current: RwLock::new(model.table().clone()),
             generation: AtomicU64::new(0),
             stats,
             inner: Mutex::new(StoreInner {
                 master: model,
+                snapshot: None,
                 detector: DriftDetector::new(cfg.drift),
                 recent: VecDeque::with_capacity(cfg.retain_runs.min(1024)),
                 retain: cfg.retain_runs.max(1),
@@ -239,8 +252,22 @@ impl ModelStore {
         }
     }
 
-    /// The latest published snapshot.
+    /// The full model at the latest published generation, isolated
+    /// from later absorbs. The first call in a generation deep-copies
+    /// the master's sketches under the learner lock; later calls in the
+    /// same generation share that copy.
     pub fn current(&self) -> Arc<CpaModel> {
+        let mut inner = self.inner.lock().expect("store lock");
+        let inner = &mut *inner;
+        inner
+            .snapshot
+            .get_or_insert_with(|| Arc::new(inner.master.clone()))
+            .clone()
+    }
+
+    /// The latest published query table: what every
+    /// configured-percentile query of a [`ModelHandle`] reads.
+    pub(crate) fn table(&self) -> Arc<CpaTable> {
         self.current.read().expect("model lock").clone()
     }
 
@@ -256,7 +283,8 @@ impl ModelStore {
 
     /// Folds one completed run into the master model, runs the drift
     /// test, rebuilds from the retained window when it fires, and
-    /// publishes the new snapshot. `O(cells)` on the quiet path.
+    /// publishes the master's query table as the new generation.
+    /// `O(cells)` on the quiet path, with no sketch copied.
     pub fn record_completion(&self, run: RecordedRun) -> AbsorbOutcome {
         let mut inner = self.inner.lock().expect("store lock");
         let samples_added =
@@ -293,8 +321,8 @@ impl ModelStore {
             inner.master = fresh;
         }
 
-        let snapshot = Arc::new(inner.master.clone());
-        let generation = self.publish(snapshot);
+        inner.snapshot = None;
+        let generation = self.publish(inner.master.table().clone());
         AbsorbOutcome {
             generation,
             samples_added,
@@ -302,9 +330,9 @@ impl ModelStore {
         }
     }
 
-    /// Replaces the published snapshot and bumps the generation.
-    fn publish(&self, snapshot: Arc<CpaModel>) -> u64 {
-        *self.current.write().expect("model lock") = snapshot;
+    /// Replaces the published table and bumps the generation.
+    fn publish(&self, table: Arc<CpaTable>) -> u64 {
+        *self.current.write().expect("model lock") = table;
         self.stats
             .generations_swapped
             .fetch_add(1, Ordering::Relaxed);
@@ -319,24 +347,25 @@ impl ModelStore {
 /// first, learned as soon as samples exist", with the floor demoted
 /// automatically because a finite learned answer always wins.
 ///
-/// The handle holds no snapshot of its own; what it answers from is
-/// resolved per decision, not per query:
+/// The handle holds no generation of its own; what it answers from is
+/// resolved per decision, not per query, and every answer reads a
+/// published query table:
 ///
-/// - [`CompletionModel::pinned`] takes the newest published snapshot
+/// - [`CompletionModel::pinned`] takes the newest published table
 ///   once and returns it frozen, blended with the floor. The control
 ///   plane pins once per model per arbitration refresh, so a refresh
 ///   of a thousand jobs sharing one handle reads the store once and
 ///   splits the budget against one generation.
 /// - [`CompletionModel::size_for_deadline`] resolves the newest
-///   snapshot once per sizing call, so every allocation it probes
-///   reads the same generation.
+///   table once per sizing call, so every allocation it probes reads
+///   the same generation.
 /// - [`CompletionModel::remaining_secs`],
 ///   [`CompletionModel::remaining_curve`] and
 ///   [`CompletionModel::max_allocation`] called on the handle itself
-///   resolve the newest snapshot on each call; a curve comes from one
-///   snapshot.
+///   resolve the newest table on each call; a curve comes from one
+///   table.
 ///
-/// Nothing holds a snapshot across decisions, so each decision sees
+/// Nothing holds a generation across decisions, so each decision sees
 /// the generation current when it began.
 #[derive(Clone)]
 pub struct ModelHandle {
@@ -364,8 +393,8 @@ impl ModelHandle {
         &self.store
     }
 
-    /// The handle's answers against one snapshot of the learned table.
-    fn blend<'a>(&'a self, learned: &'a CpaModel) -> Blend<'a> {
+    /// The handle's answers against one generation of the learned table.
+    fn blend<'a>(&'a self, learned: &'a CpaTable) -> Blend<'a> {
         Blend {
             learned,
             floor: self.floor.as_deref(),
@@ -375,33 +404,33 @@ impl ModelHandle {
 
 impl CompletionModel for ModelHandle {
     fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
-        self.blend(&self.store.current())
+        self.blend(&self.store.table())
             .remaining_secs(fs, progress, allocation)
     }
 
     fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
-        self.blend(&self.store.current())
+        self.blend(&self.store.table())
             .remaining_curve(fs, progress, first, out);
     }
 
     fn max_allocation(&self) -> u32 {
-        self.blend(&self.store.current()).max_allocation()
+        self.blend(&self.store.table()).max_allocation()
     }
 
     fn size_for_deadline(&self, fs: &[f64], deadline: SimDuration, slack: f64) -> Option<u32> {
-        self.blend(&self.store.current())
+        self.blend(&self.store.table())
             .size_for_deadline(fs, deadline, slack)
     }
 
     fn pinned(&self) -> Option<Arc<dyn CompletionModel>> {
         Some(Arc::new(Pinned::new(
-            self.store.current(),
+            self.store.table(),
             self.floor.clone(),
         )))
     }
 }
 
-/// A [`ModelHandle`] pinned to the snapshot that was current when
+/// A [`ModelHandle`] pinned to the generation that was current when
 /// [`CompletionModel::pinned`] was called.
 ///
 /// The jobs of a service family share one handle, so one pinned view
@@ -417,7 +446,7 @@ impl CompletionModel for ModelHandle {
 /// small fleet, or one job per handle) computes just the curves the
 /// handle would have.
 struct Pinned {
-    learned: Arc<CpaModel>,
+    learned: Arc<CpaTable>,
     floor: Option<Arc<dyn CompletionModel>>,
     /// The blend's `max_allocation`, read once at pin time.
     max_allocation: u32,
@@ -437,7 +466,7 @@ struct BinCurve {
 
 impl Pinned {
     /// A view of `learned` over `floor` with an empty memo.
-    fn new(learned: Arc<CpaModel>, floor: Option<Arc<dyn CompletionModel>>) -> Self {
+    fn new(learned: Arc<CpaTable>, floor: Option<Arc<dyn CompletionModel>>) -> Self {
         let max_allocation = Blend {
             learned: &learned,
             floor: floor.as_deref(),
@@ -510,10 +539,10 @@ impl CompletionModel for Pinned {
 }
 
 /// The learned-over-floor blend every [`ModelHandle`] answer comes
-/// from: one snapshot of the learned table, with the floor answering
+/// from: one generation of the learned table, with the floor answering
 /// where that table has no finite answer.
 struct Blend<'a> {
-    learned: &'a CpaModel,
+    learned: &'a CpaTable,
     floor: Option<&'a dyn CompletionModel>,
 }
 
@@ -938,6 +967,108 @@ mod tests {
         assert_eq!(answer_bits(&before), bits);
     }
 
+    /// A bounded-sketch store with a short drift window, and 40 runs
+    /// across every grid allocation: 10 at the predicted 100 s, 20 at
+    /// 400 s that fire its detector, and 10 more at 400 s predicted as
+    /// such, which absorb after the last retrain.
+    fn drifting_store() -> (ModelStore, Vec<RecordedRun>) {
+        // Two progress bins crowd each run's samples into few cells, so
+        // the sketches compact.
+        let bounded = TrainConfig {
+            sketch_capacity: Some(8),
+            progress_bins: 2,
+            ..cfg()
+        };
+        let online = OnlineConfig {
+            drift: DriftConfig {
+                window: 8,
+                min_observations: 4,
+                z_threshold: 1.0,
+                percentile: 90.0,
+            },
+            retain_runs: 6,
+        };
+        let store = ModelStore::new(CpaModel::empty(&bounded), online);
+        let runs: Vec<RecordedRun> = (0..40_u32)
+            .map(|i| {
+                let total = if i < 10 { 100.0 } else { 400.0 } + f64::from(i % 7);
+                let predicted = if i < 30 { 100.0 } else { 500.0 };
+                run([2, 4, 8][i as usize % 3], total, predicted)
+            })
+            .collect();
+        (store, runs)
+    }
+
+    /// After absorbs and drift retrains, the full model `current`
+    /// returns is the one an empty model of the same shape builds by
+    /// absorbing, in one `absorb_runs` call, the window the last
+    /// retrain kept plus every run after it: no published generation
+    /// and no cached copy leaks into the master.
+    #[test]
+    fn current_after_a_retrain_equals_a_fresh_model_fed_the_same_runs() {
+        let (store, runs) = drifting_store();
+        let retain = store.inner.lock().unwrap().retain;
+        let mut last_fire = None;
+        for (i, r) in runs.iter().enumerate() {
+            // Cache a deep copy at every other generation, so the
+            // equality also covers a cached copy going stale.
+            if i % 2 == 0 {
+                store.current();
+            }
+            if store.record_completion(r.clone()).drift_retrained {
+                last_fire = Some(i);
+            }
+        }
+        let fire = last_fire.expect("the drift retrain path never ran");
+        assert!(fire + 1 < runs.len(), "runs follow the last retrain");
+        let kept = &runs[(fire + 1).saturating_sub(retain)..];
+        let mut fresh = store.current().vacant_copy();
+        fresh.absorb_runs(
+            kept.iter()
+                .map(|r| (r.observations.as_slice(), r.total_secs, r.completed)),
+        );
+        let current = store.current();
+        assert!(current.rank_error_bound() > 0, "the sketches compacted");
+        assert_eq!(current.to_kv().to_text(), fresh.to_kv().to_text());
+        assert_eq!(answer_bits(&current), answer_bits(&fresh));
+    }
+
+    /// A pinned view taken before absorbs and drift retrains answers
+    /// every (progress bin, allocation) as it did when taken, bit for
+    /// bit, while the handle moves on to the newest generation.
+    #[test]
+    fn a_view_taken_before_absorbs_and_retrains_keeps_its_answers() {
+        let (store, runs) = drifting_store();
+        for r in &runs[..5] {
+            store.record_completion(r.clone());
+        }
+        let store = Arc::new(store);
+        let handle = ModelHandle::new(store.clone());
+        let view = handle.pinned().expect("a handle pins");
+        let bits = |model: &dyn CompletionModel| {
+            let mut bits = Vec::new();
+            for p in probe_progress() {
+                for a in 0..=10 {
+                    bits.push(model.remaining_secs(&[p], p, a).to_bits());
+                }
+                let mut curve = vec![0.0; 8];
+                model.remaining_curve(&[p], p, 1, &mut curve);
+                bits.extend(curve.iter().map(|v| v.to_bits()));
+            }
+            bits
+        };
+        let before = bits(view.as_ref());
+        assert_eq!(bits(&handle), before, "the view pins the newest generation");
+
+        let mut retrained = false;
+        for r in &runs[5..] {
+            retrained |= store.record_completion(r.clone()).drift_retrained;
+        }
+        assert!(retrained, "the drift retrain path never ran");
+        assert_ne!(bits(&handle), before, "the handle moved on");
+        assert_eq!(bits(view.as_ref()), before);
+    }
+
     /// Floor used by the pinning tests: answers every allocation, up to
     /// a larger cap than the learned grid.
     struct Flat;
@@ -1173,7 +1304,7 @@ mod tests {
     #[test]
     fn pinned_memo_is_one_curve_per_shared_bin_and_one_floor_fill_per_job() {
         let store = partly_learned_store();
-        let learned = store.current();
+        let learned = store.table();
         let floor: Arc<dyn CompletionModel> = Arc::new(Flat);
         let filled = |view: &Pinned| {
             view.curves

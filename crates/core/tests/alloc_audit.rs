@@ -14,6 +14,13 @@
 //! controlled run; a tick must not allocate at all, over a trained
 //! `C(p, a)`, the Amdahl model or the λ-recalibrated table.
 //!
+//! The multi-job service pays two costs per event: a plane tick per
+//! live job per control period, and one model generation per completed
+//! run. A plane tick that does not refresh the split must not
+//! allocate, and a steady-state `ModelStore::record_completion` must
+//! allocate a small constant number of times, whatever the grid's size
+//! and even while a reader still holds the previous generation.
+//!
 //! Integration tests are separate binaries, so the global allocator
 //! here affects no other test. The count is per thread, so the audits
 //! in this binary may run in parallel without seeing each other's
@@ -28,8 +35,10 @@ use jockey_cluster::{
     SimWorkspace,
 };
 use jockey_core::control::{ControlParams, JockeyController};
-use jockey_core::cpa::{CpaModel, TrainConfig};
-use jockey_core::predict::AmdahlModel;
+use jockey_core::cpa::{CpaModel, RunObservation, TrainConfig};
+use jockey_core::online::{ModelHandle, ModelStore, OnlineConfig, RecordedRun};
+use jockey_core::plane::ControlPlane;
+use jockey_core::predict::{AmdahlModel, CompletionModel};
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_core::recal::recalibrated;
 use jockey_core::utility::UtilityFunction;
@@ -262,4 +271,188 @@ fn controller_ticks_allocate_nothing() {
             "{name}: {TICKS} controller ticks allocated {allocated} times"
         );
     }
+}
+
+/// A completed run of `ticks + 1` observations whose allocation moves
+/// over `1..=max` as a plane-served job's guarantee does, so its
+/// samples land in many rows of the grid. The moves are pseudo-random
+/// in `seed`, so the cells fill at uneven rates.
+fn moving_run(seed: u32, max: u32, ticks: u32) -> RecordedRun {
+    let mut state = u64::from(seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let total = 600.0 + (next() % 600) as f64;
+    let observations = (0..=ticks)
+        .map(|i| {
+            let p = f64::from(i) / f64::from(ticks);
+            RunObservation {
+                elapsed_secs: total * p,
+                progress: p,
+                allocation: 1 + (next() % u64::from(max)) as u32,
+            }
+        })
+        .collect();
+    RecordedRun {
+        observations,
+        total_secs: total,
+        completed: true,
+        // No admission prediction: the run absorbs without entering the
+        // drift window, so no retrain fires mid-measurement.
+        predicted_secs: f64::NAN,
+    }
+}
+
+#[test]
+fn steady_state_publish_allocates_a_constant_independent_of_the_grid() {
+    // The service family's shape, and one with 8x its cells.
+    let mut per_call = Vec::new();
+    for (max, bins) in [(16_u32, 16_usize), (64, 32)] {
+        let cfg = TrainConfig {
+            progress_bins: bins,
+            sketch_capacity: Some(64),
+            ..TrainConfig::fast((1..=max).collect())
+        };
+        let store = Arc::new(ModelStore::new(
+            CpaModel::empty(&cfg),
+            OnlineConfig::default(),
+        ));
+        let handle = ModelHandle::new(store.clone());
+        // Warm up: every touched cell's buffers grow to their working
+        // size and the retained-run window fills.
+        for seed in 0..6_000 {
+            store.record_completion(moving_run(seed, max, 32));
+        }
+        const CALLS: u32 = 1_000;
+        let (mut total, mut worst) = (0, 0);
+        for seed in 100_000..100_000 + CALLS {
+            let run = moving_run(seed, max, 32);
+            // A reader holds the generation this call supersedes, so the
+            // publish cannot write the table in place.
+            let view = handle.pinned().expect("a handle pins");
+            let before = allocations();
+            store.record_completion(run);
+            let n = allocations() - before;
+            drop(view);
+            total += n;
+            worst = worst.max(n);
+        }
+        per_call.push((max, bins, total as f64 / f64::from(CALLS), worst));
+    }
+    for &(max, bins, mean, worst) in &per_call {
+        // The publish copies the query table once: its `Arc` and its
+        // values. The rest is the sketches' own amortized growth (a
+        // level's first buffer, a buffer's first overflow), which rides
+        // on the samples a run brings, not on the grid. A publish that
+        // copied each touched row of sketches would cost about 1,100
+        // allocations at the first shape and 2,600 at the second.
+        assert!(
+            mean <= 6.0,
+            "{max} allocations x {bins} bins: {mean:.2} allocations per publish (worst {worst})"
+        );
+    }
+}
+
+/// Remaining time of a job with `work` token-seconds left at progress 0.
+struct LinearWork(f64);
+
+impl CompletionModel for LinearWork {
+    fn remaining_secs(&self, _fs: &[f64], progress: f64, allocation: u32) -> f64 {
+        self.0 * (1.0 - progress) / f64::from(allocation.max(1))
+    }
+
+    fn max_allocation(&self) -> u32 {
+        64
+    }
+}
+
+#[test]
+fn plane_ticks_with_a_reused_status_allocate_nothing() {
+    // The service shape: jobs share one online family model behind a
+    // handle with a closed-form floor, and progress is the completed
+    // fraction of one 16-task stage.
+    let mut b = JobGraphBuilder::new("alloc-audit-plane");
+    b.stage("body", 16);
+    let graph = Arc::new(b.build().unwrap());
+    let mut pb = jockey_jobgraph::profile::ProfileBuilder::new(&graph);
+    for _ in 0..16 {
+        pb.record_task(jockey_jobgraph::StageId(0), 1.0, 10.0, false);
+    }
+    let profile = pb.finish(160.0, 1.0);
+    let indicator = IndicatorContext::new(ProgressIndicator::VertexFrac, &graph, &profile, None);
+    let cfg = TrainConfig {
+        progress_bins: 16,
+        sketch_capacity: Some(64),
+        ..TrainConfig::fast((1..=16).collect())
+    };
+    let store = Arc::new(ModelStore::new(
+        CpaModel::empty(&cfg),
+        OnlineConfig::default(),
+    ));
+    for seed in 0..64 {
+        store.record_completion(moving_run(seed, 16, 32));
+    }
+    let model: Arc<dyn CompletionModel> = Arc::new(ModelHandle::with_floor(
+        store,
+        Arc::new(LinearWork(3_600.0)),
+    ));
+    let plane = ControlPlane::new(256);
+    let mut jobs: Vec<_> = (0..48)
+        .map(|i| {
+            plane
+                .try_add_job(
+                    &format!("job-{i}"),
+                    model.clone(),
+                    indicator.clone(),
+                    SimDuration::from_secs(1_500 + 30 * i),
+                    1.2,
+                )
+                .expect("the budget admits every job")
+        })
+        .collect();
+    let mut status = JobStatus {
+        now: SimTime::ZERO,
+        elapsed: SimDuration::ZERO,
+        stage_fraction: vec![0.0],
+        stage_completed: vec![0],
+        running: 0,
+        running_guaranteed: 0,
+        guarantee: 0,
+        work_done: 0.0,
+        finished: false,
+    };
+    let (mut quiet_ticks, mut quiet_allocations, mut refreshing_ticks) = (0, 0, 0);
+    for round in 1..=60_u32 {
+        for (i, job) in jobs.iter_mut().enumerate() {
+            let frac = f64::from((round + i as u32) % 60) / 60.0;
+            status.stage_fraction[0] = frac;
+            status.stage_completed[0] = (frac * 16.0) as u32;
+            status.elapsed = SimDuration::from_secs(u64::from(round) * 10);
+            status.now = SimTime::ZERO + status.elapsed;
+            let refreshes = plane.stats().refreshes;
+            let before = allocations();
+            let decision = job.tick(&status);
+            let n = allocations() - before;
+            status.guarantee = decision.guarantee;
+            // A refresh re-splits the whole budget once per epoch of
+            // one tick per live job; every other tick reads the split.
+            if plane.stats().refreshes == refreshes {
+                quiet_ticks += 1;
+                quiet_allocations += n;
+            } else {
+                refreshing_ticks += 1;
+            }
+        }
+    }
+    assert!(
+        refreshing_ticks > 0 && quiet_ticks > 40 * refreshing_ticks,
+        "{quiet_ticks} ticks read the split, {refreshing_ticks} refreshed it"
+    );
+    assert_eq!(
+        quiet_allocations, 0,
+        "{quiet_ticks} plane ticks allocated {quiet_allocations} times"
+    );
 }

@@ -426,18 +426,18 @@ fn sample_job(rng: &mut StdRng, cfg: &ServiceConfig) -> (f64, f64, u32) {
     (work, deadline, tokens)
 }
 
-fn status_for(job: &LiveJob, frac: f64, finished: bool) -> JobStatus {
-    JobStatus {
-        now: SimTime::from_secs_f64(job.elapsed),
-        elapsed: SimDuration::from_secs_f64(job.elapsed),
-        stage_fraction: vec![frac],
-        stage_completed: vec![(frac * 16.0) as u32],
-        running: job.guarantee,
-        running_guaranteed: job.guarantee,
-        guarantee: job.guarantee,
-        work_done: job.work_done,
-        finished,
-    }
+/// Writes `job`'s status for this tick into `st`, a one-stage status
+/// each worker reuses across every tick, so a tick builds no vector.
+fn fill_status(st: &mut JobStatus, job: &LiveJob, frac: f64, finished: bool) {
+    st.now = SimTime::from_secs_f64(job.elapsed);
+    st.elapsed = SimDuration::from_secs_f64(job.elapsed);
+    st.stage_fraction[0] = frac;
+    st.stage_completed[0] = (frac * 16.0) as u32;
+    st.running = job.guarantee;
+    st.running_guaranteed = job.guarantee;
+    st.guarantee = job.guarantee;
+    st.work_done = job.work_done;
+    st.finished = finished;
 }
 
 /// Runs one worker's submission loop against the shared plane.
@@ -455,6 +455,17 @@ fn run_worker(
     let mut stats = WorkerStats::default();
     let mut live: Vec<LiveJob> = Vec::new();
     let mut seq: u64 = 0;
+    let mut st = JobStatus {
+        now: SimTime::ZERO,
+        elapsed: SimDuration::ZERO,
+        stage_fraction: vec![0.0],
+        stage_completed: vec![0],
+        running: 0,
+        running_guaranteed: 0,
+        guarantee: 0,
+        work_done: 0.0,
+        finished: false,
+    };
 
     loop {
         // Top the pool up to the concurrency target — one submission
@@ -596,7 +607,7 @@ fn run_worker(
             job.elapsed += cfg.tick_secs;
             let frac = (job.work_done / job.work).min(1.0);
             let finished = job.work_done >= job.work;
-            let st = status_for(job, frac, finished);
+            fill_status(&mut st, job, frac, finished);
             let t0 = Instant::now();
             let decision = job.handle.tick(&st);
             stats.tick_nanos.push(t0.elapsed().as_nanos() as u64);
