@@ -38,6 +38,70 @@ impl ArbiterJob {
         self.utility
             .eval(self.elapsed_secs + self.slack * remaining_secs)
     }
+
+    /// Appends the job's utility at allocations `1, 2, …` to `out`, up
+    /// to `reach` or its **ceiling point**, whichever comes first: the
+    /// first allocation whose utility equals
+    /// [`UtilityFunction::ceiling`]. A job whose floor is already that
+    /// point (on track) or whose reach is one token appends nothing.
+    /// Each entry is one utility evaluation, and none is made past the
+    /// point. The model is asked in requests that double what is
+    /// filled (allocation 1, then 2, 3–4, 5–8, …), so a curve that
+    /// stops early is not computed to its reach either.
+    ///
+    /// The curve stops at the point only while the gain up to it from
+    /// every finite utility before it is finite; see [`arbitrate`] for
+    /// why that makes the cut exact.
+    fn push_curve(&self, model: &dyn CompletionModel, reach: usize, out: &mut Vec<f64>) {
+        if reach <= 1 {
+            return;
+        }
+        let ceiling = self.utility.ceiling();
+        let start = out.len();
+        // The lowest finite utility before the point; `INFINITY` while
+        // there is none.
+        let mut lowest = f64::INFINITY;
+        let mut filled = 0;
+        while filled < reach {
+            let len = filled.max(1).min(reach - filled);
+            out.resize(start + filled + len, 0.0);
+            let chunk = &mut out[start + filled..];
+            model.remaining_curve(
+                &self.stage_fraction,
+                self.progress,
+                filled as u32 + 1,
+                chunk,
+            );
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v = self.utility_after(*v);
+                if Some(*v) == ceiling && (lowest == f64::INFINITY || (*v - lowest).is_finite()) {
+                    let end = filled + j + 1;
+                    out.truncate(if end == 1 { start } else { start + end });
+                    return;
+                }
+                if v.is_finite() {
+                    lowest = lowest.min(*v);
+                }
+            }
+            filled += len;
+        }
+    }
+}
+
+/// The buffers of one split, kept by a caller that splits repeatedly
+/// (the [`crate::plane::ControlPlane`] keeps one under its refresh
+/// gate), so a split of a fleet no larger than an earlier one
+/// allocates nothing.
+#[derive(Default)]
+pub(crate) struct ArbiterScratch {
+    /// The split: one allocation per job, in input order.
+    alloc: Vec<u32>,
+    /// `utility[offsets[i]..offsets[i + 1]]` is job `i`'s curve.
+    offsets: Vec<usize>,
+    /// Every job's utility curve, back to back.
+    utility: Vec<f64>,
+    /// The grant heap's storage.
+    heap: Vec<(OrderedGain, Reverse<usize>, u32)>,
 }
 
 /// Greedily splits `budget` tokens across `jobs` by marginal utility,
@@ -71,28 +135,42 @@ impl ArbiterJob {
 /// improvement — exactly the shape a drifted `C(p, a)` produces, where
 /// it starves jobs below the allocation admission reserved for them.
 ///
-/// Each job's utility is first evaluated at its floor alone. A job
-/// already **on track** there — its floor utility equals
-/// [`UtilityFunction::ceiling`], the most its utility can ever return —
-/// cannot gain from any grant: every gain is at most zero or not
-/// finite, so its candidates' rates are at most 0. The grant loop ends
-/// at the first pop whose rate is at most `1e-12`; such a candidate
-/// could only end it, and the next pop, of no higher rate, ends it
-/// just the same. So the job keeps its floor without further model
-/// queries or a grant candidate, and the split is exactly the one
-/// scanning it would give. Every other job is evaluated once more, at
-/// every allocation its scans can reach — from 2 up to its cap or one
-/// past the spare pool, whichever is lower — with one
-/// [`CompletionModel::remaining_curve`] call; every scan reads that
-/// memo. A job's candidate jump changes only when *it* is granted
-/// tokens, so the grant loop keeps one candidate per job in a max-heap
-/// and re-inserts only the winner's next jump: O(jobs) floor queries,
-/// O(behind × reach) curve work for the jobs not on track, plus
-/// O(budget × (log jobs + reach)) for the grants, where reach is the
-/// smaller of the model's allocation cap and the pool — far below the
-/// naive O(budget × jobs × cap) full rescan at a 10k-job fleet. Ties
-/// are broken by the lowest job index, then the smallest jump,
-/// matching the single-token rescan on concave inputs.
+/// Each job's utility curve is filled once, before any grant, and
+/// every scan reads it. The curve stops at the job's **ceiling
+/// point**, the first allocation whose utility equals
+/// [`UtilityFunction::ceiling`] — the most its utility can ever
+/// return, so for the paper's deadline utility the smallest
+/// allocation that meets the deadline. Both cuts below are exact: the
+/// split is bit for bit the one scanning every allocation gives.
+///
+/// - **On track.** A job whose floor is its ceiling point cannot gain
+///   from any grant: every gain is at most zero or not finite, so its
+///   candidates' rates are at most 0. The grant loop ends at the first
+///   pop whose rate is at most `1e-12`; such a candidate could only
+///   end it, and the next pop, of no higher rate, ends it just the
+///   same. So the job keeps its floor with an empty curve and no grant
+///   candidate, after one model query.
+/// - **Behind.** Let a job at allocation `a` have its point at `p > a`
+///   with a finite gain `g` from `a` to `p`; `g > 0`, since the
+///   utility at `a` is below the ceiling. No utility exceeds the
+///   ceiling, so every gain past `p` is at most `g` over a longer jump
+///   (or not finite, rate `-inf`): a rate no higher than the jump to
+///   `p`'s (IEEE rounding is monotone). A scan replaces its pick only
+///   on a strictly greater rate, so it never picks a jump past `p`,
+///   and a job granted up to `p` is on track there. Where no utility before `p` is finite, every gain from
+///   them is not finite and every scan picks the one-token jump. The
+///   curve is not cut where a gain to `p` would overflow.
+///
+/// A job's candidate jump changes only when *it* is granted tokens, so
+/// the grant loop keeps one candidate per job in a max-heap and
+/// re-inserts only the winner's next jump: O(jobs) floor queries,
+/// O(behind × point) curve work for the jobs not on track, plus
+/// O(budget × (log jobs + point)) for the grants, where a job's point
+/// is at most the smaller of its model's allocation cap and one past
+/// the pool — far below the naive O(budget × jobs × cap) full rescan
+/// at a 10k-job fleet. Ties are broken by the lowest job index, then
+/// the smallest jump, matching the single-token rescan on concave
+/// inputs.
 ///
 /// # Panics
 ///
@@ -100,54 +178,60 @@ impl ArbiterJob {
 /// `budget < jobs.len()` (cannot give everyone a token) and `jobs` is
 /// non-empty.
 pub fn arbitrate(jobs: &[ArbiterJob], models: &[&dyn CompletionModel], budget: u32) -> Vec<u32> {
+    let mut scratch = ArbiterScratch::default();
+    arbitrate_into(jobs, models, budget, &mut scratch);
+    scratch.alloc
+}
+
+/// [`arbitrate`] into `scratch`'s buffers, returning the split they
+/// now hold.
+pub(crate) fn arbitrate_into<'s>(
+    jobs: &[ArbiterJob],
+    models: &[&dyn CompletionModel],
+    budget: u32,
+    scratch: &'s mut ArbiterScratch,
+) -> &'s [u32] {
     assert_eq!(models.len(), jobs.len(), "one model per job");
+    let ArbiterScratch {
+        alloc,
+        offsets,
+        utility,
+        heap,
+    } = scratch;
+    alloc.clear();
     if jobs.is_empty() {
-        return Vec::new();
+        return alloc;
     }
     assert!(
         budget as usize >= jobs.len(),
         "budget {budget} below job count {}",
         jobs.len()
     );
-    let mut alloc: Vec<u32> = vec![1; jobs.len()];
+    alloc.resize(jobs.len(), 1);
     let mut remaining = budget - jobs.len() as u32;
     if remaining == 0 {
         return alloc;
     }
 
-    // `utility[offsets[i]..offsets[i + 1]]` holds job `i`'s utility at
-    // allocations 1, 2, …: all a job can ever be granted (the pool, on
-    // top of its floor, within its cap). The first scan from the floor
-    // reads every entry, so the whole curve is filled up front. A job
-    // that can gain nothing — on track at its floor, or capped at one
-    // token — gets an empty curve, so it never enters the grant heap.
-    // `offsets[i + 1]` first holds job `i`'s reach, which sizes the
-    // buffer once, then the end of its curve.
-    let mut offsets = Vec::with_capacity(jobs.len() + 1);
+    // Job `i`'s curve covers allocations 1, 2, … up to its ceiling
+    // point or its reach — all it can ever be granted (the pool, on top
+    // of its floor, within its cap) — whichever comes first. A job that
+    // can gain nothing, on track at its floor or capped at one token,
+    // gets an empty curve, so it never enters the grant heap.
+    // `offsets[i + 1]` first holds job `i`'s reach, which bounds its
+    // curve, so the buffer is reserved once for a fleet of this size;
+    // then the end of its curve.
+    offsets.clear();
     offsets.push(0);
     offsets.extend(
         models
             .iter()
             .map(|model| model.max_allocation().min(remaining + 1) as usize),
     );
-    let mut utility: Vec<f64> = Vec::with_capacity(offsets.iter().sum());
+    utility.clear();
+    utility.reserve(offsets.iter().sum());
     for (i, (job, model)) in jobs.iter().zip(models).enumerate() {
-        let reach = offsets[i + 1];
-        if reach > 1 {
-            let mut floor = [0.0];
-            model.remaining_curve(&job.stage_fraction, job.progress, 1, &mut floor);
-            let at_floor = job.utility_after(floor[0]);
-            if job.utility.ceiling() != Some(at_floor) {
-                let start = utility.len();
-                utility.push(at_floor);
-                utility.resize(start + reach, 0.0);
-                let ahead = &mut utility[start + 1..];
-                model.remaining_curve(&job.stage_fraction, job.progress, 2, ahead);
-                for v in ahead.iter_mut() {
-                    *v = job.utility_after(*v);
-                }
-            }
-        }
+        job.push_curve(*model, offsets[i + 1], utility);
         offsets[i + 1] = utility.len();
     }
     let curve = |i: usize| &utility[offsets[i]..offsets[i + 1]];
@@ -161,7 +245,7 @@ pub fn arbitrate(jobs: &[ArbiterJob], models: &[&dyn CompletionModel], budget: u
     let best_jump = |u: &[f64], a: u32, limit: u32| -> Option<(f64, u32)> {
         let reach = u.len() as u32;
         if a >= reach || limit == 0 {
-            return None; // At cap (or dry pool): no further candidate.
+            return None; // At the curve's end (or dry pool): no candidate.
         }
         let base = u[a as usize - 1];
         let ahead = &u[a as usize..(a + limit.min(reach - a)) as usize];
@@ -187,14 +271,15 @@ pub fn arbitrate(jobs: &[ArbiterJob], models: &[&dyn CompletionModel], budget: u
     // re-scanned under the tighter limit when popped. The first
     // entries are heapified in O(n); every key holds a distinct job
     // index, so the pop order is the one n pushes would give.
-    let mut heap: BinaryHeap<(OrderedGain, Reverse<usize>, u32)> = (0..jobs.len())
-        .filter_map(|i| {
-            let (rate, k) = best_jump(curve(i), 1, remaining)?;
-            Some((OrderedGain(rate), Reverse(i), k))
-        })
-        .collect();
+    heap.clear();
+    heap.reserve(jobs.len());
+    heap.extend((0..jobs.len()).filter_map(|i| {
+        let (rate, k) = best_jump(curve(i), 1, remaining)?;
+        Some((OrderedGain(rate), Reverse(i), k))
+    }));
+    let mut grants = BinaryHeap::from(std::mem::take(heap));
     while remaining > 0 {
-        let Some((OrderedGain(rate), Reverse(i), k)) = heap.pop() else {
+        let Some((OrderedGain(rate), Reverse(i), k)) = grants.pop() else {
             break; // Every job is at its cap.
         };
         if rate <= 1e-12 {
@@ -203,16 +288,17 @@ pub fn arbitrate(jobs: &[ArbiterJob], models: &[&dyn CompletionModel], budget: u
         if k > remaining {
             // Sized against a larger pool: re-scan within what's left.
             if let Some((r, k2)) = best_jump(curve(i), alloc[i], remaining) {
-                heap.push((OrderedGain(r), Reverse(i), k2));
+                grants.push((OrderedGain(r), Reverse(i), k2));
             }
             continue;
         }
         alloc[i] += k;
         remaining -= k;
         if let Some((r, k2)) = best_jump(curve(i), alloc[i], remaining) {
-            heap.push((OrderedGain(r), Reverse(i), k2));
+            grants.push((OrderedGain(r), Reverse(i), k2));
         }
     }
+    *heap = grants.into_vec();
     alloc
 }
 
@@ -445,8 +531,32 @@ mod tests {
             .map(|m| m.asked.lock().unwrap().clone())
             .collect();
         assert_eq!(asked[0], vec![1], "an on-track job is asked past its floor");
-        assert_eq!(asked[1], (1..=38).collect::<Vec<_>>());
+        // Job 1's curve stops at ten tokens, inside the request for
+        // 9..=16; job 2's runs to its reach.
+        assert_eq!(asked[1], (1..=16).collect::<Vec<_>>());
         assert_eq!(asked[2], (1..=38).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn behind_jobs_curves_stop_at_their_ceiling_point() {
+        // 36 000 s of work first meets the hour at ten tokens.
+        let hour = UtilityFunction::deadline(SimDuration::from_mins(60));
+        let job = state(hour, 0.0, 0.0);
+        let model = Asked {
+            toy: Toy { work: 36_000.0 },
+            asked: Mutex::new(Vec::new()),
+        };
+        let mut curve = vec![f64::NAN];
+        job.push_curve(&model, 38, &mut curve);
+        // One utility evaluation per entry, the last at the point; the
+        // entry already in the buffer is kept.
+        assert_eq!(curve.len(), 1 + 10, "{curve:?}");
+        assert!(curve[0].is_nan());
+        assert_eq!(curve[10], 1.0);
+        assert!(curve[1..10].iter().all(|&u| u < 1.0), "{curve:?}");
+        // The model is asked in requests that double the curve: 1, 2,
+        // 3..=4, 5..=8 and 9..=16, never up to the reach.
+        assert_eq!(*model.asked.lock().unwrap(), (1..=16).collect::<Vec<_>>());
     }
 
     /// A job's utility at `allocation`, queried from its model directly.
@@ -539,22 +649,38 @@ mod tests {
     /// above and below the pool, zero-gain plateaus in front of large
     /// drops, utilities whose knots never rise (flat prefixes, tied
     /// values, shifted deadlines) beside ones with a rising knot, and
-    /// fleets where most jobs are on track at their floor — the
-    /// memoised heap split, with its on-track skip, equals the
-    /// per-query full rescan.
+    /// fleets where most jobs are on track at their floor, and fleets
+    /// whose jobs first meet their ceiling at every allocation from 2
+    /// to the reach, and past it — the memoised heap split, with its
+    /// on-track skip and its curves cut at the ceiling point, equals
+    /// the per-query full rescan.
     #[test]
     fn memoised_split_matches_the_rescan_on_arbitrary_curves() {
         let mut next = lcg(0x2545_f491_4f6c_dd1d);
         let mut on_track = 0;
         let mut jobs_seen = 0;
+        // `within[p]`: jobs whose ceiling point `p` lay within their
+        // reach; `beyond`: jobs whose point lay past a pool too small
+        // for the jump to it.
+        let mut within = [0; 25];
+        let mut beyond = 0;
         for trial in 0..600 {
             let n = 1 + next(8) as usize;
             // One trial in three is a fleet mostly on track: loose
-            // deadlines and short work.
+            // deadlines and short work. Another is a fleet of jobs
+            // behind below a drawn allocation and meeting the deadline
+            // at it.
             let easy = trial % 3 == 0;
+            let pointed = trial % 3 == 1;
             let jobs: Vec<_> = (0..n)
                 .map(|_| {
-                    let cap = 1 + next(24) as usize;
+                    // The drawn allocation, and a cap at or above it.
+                    let point = 2 + next(23) as usize;
+                    let cap = if pointed {
+                        point + next(25 - point as u64) as usize
+                    } else {
+                        1 + next(24) as usize
+                    };
                     let mut cur = if easy {
                         50.0 + next(500) as f64
                     } else {
@@ -582,6 +708,17 @@ mod tests {
                         1 => remaining[0] = f64::INFINITY,
                         2 => remaining[0] = f64::NEG_INFINITY,
                         _ => {}
+                    }
+                    if pointed {
+                        // Far behind below the point (NaN and +inf
+                        // stay: they are never at the ceiling), a short
+                        // remainder at it, the draw above it.
+                        for r in &mut remaining[..point - 1] {
+                            if !(r.is_nan() || *r == f64::INFINITY) {
+                                *r = 20_000.0 + next(10_000) as f64;
+                            }
+                        }
+                        remaining[point - 1] = next(100) as f64;
                     }
                     let horizon = if easy { 20_000 } else { 6_000 };
                     let deadline = UtilityFunction::deadline(SimDuration::from_secs_f64(
@@ -621,13 +758,15 @@ mod tests {
                         utility,
                         progress: 0.0,
                         stage_fraction: vec![],
-                        elapsed_secs: next(1_200) as f64,
+                        elapsed_secs: next(if pointed { 200 } else { 1_200 }) as f64,
                         slack: 1.0 + next(3) as f64 / 10.0,
                     };
                     let model: Box<dyn CompletionModel> = Box::new(Table { remaining });
-                    jobs_seen += 1;
-                    if job.utility.ceiling() == Some(utility_at(&job, model.as_ref(), 1)) {
-                        on_track += 1;
+                    if !pointed {
+                        jobs_seen += 1;
+                        if job.utility.ceiling() == Some(utility_at(&job, model.as_ref(), 1)) {
+                            on_track += 1;
+                        }
                     }
                     (job, model)
                 })
@@ -638,11 +777,25 @@ mod tests {
                 arbitrate_rescan(&jobs, budget),
                 "trial {trial}: {n} jobs, budget {budget}"
             );
+            let pool = (budget - n as u32) as usize;
+            for (job, model) in &jobs {
+                let cap = model.max_allocation();
+                let point = (2..=cap)
+                    .find(|&a| job.utility.ceiling() == Some(utility_at(job, model.as_ref(), a)));
+                match point {
+                    Some(p) if p as usize <= pool + 1 => within[p as usize] += 1,
+                    Some(_) => beyond += 1,
+                    None => {}
+                }
+            }
         }
-        // Both kinds of job are well represented.
+        // Outside the pointed fleets, both kinds of job are well
+        // represented; the ceiling point lands everywhere.
         assert!(
             on_track * 4 > jobs_seen && on_track * 4 < 3 * jobs_seen,
             "{on_track} of {jobs_seen} jobs on track"
         );
+        assert!(within[2..].iter().all(|&k| k > 0), "{within:?}");
+        assert!(beyond > 0);
     }
 }

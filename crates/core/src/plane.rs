@@ -3,24 +3,27 @@
 //!
 //! [`ControlPlane`] is the runtime of §4.4's inter-job arbiter: every
 //! job is admitted against a reservation ledger, and the greedy
-//! marginal-utility split ([`arbitrate`]) moves tokens between the
-//! admitted jobs as they progress. Re-running that O(N · budget) split
-//! on every tick would serialize N splits per control period, so the
-//! plane is structured to scale:
+//! marginal-utility split ([`crate::arbiter::arbitrate`]) moves tokens
+//! between the admitted jobs as they progress. Re-running that
+//! O(N · budget) split on every tick would serialize N splits per
+//! control period, so the plane is structured to scale:
 //!
 //! - **Sharded per-job slots.** Each job's state snapshot lives behind
-//!   its own small `Mutex`; a tick touches only its own slot, so jobs
-//!   never contend with each other on the hot path.
-//! - **Atomic budget snapshot.** The per-job allocation vector is an
-//!   immutable [`Arc`] swapped behind an `RwLock`; readers clone the
-//!   `Arc` (no waiting on the arbitration computation).
+//!   its own small `Mutex`, and its [`JobHandle`] holds the slot
+//!   itself; a tick touches only its own slot and reads the published
+//!   split, so jobs never contend with each other on the hot path, and
+//!   only a tick that refreshes reads the slot table.
+//! - **Published budget snapshot.** The per-job allocation vector sits
+//!   behind an `RwLock`; a tick reads its own entry under the read
+//!   guard. The refresher computes the next split off every lock into
+//!   buffers it keeps, and publishes it by swapping them in under the
+//!   write lock, so a publish copies and allocates nothing.
 //! - **Batched tick scheduling.** The expensive greedy split runs once
 //!   per *refresh epoch* (about once per control period across the
 //!   whole fleet, i.e. every ~N ticks) instead of once per tick. A
 //!   single ticking job wins a `try_lock` election, gathers the slot
-//!   snapshots, computes the split off every job lock, and publishes a
-//!   new snapshot; everyone else reads the current snapshot and moves
-//!   on.
+//!   snapshots, computes the split off every job lock, and publishes
+//!   it; everyone else reads the current snapshot and moves on.
 //!
 //! Each job's share is still recomputed from a fleet-wide view about
 //! once per control period. [`JobHandle`] implements `JobController`
@@ -58,7 +61,6 @@
 //!   occupant's serial; a recycled slot id never inherits the previous
 //!   occupant's allocation from a stale snapshot.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -66,7 +68,7 @@ use jockey_cluster::{ControlDecision, JobController, JobStatus};
 use jockey_simrt::time::SimDuration;
 
 use crate::admission::{AdmissionController, AdmissionError};
-use crate::arbiter::{arbitrate, ArbiterJob};
+use crate::arbiter::{arbitrate_into, ArbiterJob, ArbiterScratch};
 use crate::control::{clamp, smooth};
 use crate::online::ModelLifecycleStats;
 use crate::predict::CompletionModel;
@@ -102,7 +104,9 @@ impl JobSlot {
     }
 }
 
-/// An immutable per-epoch allocation snapshot, swapped atomically.
+/// A per-epoch allocation snapshot, published whole under the plane's
+/// snapshot lock.
+#[derive(Default)]
 struct Snapshot {
     /// Guaranteed tokens per slot id.
     alloc: Vec<u32>,
@@ -123,11 +127,11 @@ impl Snapshot {
     }
 }
 
-/// The refresh's gather buffers, kept under the refresh gate and
-/// overwritten by each refresh, so re-gathering a fleet of the same
-/// size reuses every job's stage-fraction and utility storage. It
-/// holds no model: each split borrows the slots' models, or a pinned
-/// view that lives only as long as the split.
+/// The refresh's buffers, kept under the refresh gate and overwritten
+/// by each refresh, so a refresh of a fleet no larger than an earlier
+/// one allocates nothing but what its pinned views allocate. Between
+/// splits it holds no model: each split borrows the slots' models, or
+/// a pinned view that lives only as long as the split.
 #[derive(Default)]
 struct Gather {
     /// One arbitration input per active job, in slot order.
@@ -135,9 +139,33 @@ struct Gather {
     /// The slot id of each entry of `jobs`.
     active: Vec<usize>,
     /// For each entry of `jobs`, the index of its model's pinned view
-    /// in the split's view list, or `None` when its slot's own model
-    /// answers.
+    /// in `views`, or `None` when its slot's own model answers.
     view_index: Vec<Option<usize>>,
+    /// The pinning models met in this split, each by its data address
+    /// with its view. A service family shares one model, so the list
+    /// is short, and models that do not pin never enter it. Emptied
+    /// when the split returns.
+    views: Vec<(usize, Arc<dyn CompletionModel>)>,
+    /// The storage of each split's per-job model list, empty between
+    /// splits (see [`reborrow`]).
+    models: Vec<&'static dyn CompletionModel>,
+    /// The split being computed; publishing swaps it with the
+    /// published one, whose buffers the next split overwrites.
+    next: Snapshot,
+    /// The arbiter's buffers.
+    arbiter: ArbiterScratch,
+}
+
+/// Empties `models` and returns its storage as a list of borrows of
+/// another lifetime, so one buffer serves every split without holding
+/// a model between them. A `Vec`'s `IntoIter` mapped into an element
+/// of the same layout collects in place, reusing the allocation.
+fn reborrow<'b>(mut models: Vec<&dyn CompletionModel>) -> Vec<&'b dyn CompletionModel> {
+    models.clear();
+    models
+        .into_iter()
+        .map(|_| unreachable!("emptied"))
+        .collect()
 }
 
 /// Counters describing how much arbitration work the plane performed.
@@ -193,7 +221,7 @@ pub struct ControlPlane {
     /// SLO reservation ledger backing [`ControlPlane::try_add_job`].
     ledger: Mutex<AdmissionController>,
     /// The published allocation snapshot.
-    snapshot: RwLock<Arc<Snapshot>>,
+    snapshot: RwLock<Snapshot>,
     /// Refresh election: the ticking job that wins this `try_lock`
     /// recomputes the split, gathering into the buffers the gate
     /// guards; losers use the current snapshot.
@@ -237,10 +265,7 @@ impl ControlPlane {
             free: Mutex::new(Vec::new()),
             active: AtomicU64::new(0),
             ledger: Mutex::new(AdmissionController::new(budget)),
-            snapshot: RwLock::new(Arc::new(Snapshot {
-                alloc: Vec::new(),
-                serial: Vec::new(),
-            })),
+            snapshot: RwLock::new(Snapshot::default()),
             refresh_gate: Mutex::new(Gather::default()),
             ticks_since_refresh: AtomicU64::new(0),
             strict_gen: AtomicU64::new(0),
@@ -423,11 +448,11 @@ impl ControlPlane {
                 .pop();
             match recycled {
                 Some(id) => {
-                    slots[id] = Some(slot);
+                    slots[id] = Some(slot.clone());
                     id
                 }
                 None => {
-                    slots.push(Some(slot));
+                    slots.push(Some(slot.clone()));
                     slots.len() - 1
                 }
             }
@@ -435,6 +460,7 @@ impl ControlPlane {
         self.active.fetch_add(1, Ordering::Relaxed);
         JobHandle {
             plane: self.clone(),
+            slot,
             id,
             indicator,
             smoothed: None,
@@ -541,13 +567,10 @@ impl ControlPlane {
 
     /// Serves one job tick: updates the job's own slot, opportunistically
     /// refreshes the fleet snapshot when an epoch has elapsed, and
-    /// returns the job's share from the published snapshot.
-    fn tick_job(&self, id: usize, progress: f64, status: &JobStatus) -> u32 {
+    /// returns the job's share from the published snapshot. Only a tick
+    /// that refreshes reads the slot table.
+    fn tick_job(&self, slot: &JobSlot, id: usize, progress: f64, status: &JobStatus) -> u32 {
         self.ticks.fetch_add(1, Ordering::Relaxed);
-        let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(slot) = slots.get(id).and_then(Option::as_ref) else {
-            return 1; // Released slot: nothing to arbitrate.
-        };
         {
             let mut s = slot.lock();
             s.progress = progress;
@@ -582,46 +605,49 @@ impl ControlPlane {
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
                 if self.applied_strict.load(Ordering::Acquire) < goal {
-                    self.refresh_locked(&slots, &mut gather);
+                    self.refresh_locked(&mut gather);
                 }
             }
         } else if due {
             if let Ok(mut gather) = self.refresh_gate.try_lock() {
-                self.refresh_locked(&slots, &mut gather);
+                self.refresh_locked(&mut gather);
             }
         }
 
         if status.finished {
             return 1;
         }
-        let snapshot = {
-            let guard = self.snapshot.read().unwrap_or_else(PoisonError::into_inner);
-            guard.clone()
-        };
-        snapshot
-            .share_for(id, slot.serial)
-            .unwrap_or(slot.reserved)
-            .max(1)
+        let share = self
+            .snapshot
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .share_for(id, slot.serial);
+        share.unwrap_or(slot.reserved).max(1)
     }
 
     /// Runs one refresh while the caller holds the refresh gate,
     /// recording the generation observed *before* gathering so a
     /// deadline change landing mid-refresh leaves
     /// `applied_strict < strict_gen` and forces a follow-up.
-    fn refresh_locked(&self, slots: &[Option<Arc<JobSlot>>], gather: &mut Gather) {
+    fn refresh_locked(&self, gather: &mut Gather) {
         let strict = self.strict_gen.load(Ordering::Acquire);
         self.ticks_since_refresh.store(0, Ordering::Release);
-        self.refresh(slots, gather);
+        self.refresh(gather);
         self.applied_strict.store(strict, Ordering::Release);
     }
 
     /// Recomputes the greedy split from the current slot snapshots and
-    /// publishes it. Runs while holding only the refresh gate: slot
-    /// locks are taken one at a time to copy state out, and the
-    /// expensive marginal-utility scan touches no lock at all.
-    fn refresh(&self, slots: &[Option<Arc<JobSlot>>], gather: &mut Gather) {
+    /// publishes it. Runs while holding only the refresh gate and the
+    /// slot table's read lock: slot locks are taken one at a time to
+    /// copy state out, the expensive marginal-utility scan touches no
+    /// lock at all, and the publish swaps buffers under the snapshot's
+    /// write lock.
+    fn refresh(&self, gather: &mut Gather) {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
-        let snapshot = self.split(slots, gather);
+        {
+            let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+            self.split(&slots, gather);
+        }
         // `arbitrate` needs at least one token per job. Admission keeps
         // the active fleet within the budget (every reservation is at
         // least one token), so this count stays zero; a non-zero value
@@ -629,50 +655,53 @@ impl ControlPlane {
         if gather.jobs.len() as u32 > self.budget {
             self.over_committed_rounds.fetch_add(1, Ordering::Relaxed);
         }
-        let mut guard = self
+        let mut published = self
             .snapshot
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        *guard = Arc::new(snapshot);
+        std::mem::swap(&mut *published, &mut gather.next);
     }
 
     /// Gathers every active slot into `gather` and splits the budget
-    /// across them. The gather's buffers are overwritten in place, so
-    /// each refresh reuses the storage earlier refreshes grew.
-    fn split(&self, slots: &[Option<Arc<JobSlot>>], gather: &mut Gather) -> Snapshot {
+    /// across them into `gather.next`. Every buffer is overwritten in
+    /// place, so each refresh reuses the storage earlier refreshes
+    /// grew.
+    fn split(&self, slots: &[Option<Arc<JobSlot>>], gather: &mut Gather) {
         let Gather {
             jobs,
             active,
             view_index,
+            views,
+            models,
+            next,
+            arbiter,
         } = gather;
         active.clear();
         view_index.clear();
-        let mut serial = vec![0_u64; slots.len()];
-        // One frozen view per distinct model per refresh: the jobs of a
-        // service family share one handle, so the split reads its store
-        // once, not once per C(p, a) query, and sees one generation.
-        // The views live in `views` until the split returns; `view_of`
-        // maps a shared model to its view, and `view_index` records
-        // each job's. Models that do not pin are borrowed from their
-        // slots as they are and never enter the map, so a fleet of
-        // per-job closed-form models hashes nothing.
-        let mut views: Vec<Arc<dyn CompletionModel>> = Vec::new();
-        let mut view_of: HashMap<*const (), usize> = HashMap::new();
+        next.serial.clear();
+        next.serial.resize(slots.len(), 0);
+        // One frozen view per distinct pinning model per refresh: the
+        // jobs of a service family share one handle, so the split reads
+        // its store once, not once per C(p, a) query, and sees one
+        // generation. Each job's model is looked up among the pinning
+        // models met so far, by address; models that do not pin are
+        // borrowed from their slots as they are and never enter the
+        // list, so a fleet of per-job closed-form models searches an
+        // empty list.
         let mut n = 0;
         for (i, slot) in slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
-            serial[i] = slot.serial;
+            next.serial[i] = slot.serial;
             let s = slot.lock();
             if s.finished {
                 continue;
             }
             active.push(i);
-            let key = Arc::as_ptr(&slot.model).cast::<()>();
-            view_index.push(match view_of.get(&key) {
-                Some(&v) => Some(v),
+            let key = Arc::as_ptr(&slot.model).cast::<()>().addr();
+            view_index.push(match views.iter().position(|&(k, _)| k == key) {
+                Some(v) => Some(v),
                 None => slot.model.pinned().map(|pinned| {
-                    views.push(pinned);
-                    view_of.insert(key, views.len() - 1);
+                    views.push((key, pinned));
                     views.len() - 1
                 }),
             });
@@ -694,30 +723,31 @@ impl ControlPlane {
             n += 1;
         }
         jobs.truncate(n);
-        let mut alloc = vec![1_u32; slots.len()];
+        next.alloc.clear();
+        next.alloc.resize(slots.len(), 1);
         if !jobs.is_empty() {
-            let models: Vec<&dyn CompletionModel> = active
-                .iter()
-                .zip(view_index.iter())
-                .map(|(&i, v)| match *v {
-                    Some(v) => views[v].as_ref(),
-                    None => slots[i].as_ref().expect("gathered slot").model.as_ref(),
-                })
-                .collect();
+            let mut borrowed = reborrow(std::mem::take(models));
+            borrowed.extend(
+                active
+                    .iter()
+                    .zip(view_index.iter())
+                    .map(|(&i, v)| match *v {
+                        Some(v) => views[v].1.as_ref(),
+                        None => slots[i].as_ref().expect("gathered slot").model.as_ref(),
+                    }),
+            );
             let budget = self.budget.max(jobs.len() as u32);
-            for (pos, share) in arbitrate(jobs, &models, budget).into_iter().enumerate() {
-                alloc[active[pos]] = share;
+            let split = arbitrate_into(jobs, &borrowed, budget, arbiter);
+            for (&i, &share) in active.iter().zip(split) {
+                next.alloc[i] = share;
             }
+            *models = reborrow(borrowed);
         }
-        Snapshot { alloc, serial }
+        views.clear();
     }
 
-    fn set_deadline(&self, id: usize, new_deadline: SimDuration) {
+    fn set_deadline(&self, slot: &JobSlot, new_deadline: SimDuration) {
         {
-            let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
-            let Some(slot) = slots.get(id).and_then(Option::as_ref) else {
-                return; // Released slot: nothing to retarget.
-            };
             let mut s = slot.lock();
             s.utility = s.utility.with_deadline(new_deadline);
         }
@@ -740,6 +770,9 @@ const PLANE_HYSTERESIS: f64 = 0.3;
 /// to the plane's free list and any SLO reservation is freed.
 pub struct JobHandle {
     plane: Arc<ControlPlane>,
+    /// The job's slot, shared with the plane's slot table until
+    /// release.
+    slot: Arc<JobSlot>,
     id: usize,
     indicator: IndicatorContext,
     smoothed: Option<f64>,
@@ -794,7 +827,7 @@ impl JobController for JobHandle {
             };
         }
         let p = self.indicator.progress(&status.stage_fraction);
-        let raw = self.plane.tick_job(self.id, p, status);
+        let raw = self.plane.tick_job(&self.slot, self.id, p, status);
         if status.finished {
             // Release immediately: pacing a finished job's give-back
             // through hysteresis would hold budget nobody can use, and
@@ -822,7 +855,7 @@ impl JobController for JobHandle {
         if self.released {
             return;
         }
-        self.plane.set_deadline(self.id, new_deadline);
+        self.plane.set_deadline(&self.slot, new_deadline);
         // A new SLO is a fresh sizing problem (same as JockeyController).
         self.smoothed = None;
     }
@@ -1160,10 +1193,11 @@ mod tests {
             handles.retain(|h| !h.is_released());
 
             let slots = plane.slots.read().unwrap().clone();
-            let fresh = plane.split(&slots, &mut Gather::default());
-            let again = plane.split(&slots, &mut reused);
-            assert_eq!(again.alloc, fresh.alloc, "round {round}");
-            assert_eq!(again.serial, fresh.serial, "round {round}");
+            let mut fresh = Gather::default();
+            plane.split(&slots, &mut fresh);
+            plane.split(&slots, &mut reused);
+            assert_eq!(reused.next.alloc, fresh.next.alloc, "round {round}");
+            assert_eq!(reused.next.serial, fresh.next.serial, "round {round}");
             assert_eq!(reused.jobs.len(), handles.len(), "round {round}");
             // This test's two handles, plus one per slot it occupies.
             let holders = slots

@@ -43,16 +43,17 @@ pub trait CompletionModel: Send + Sync {
     ///
     /// So an entry does not depend on where the request starts or how
     /// long it is: [`crate::arbiter::arbitrate`] asks for a job's floor
-    /// allocation alone, then for allocations `2..` in a second call,
-    /// and relies on the two answering what one curve from 1 would.
+    /// allocation alone, then for allocations `2`, `3..=4`, `5..=8`, …
+    /// until the job's utility reaches its ceiling, and relies on the
+    /// requests answering what one curve from 1 would.
     ///
-    /// One call answers what an arbitration refresh asks of a job that
-    /// is behind — every allocation its grant scans can reach — and
-    /// what a [`crate::control::JockeyController`] tick asks — every
-    /// candidate of the §4.3 argmin — so a model whose per-query work
-    /// repeats (a table lookup, a grid search, Amdahl's per-stage sums)
-    /// does that work once per curve. The default asks the single
-    /// query per allocation.
+    /// A few calls answer what an arbitration refresh asks of a job
+    /// that is behind — every allocation its grant scans can reach —
+    /// and one call what a [`crate::control::JockeyController`] tick
+    /// asks — every candidate of the §4.3 argmin — so a model whose
+    /// per-query work repeats (a table lookup, a grid search, Amdahl's
+    /// per-stage sums) does that work once per request, not once per
+    /// allocation. The default asks the single query per allocation.
     fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
         for (a, v) in (first..).zip(out.iter_mut()) {
             *v = self.remaining_secs(fs, progress, a);

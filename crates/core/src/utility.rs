@@ -112,7 +112,9 @@ impl UtilityFunction {
     /// rounding is monotone, so adding a non-positive term never
     /// rounds up). A NaN time evaluates to NaN. So a job whose utility
     /// already equals its ceiling can gain nothing from more tokens,
-    /// which is what lets [`crate::arbiter::arbitrate`] skip it.
+    /// which is what lets [`crate::arbiter::arbitrate`] skip it, and
+    /// stop a behind job's curve at the first allocation that reaches
+    /// it.
     pub fn ceiling(&self) -> Option<f64> {
         self.knots
             .windows(2)

@@ -369,8 +369,66 @@ impl CompletionModel for LinearWork {
     }
 }
 
-#[test]
-fn plane_ticks_with_a_reused_status_allocate_nothing() {
+thread_local! {
+    static VIEW_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Runs `f`, charging the allocations it makes to `VIEW_ALLOCATIONS`.
+fn charged<T>(f: impl FnOnce() -> T) -> T {
+    let before = allocations();
+    let out = f();
+    let n = allocations() - before;
+    VIEW_ALLOCATIONS.with(|v| v.set(v.get() + n));
+    out
+}
+
+/// A model whose every answer, pinning included, charges the
+/// allocations it makes to `VIEW_ALLOCATIONS`; its pinned view is one
+/// too. During a refresh the plane asks the shared model only to pin,
+/// so what it charges is the pinned view's own allocations.
+struct Charged(Arc<dyn CompletionModel>);
+
+impl CompletionModel for Charged {
+    fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
+        charged(|| self.0.remaining_secs(fs, progress, allocation))
+    }
+
+    fn remaining_curve(&self, fs: &[f64], progress: f64, first: u32, out: &mut [f64]) {
+        charged(|| self.0.remaining_curve(fs, progress, first, out));
+    }
+
+    fn max_allocation(&self) -> u32 {
+        self.0.max_allocation()
+    }
+
+    fn size_for_deadline(&self, fs: &[f64], deadline: SimDuration, slack: f64) -> Option<u32> {
+        charged(|| self.0.size_for_deadline(fs, deadline, slack))
+    }
+
+    fn pinned(&self) -> Option<Arc<dyn CompletionModel>> {
+        charged(|| {
+            let view: Arc<dyn CompletionModel> = Arc::new(Charged(self.0.pinned()?));
+            Some(view)
+        })
+    }
+}
+
+/// What the plane's ticks allocated over one fleet's run.
+#[derive(Debug)]
+struct PlaneTickAudit {
+    quiet_ticks: u64,
+    quiet_allocations: u64,
+    refreshing_ticks: u64,
+    /// Allocations of refreshing ticks after the first two rounds,
+    /// less the pinned views' own.
+    refresh_allocations: u64,
+    /// The pinned views' own allocations in those ticks.
+    view_allocations: u64,
+}
+
+/// Ticks `fleet` jobs on one plane for 60 rounds and counts what the
+/// ticks allocate.
+fn audit_plane_ticks(fleet: u32) -> PlaneTickAudit {
     // The service shape: jobs share one online family model behind a
     // handle with a closed-form floor, and progress is the completed
     // fraction of one 16-task stage.
@@ -395,19 +453,19 @@ fn plane_ticks_with_a_reused_status_allocate_nothing() {
     for seed in 0..64 {
         store.record_completion(moving_run(seed, 16, 32));
     }
-    let model: Arc<dyn CompletionModel> = Arc::new(ModelHandle::with_floor(
+    let model: Arc<dyn CompletionModel> = Arc::new(Charged(Arc::new(ModelHandle::with_floor(
         store,
         Arc::new(LinearWork(3_600.0)),
-    ));
-    let plane = ControlPlane::new(256);
-    let mut jobs: Vec<_> = (0..48)
+    ))));
+    let plane = ControlPlane::new(256 * fleet / 48);
+    let mut jobs: Vec<_> = (0..fleet)
         .map(|i| {
             plane
                 .try_add_job(
                     &format!("job-{i}"),
                     model.clone(),
                     indicator.clone(),
-                    SimDuration::from_secs(1_500 + 30 * i),
+                    SimDuration::from_secs(1_500 + u64::from(30 * (i % 48))),
                     1.2,
                 )
                 .expect("the budget admits every job")
@@ -424,7 +482,13 @@ fn plane_ticks_with_a_reused_status_allocate_nothing() {
         work_done: 0.0,
         finished: false,
     };
-    let (mut quiet_ticks, mut quiet_allocations, mut refreshing_ticks) = (0, 0, 0);
+    let mut audit = PlaneTickAudit {
+        quiet_ticks: 0,
+        quiet_allocations: 0,
+        refreshing_ticks: 0,
+        refresh_allocations: 0,
+        view_allocations: 0,
+    };
     for round in 1..=60_u32 {
         for (i, job) in jobs.iter_mut().enumerate() {
             let frac = f64::from((round + i as u32) % 60) / 60.0;
@@ -433,26 +497,44 @@ fn plane_ticks_with_a_reused_status_allocate_nothing() {
             status.elapsed = SimDuration::from_secs(u64::from(round) * 10);
             status.now = SimTime::ZERO + status.elapsed;
             let refreshes = plane.stats().refreshes;
+            VIEW_ALLOCATIONS.with(|v| v.set(0));
             let before = allocations();
             let decision = job.tick(&status);
             let n = allocations() - before;
+            let view = VIEW_ALLOCATIONS.with(Cell::get);
             status.guarantee = decision.guarantee;
             // A refresh re-splits the whole budget once per epoch of
             // one tick per live job; every other tick reads the split.
             if plane.stats().refreshes == refreshes {
-                quiet_ticks += 1;
-                quiet_allocations += n;
+                audit.quiet_ticks += 1;
+                audit.quiet_allocations += n;
             } else {
-                refreshing_ticks += 1;
+                audit.refreshing_ticks += 1;
+                // The first two rounds' refreshes grow the plane's
+                // buffers to the fleet's size, the published split's
+                // two sides one each.
+                if round > 2 {
+                    audit.refresh_allocations += n - view;
+                    audit.view_allocations += view;
+                }
             }
         }
     }
-    assert!(
-        refreshing_ticks > 0 && quiet_ticks > 40 * refreshing_ticks,
-        "{quiet_ticks} ticks read the split, {refreshing_ticks} refreshed it"
-    );
-    assert_eq!(
-        quiet_allocations, 0,
-        "{quiet_ticks} plane ticks allocated {quiet_allocations} times"
-    );
+    audit
+}
+
+#[test]
+fn plane_ticks_with_a_reused_status_allocate_nothing() {
+    for fleet in [48, 96] {
+        let audit = audit_plane_ticks(fleet);
+        assert!(
+            audit.refreshing_ticks > 0 && audit.quiet_ticks > 40 * audit.refreshing_ticks,
+            "{fleet} jobs: {audit:?}"
+        );
+        assert_eq!(audit.quiet_allocations, 0, "{fleet} jobs: {audit:?}");
+        // A refresh allocates nothing beyond its pinned view: the
+        // gather, the model list, the arbiter's buffers and the
+        // published split are all reused.
+        assert_eq!(audit.refresh_allocations, 0, "{fleet} jobs: {audit:?}");
+    }
 }

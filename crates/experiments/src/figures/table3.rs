@@ -9,7 +9,7 @@ use jockey_simrt::stats;
 use jockey_simrt::table::Table;
 
 use crate::env::Env;
-use crate::slo::{run_slo, SloConfig, SloOutcome};
+use crate::slo::{run_slo_profiled, SloConfig, SloOutcome};
 
 /// Runs the two inflated executions and builds the comparison table.
 pub fn run(env: &Env) -> (Table, Vec<SloOutcome>) {
@@ -24,18 +24,18 @@ pub fn run(env: &Env) -> (Table, Vec<SloOutcome>) {
     let run_at = |scale: f64, seed: u64| {
         let mut cfg = SloConfig::standard(Policy::Jockey, deadline, cluster.clone(), seed);
         cfg.work_scale = scale;
-        run_slo(job, &cfg)
+        run_slo_profiled(job, &cfg)
     };
-    let job1 = run_at(1.9, env.seed ^ 0x731);
-    let job2 = run_at(1.45, env.seed ^ 0x732);
+    let (job1, profile1) = run_at(1.9, env.seed ^ 0x731);
+    let (job2, profile2) = run_at(1.45, env.seed ^ 0x732);
 
     let mut t = Table::new(["statistic", "training", "job 1", "job 2"]);
     let stat = |t: &mut Table, label: &str, f: &dyn Fn(&JobProfile) -> f64| {
         t.row([
             label.to_string(),
             format!("{:.1}", f(&job.profile)),
-            format!("{:.1}", f(&job1.profile)),
-            format!("{:.1}", f(&job2.profile)),
+            format!("{:.1}", f(&profile1)),
+            format!("{:.1}", f(&profile2)),
         ]);
     };
     stat(&mut t, "total work [hours]", &|p| p.total_work() / 3_600.0);

@@ -7,6 +7,7 @@ use jockey_core::fallback::FallbackGuard;
 use jockey_core::oracle::oracle_allocation;
 use jockey_core::policy::Policy;
 use jockey_core::progress::ProgressIndicator;
+use jockey_jobgraph::profile::JobProfile;
 use jockey_simrt::dist::Dist;
 use jockey_simrt::time::{SimDuration, SimTime};
 
@@ -124,8 +125,6 @@ pub struct SloOutcome {
     pub guaranteed_tasks: u64,
     /// The full trace (allocation/progress/prediction series).
     pub trace: RunTrace,
-    /// The run's measured profile (Table 3 uses these).
-    pub profile: jockey_jobgraph::profile::JobProfile,
 }
 
 /// Runs one SLO experiment.
@@ -138,6 +137,24 @@ pub fn run_slo(job: &EvalJob, cfg: &SloConfig) -> SloOutcome {
 /// and returned instead of reallocated every run. The outcome is
 /// identical to [`run_slo`].
 pub fn run_slo_with(job: &EvalJob, cfg: &SloConfig, ws: &mut SimWorkspace) -> SloOutcome {
+    run(job, cfg, ws, false).0
+}
+
+/// [`run_slo`] that also records the run's measured per-task profile
+/// (Table 3 compares them). Recording draws no random numbers, so the
+/// outcome is identical to [`run_slo`]'s.
+pub fn run_slo_profiled(job: &EvalJob, cfg: &SloConfig) -> (SloOutcome, JobProfile) {
+    run(job, cfg, &mut SimWorkspace::new(), true)
+}
+
+/// Runs one SLO experiment, recording the run's profile only when
+/// `record_profile` is set (an unrecorded profile is empty).
+fn run(
+    job: &EvalJob,
+    cfg: &SloConfig,
+    ws: &mut SimWorkspace,
+    record_profile: bool,
+) -> (SloOutcome, JobProfile) {
     // Build the run's spec: input-size scaling plus optional per-stage
     // slowdowns.
     let mut runtimes: Vec<Dist> = job
@@ -192,6 +209,7 @@ pub fn run_slo_with(job: &EvalJob, cfg: &SloConfig, ws: &mut SimWorkspace) -> Sl
     let mut cluster = cfg.cluster.clone();
     cluster.control_period = cfg.control_period;
     let mut sim = ClusterSim::with_workspace(cluster, cfg.seed, ws);
+    sim.set_record_profile(record_profile);
     let idx = sim.add_job(spec, controller);
     let mut deadline = cfg.deadline;
     if let Some((at, new_deadline)) = cfg.deadline_change {
@@ -212,7 +230,7 @@ pub fn run_slo_with(job: &EvalJob, cfg: &SloConfig, ws: &mut SimWorkspace) -> Sl
     let rel = duration.as_secs_f64() / deadline.as_secs_f64();
     let oracle = oracle_allocation(result.work_done_secs, deadline);
 
-    SloOutcome {
+    let outcome = SloOutcome {
         job: result.name.clone(),
         policy: cfg.policy,
         deadline,
@@ -232,8 +250,8 @@ pub fn run_slo_with(job: &EvalJob, cfg: &SloConfig, ws: &mut SimWorkspace) -> Sl
         spare_tasks: result.spare_task_count,
         guaranteed_tasks: result.guaranteed_task_count,
         trace: result.trace,
-        profile: result.profile,
-    }
+    };
+    (outcome, result.profile)
 }
 
 #[cfg(test)]
