@@ -12,7 +12,8 @@
 //! DESIGN.md §12 (*Service NFRs*).
 //!
 //! Not a criterion bench: one run already aggregates hundreds of
-//! thousands of timed ticks, and the scenario — a plane serving a
+//! thousands of ticks (one in 16 timed, plus every refresh the plane
+//! times), and the scenario — a plane serving a
 //! churning fleet — does not fit criterion's repeated-iteration model.
 //! One run of a scenario lasts well under a second, though, and its
 //! throughput moves by tens of percent from run to run on a shared

@@ -63,6 +63,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::Instant;
 
 use jockey_cluster::{ControlDecision, JobController, JobStatus};
 use jockey_simrt::time::SimDuration;
@@ -205,6 +206,13 @@ pub struct PlaneStats {
     /// Straggler races won by a clone, reported through
     /// [`ControlPlane::record_speculation`].
     pub clone_wins: u64,
+    /// The longest wall-clock time one tick spent running a refresh or
+    /// waiting for one, in nanoseconds. These are the only ticks that
+    /// can be slow: every other tick touches its own slot and reads the
+    /// published split. Such a tick takes this long plus its own
+    /// bookkeeping, so a driver that times only a sample of ticks still
+    /// sees the slowest one here.
+    pub slow_tick_max_ns: u64,
 }
 
 /// The sharded multi-job control runtime.
@@ -244,6 +252,7 @@ pub struct ControlPlane {
     clone_tokens_reserved: AtomicU64,
     clone_tasks_launched: AtomicU64,
     clone_wins: AtomicU64,
+    slow_tick_max_ns: AtomicU64,
     /// Lifecycle counters of the online model stores serving this
     /// plane's jobs, registered via
     /// [`ControlPlane::register_model_stats`] and summed into
@@ -278,6 +287,7 @@ impl ControlPlane {
             clone_tokens_reserved: AtomicU64::new(0),
             clone_tasks_launched: AtomicU64::new(0),
             clone_wins: AtomicU64::new(0),
+            slow_tick_max_ns: AtomicU64::new(0),
             model_stats: Mutex::new(Vec::new()),
         })
     }
@@ -514,6 +524,7 @@ impl ControlPlane {
             clone_tokens_reserved: self.clone_tokens_reserved.load(Ordering::Relaxed),
             clone_tasks_launched: self.clone_tasks_launched.load(Ordering::Relaxed),
             clone_wins: self.clone_wins.load(Ordering::Relaxed),
+            slow_tick_max_ns: self.slow_tick_max_ns.load(Ordering::Relaxed),
             ..PlaneStats::default()
         };
         for m in self
@@ -568,7 +579,9 @@ impl ControlPlane {
     /// Serves one job tick: updates the job's own slot, opportunistically
     /// refreshes the fleet snapshot when an epoch has elapsed, and
     /// returns the job's share from the published snapshot. Only a tick
-    /// that refreshes reads the slot table.
+    /// that refreshes reads the slot table, and only a tick that
+    /// refreshes or waits for a refresh reads the clock, to time that
+    /// part into [`PlaneStats::slow_tick_max_ns`].
     fn tick_job(&self, slot: &JobSlot, id: usize, progress: f64, status: &JobStatus) -> u32 {
         self.ticks.fetch_add(1, Ordering::Relaxed);
         {
@@ -596,6 +609,7 @@ impl ControlPlane {
             // have gathered pre-change state, but it cannot advance
             // `applied_strict` past `goal`, so we refresh again behind
             // it.
+            let start = Instant::now();
             while self.applied_strict.load(Ordering::Acquire) < goal {
                 // A panicking refresher cannot leave the gather
                 // half-updated for the next one: every refresh
@@ -608,9 +622,12 @@ impl ControlPlane {
                     self.refresh_locked(&mut gather);
                 }
             }
+            self.note_slow_tick(start);
         } else if due {
             if let Ok(mut gather) = self.refresh_gate.try_lock() {
+                let start = Instant::now();
                 self.refresh_locked(&mut gather);
+                self.note_slow_tick(start);
             }
         }
 
@@ -623,6 +640,13 @@ impl ControlPlane {
             .unwrap_or_else(PoisonError::into_inner)
             .share_for(id, slot.serial);
         share.unwrap_or(slot.reserved).max(1)
+    }
+
+    /// Folds the wall-clock time since `start` of a tick's refresh or
+    /// wait into the slow-tick maximum.
+    fn note_slow_tick(&self, start: Instant) {
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.slow_tick_max_ns.fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// Runs one refresh while the caller holds the refresh gate,
@@ -958,6 +982,64 @@ mod tests {
         assert_eq!(stats.ticks, 20 * n as u64);
         // Roughly one refresh per round — far fewer than one per tick.
         assert!(stats.refreshes <= 25 && stats.refreshes >= 10, "{stats:?}");
+    }
+
+    /// A [`Toy`] whose next answer, once `nap` is set, takes 5 ms.
+    struct Napper {
+        work: f64,
+        nap: std::sync::atomic::AtomicBool,
+    }
+
+    const NAP: std::time::Duration = std::time::Duration::from_millis(5);
+
+    impl CompletionModel for Napper {
+        fn remaining_secs(&self, fs: &[f64], progress: f64, allocation: u32) -> f64 {
+            if self.nap.swap(false, Ordering::Relaxed) {
+                std::thread::sleep(NAP);
+            }
+            Toy { work: self.work }.remaining_secs(fs, progress, allocation)
+        }
+        fn max_allocation(&self) -> u32 {
+            100
+        }
+    }
+
+    #[test]
+    fn only_ticks_that_refresh_or_wait_raise_the_slow_tick_max() {
+        let plane = ControlPlane::new(40);
+        let napper = Arc::new(Napper {
+            work: 36_000.0,
+            nap: std::sync::atomic::AtomicBool::new(false),
+        });
+        let mut a = plane
+            .try_add_job(
+                "a",
+                napper.clone(),
+                toy_indicator(),
+                SimDuration::from_mins(60),
+                1.0,
+            )
+            .expect("admitted");
+        let mut b = admit(&plane, "b", 36_000.0, 60);
+        let slow = |plane: &ControlPlane| plane.stats().slow_tick_max_ns;
+        // With two jobs an epoch is two ticks: the first tick of each
+        // round reads the split and the second refreshes it.
+        a.tick(&status(0, 0.0, 0));
+        assert_eq!((plane.stats().refreshes, slow(&plane)), (0, 0));
+        b.tick(&status(0, 0.0, 0));
+        assert_eq!(plane.stats().refreshes, 1);
+        let refreshed = slow(&plane);
+        assert!(refreshed > 0);
+        a.tick(&status(1, 0.1, 10));
+        assert_eq!((plane.stats().refreshes, slow(&plane)), (1, refreshed));
+        // A deadline change makes the next tick wait for a refresh that
+        // sees it (here it runs that refresh itself), and the plane
+        // times the wait: the refresh asks `a`'s model, which naps.
+        napper.nap.store(true, Ordering::Relaxed);
+        a.deadline_changed(SimDuration::from_mins(50));
+        a.tick(&status(2, 0.2, 10));
+        assert_eq!(plane.stats().refreshes, 2);
+        assert!(slow(&plane) >= NAP.as_nanos() as u64, "{} ns", slow(&plane));
     }
 
     /// A [`Toy`] that counts the refreshes that pin it and keeps a weak

@@ -75,6 +75,11 @@ pub const MIN_SKETCH_CAPACITY: usize = 8;
 /// samples and counts are `u64`.
 pub const MAX_SKETCH_LEVELS: usize = 64;
 
+/// Upper levels a sketch makes room for at its first compaction:
+/// enough for about `2^8 · k` samples before the level list grows
+/// again.
+const UPPER_LEVELS_RESERVED: usize = 8;
+
 impl CellSketch {
     /// An empty sketch. `capacity == None` is exact mode. Allocates
     /// nothing.
@@ -321,10 +326,26 @@ impl CellSketch {
     /// successive compactions' rank errors partially cancel. The
     /// promoted items are gathered at the front of the level's own
     /// buffer, which then keeps only the trailing item, so a
-    /// compaction allocates only when level `i + 1` grows.
+    /// compaction allocates only when it creates level `i + 1`.
+    ///
+    /// A new level's buffer holds `2 · k` items from the start: a level
+    /// keeps at most `k` items between compactions and receives half of
+    /// the level below, which holds at most `2 · k` while batches are no
+    /// larger than `k`, so it never grows again. The first compaction
+    /// also makes room for [`UPPER_LEVELS_RESERVED`] upper levels. Cells
+    /// fed at the same rate cross their thresholds in the same absorb,
+    /// so each touched cell then allocates once, not once per doubling
+    /// of its buffers.
     fn compact_level(&mut self, i: usize) {
         if self.upper.len() == i {
-            self.upper.push(Level::default());
+            let k = self.capacity.expect("only bounded sketches compact");
+            if self.upper.is_empty() {
+                self.upper.reserve_exact(UPPER_LEVELS_RESERVED);
+            }
+            self.upper.push(Level {
+                items: Vec::with_capacity(2 * k),
+                compactions: 0,
+            });
         }
         let level = self.level_at_mut(i);
         let mut buf = std::mem::take(&mut level.items);
@@ -352,7 +373,32 @@ impl CellSketch {
     /// order in which the walk visits ties cannot change an answer, and
     /// both directions answer alike. A position past the end answers
     /// the largest item.
+    ///
+    /// Each non-empty level enters the walk once, with its unread items
+    /// and the value at their walk end (its head), so a step compares
+    /// the cached heads and re-reads only the level it advanced.
     fn merged_values_at(&self, total: u64, lo: u64, hi: u64, from_top: bool) -> (f64, f64) {
+        // The walk's state lives in arrays on the stack, one entry per
+        // level. Sketches of at most 16 levels walk with arrays of 16
+        // (compaction makes a seventeenth only past `2^15 · k`
+        // samples), so a call does not first clear room for all 64
+        // levels a sketch may have.
+        if self.num_levels() <= 16 {
+            self.walk_levels::<16>(total, lo, hi, from_top)
+        } else {
+            self.walk_levels::<MAX_SKETCH_LEVELS>(total, lo, hi, from_top)
+        }
+    }
+
+    /// [`CellSketch::merged_values_at`] with room for `N >=
+    /// self.num_levels()` levels.
+    fn walk_levels<const N: usize>(
+        &self,
+        total: u64,
+        lo: u64,
+        hi: u64,
+        from_top: bool,
+    ) -> (f64, f64) {
         // The two targets as positions in walk order, nearer one first.
         let (near, far) = if from_top {
             (
@@ -362,41 +408,41 @@ impl CellSketch {
         } else {
             (lo, hi)
         };
-        // Items taken so far from each level's walk end.
-        let mut taken = [0_usize; MAX_SKETCH_LEVELS];
+        let head_of = |items: &[f64]| {
+            if from_top {
+                items.last().copied()
+            } else {
+                items.first().copied()
+            }
+        };
+        // The live levels, lowest first: each one's unread items, its
+        // level index (an item weighs `2^level`) and its head.
+        let mut rest: [&[f64]; N] = [&[]; N];
+        let mut level = [0_u8; N];
+        let mut head = [0.0_f64; N];
+        let mut live = 0;
+        for (i, l) in self.iter_levels().enumerate() {
+            if let Some(v) = head_of(&l.items) {
+                rest[live] = &l.items;
+                level[live] = i as u8;
+                head[live] = v;
+                live += 1;
+            }
+        }
         let mut cum = 0_u64;
         let mut v_near = None;
         let mut last = f64::NAN;
-        loop {
-            // The next head across levels in walk order (lowest level
-            // on ties).
-            let mut next: Option<(usize, f64)> = None;
-            for (i, level) in self.iter_levels().enumerate() {
-                let items = &level.items;
-                let head = if from_top {
-                    items.len().checked_sub(taken[i] + 1).map(|j| items[j])
-                } else {
-                    items.get(taken[i]).copied()
-                };
-                let Some(v) = head else { continue };
-                let first = next.is_none_or(|(_, best)| {
-                    let ord = v.total_cmp(&best);
-                    if from_top {
-                        ord.is_gt()
-                    } else {
-                        ord.is_lt()
-                    }
-                });
-                if first {
-                    next = Some((i, v));
+        while live > 0 {
+            // The next head in walk order; the lowest level wins ties.
+            let mut at = 0;
+            for (j, v) in head[..live].iter().enumerate().skip(1) {
+                let ord = v.total_cmp(&head[at]);
+                if (from_top && ord.is_gt()) || (!from_top && ord.is_lt()) {
+                    at = j;
                 }
             }
-            let Some((i, v)) = next else {
-                // Only the ascending walk can run out: past the end.
-                return (v_near.unwrap_or(last), last);
-            };
-            taken[i] += 1;
-            cum += 1_u64 << i;
+            let v = head[at];
+            cum += 1_u64 << level[at];
             last = v;
             if v_near.is_none() && near < cum {
                 v_near = Some(v);
@@ -405,7 +451,25 @@ impl CellSketch {
                 let v_near = v_near.unwrap_or(v);
                 return if from_top { (v, v_near) } else { (v_near, v) };
             }
+            let items = rest[at];
+            rest[at] = if from_top {
+                &items[..items.len() - 1]
+            } else {
+                &items[1..]
+            };
+            if let Some(next) = head_of(rest[at]) {
+                head[at] = next;
+            } else {
+                // Drop the drained level, keeping the rest in level
+                // order for the tie rule.
+                rest.copy_within(at + 1..live, at);
+                level.copy_within(at + 1..live, at);
+                head.copy_within(at + 1..live, at);
+                live -= 1;
+            }
         }
+        // Only the ascending walk can run out: past the end.
+        (v_near.unwrap_or(last), last)
     }
 }
 
@@ -975,6 +1039,40 @@ mod tests {
         }
         let one = CellSketch::from_parts(None, vec![vec![2.0, 1.0]], vec![0]).expect("valid");
         assert_eq!(one.heap_buffers(), 1);
+    }
+
+    /// Sketches deeper than 16 levels walk with room for every level a
+    /// sketch may have; they answer as the oracle does too, with empty
+    /// levels between full ones and values shared across levels.
+    #[test]
+    fn merge_walk_matches_the_sort_oracle_past_sixteen_levels() {
+        for depth in [17, 24, 40] {
+            let levels: Vec<Vec<f64>> = (0..depth)
+                .map(|i| match i % 5 {
+                    3 => Vec::new(),
+                    r => (0..=r)
+                        .map(|j| f64::from((i * 7 + j * 13) as u32 % 23))
+                        .collect(),
+                })
+                .collect();
+            let s = CellSketch::from_parts(Some(8), levels, Vec::new()).expect("valid parts");
+            assert_eq!(s.num_levels(), depth);
+            let total = s.count();
+            for q in [0.0, 5.0, 33.3, 50.0, 95.0, 100.0] {
+                let oracle = s.quantile_by_sort(q).to_bits();
+                assert_eq!(s.quantile(q).to_bits(), oracle, "depth {depth} q={q}");
+                let rank = q / 100.0 * (total - 1) as f64;
+                let (lo, hi) = (rank.floor() as u64, rank.ceil() as u64);
+                for from_top in [false, true] {
+                    let (vlo, vhi) = s.merged_values_at(total, lo, hi, from_top);
+                    assert_eq!(
+                        (vlo + (vhi - vlo) * (rank - lo as f64)).to_bits(),
+                        oracle,
+                        "depth {depth} q={q} from_top={from_top}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! run. A plane tick that does not refresh the split must not
 //! allocate, and a steady-state `ModelStore::record_completion` must
 //! allocate a small constant number of times, whatever the grid's size
-//! and even while a reader still holds the previous generation.
+//! and even while a reader still holds the previous generation; even
+//! its worst call allocates at most once per cell the run touches.
 //!
 //! Integration tests are separate binaries, so the global allocator
 //! here affects no other test. The count is per thread, so the audits
@@ -352,6 +353,71 @@ fn steady_state_publish_allocates_a_constant_independent_of_the_grid() {
         assert!(
             mean <= 6.0,
             "{max} allocations x {bins} bins: {mean:.2} allocations per publish (worst {worst})"
+        );
+    }
+}
+
+/// A completed run of `ticks + 1` observations whose allocation steps
+/// through `1..=max` by a fixed stride from a start set by `seed`. Every
+/// run feeds every row at the same rate, so the cells cross their
+/// sketch level thresholds in step.
+fn stride_run(seed: u32, max: u32, ticks: u32) -> RecordedRun {
+    let total = 600.0 + f64::from(seed % 600);
+    let observations = (0..=ticks)
+        .map(|i| {
+            let p = f64::from(i) / f64::from(ticks);
+            RunObservation {
+                elapsed_secs: total * p,
+                progress: p,
+                allocation: 1 + (seed + 5 * i) % max,
+            }
+        })
+        .collect();
+    RecordedRun {
+        observations,
+        total_secs: total,
+        completed: true,
+        predicted_secs: f64::NAN,
+    }
+}
+
+#[test]
+fn a_warm_publish_allocates_at_most_once_per_touched_cell() {
+    const TICKS: u32 = 32;
+    for (max, bins) in [(16_u32, 16_usize), (64, 32)] {
+        let cfg = TrainConfig {
+            progress_bins: bins,
+            sketch_capacity: Some(64),
+            ..TrainConfig::fast((1..=max).collect())
+        };
+        let store = Arc::new(ModelStore::new(
+            CpaModel::empty(&cfg),
+            OnlineConfig::default(),
+        ));
+        let handle = ModelHandle::new(store.clone());
+        for seed in 0..6_000 {
+            store.record_completion(stride_run(seed, max, TICKS));
+        }
+        let mut worst = 0;
+        for seed in 100_000..104_000 {
+            let run = stride_run(seed, max, TICKS);
+            let view = handle.pinned().expect("a handle pins");
+            let before = allocations();
+            store.record_completion(run);
+            worst = worst.max(allocations() - before);
+            drop(view);
+        }
+        // A run touches at most one cell per observation plus the cell
+        // of its completion sample. Each touched cell may create one
+        // sketch level, which allocates that level's buffer once, and
+        // the publish copies the query table (its `Arc` and values).
+        // Buffers that grew by doubling, or a level list grown at the
+        // same time, made the worst call at 16 x 16 cells allocate 68
+        // times.
+        let bound = u64::from(TICKS) + 2 + 2;
+        assert!(
+            worst <= bound,
+            "{max} allocations x {bins} bins: worst publish allocated {worst} times (bound {bound})"
         );
     }
 }

@@ -25,7 +25,10 @@
 //!
 //! [`run_service`] returns a [`ServiceReport`] with the NFR numbers the
 //! service bench publishes: sustained submissions/sec, p50/p99/max
-//! control-tick latency, SLO attainment, and admission rates.
+//! control-tick latency, SLO attainment, and admission rates. Each
+//! worker times one tick in 16 for the percentiles, and the plane
+//! times every tick that refreshes or waits for a refresh, the only
+//! ticks that can be slow, for the maximum.
 //!
 //! # Model modes and drift
 //!
@@ -225,11 +228,16 @@ pub struct ServiceReport {
     pub submissions_per_sec: f64,
     /// Control ticks per wall-clock second.
     pub ticks_per_sec: f64,
-    /// Median wall-clock latency of one `JobHandle::tick`, microseconds.
+    /// Median wall-clock latency of one `JobHandle::tick`, microseconds,
+    /// over the one tick in 16 that each worker times.
     pub tick_p50_us: f64,
-    /// 99th-percentile tick latency, microseconds.
+    /// 99th-percentile tick latency over the same sample, microseconds.
     pub tick_p99_us: f64,
-    /// Worst observed tick latency, microseconds.
+    /// Worst tick latency, microseconds: the larger of the slowest
+    /// sampled tick and [`PlaneStats::slow_tick_max_ns`], the plane's
+    /// slowest refresh or wait for one. Those are the only ticks that
+    /// can be slow, so the maximum covers every tick, not just the
+    /// sample.
     pub tick_max_us: f64,
     /// High-water mark of the plane's slot table.
     pub max_slot_count: usize,
@@ -279,9 +287,18 @@ struct WorkerStats {
     completed: u64,
     slo_met: u64,
     deadline_changes: u64,
+    /// Latencies of the sampled ticks, nanoseconds.
     tick_nanos: Vec<u64>,
     max_slots: usize,
 }
+
+/// Each worker times one tick in this many, chosen by its own tick
+/// count, for [`ServiceReport::tick_p50_us`] and
+/// [`ServiceReport::tick_p99_us`]. A tick costs little more than the
+/// two clock reads that would time it, so timing every tick would
+/// measure the clock; a seed-1 `perfbench` service run still samples
+/// about 34,000 ticks.
+const TICK_SAMPLE_STRIDE: u64 = 16;
 
 /// A live synthetic job owned by one worker.
 struct LiveJob {
@@ -455,6 +472,7 @@ fn run_worker(
     let mut stats = WorkerStats::default();
     let mut live: Vec<LiveJob> = Vec::new();
     let mut seq: u64 = 0;
+    let mut ticks: u64 = 0;
     let mut st = JobStatus {
         now: SimTime::ZERO,
         elapsed: SimDuration::ZERO,
@@ -600,7 +618,7 @@ fn run_worker(
         }
 
         // One control period: tick every live job once in virtual
-        // lockstep, measuring each tick's wall-clock latency.
+        // lockstep, timing every `TICK_SAMPLE_STRIDE`-th tick.
         let mut i = 0;
         while i < live.len() {
             let job = &mut live[i];
@@ -608,9 +626,12 @@ fn run_worker(
             let frac = (job.work_done / job.work).min(1.0);
             let finished = job.work_done >= job.work;
             fill_status(&mut st, job, frac, finished);
-            let t0 = Instant::now();
+            let t0 = ticks.is_multiple_of(TICK_SAMPLE_STRIDE).then(Instant::now);
+            ticks += 1;
             let decision = job.handle.tick(&st);
-            stats.tick_nanos.push(t0.elapsed().as_nanos() as u64);
+            if let Some(t0) = t0 {
+                stats.tick_nanos.push(t0.elapsed().as_nanos() as u64);
+            }
             if finished {
                 stats.completed += 1;
                 if job.elapsed <= job.deadline + 1e-9 {
@@ -757,7 +778,8 @@ pub fn run_service_with_priors(cfg: &ServiceConfig, priors: &PriorLibrary) -> Se
     };
     report.tick_p50_us = quantile(0.5);
     report.tick_p99_us = quantile(0.99);
-    report.tick_max_us = tick_nanos.last().map_or(0.0, |&n| n as f64 / 1_000.0);
+    let slowest = tick_nanos.last().copied().unwrap_or(0);
+    report.tick_max_us = slowest.max(report.stats.slow_tick_max_ns) as f64 / 1_000.0;
     let secs = wall.as_secs_f64().max(1e-9);
     report.submissions_per_sec = report.submitted as f64 / secs;
     report.ticks_per_sec = report.stats.ticks as f64 / secs;

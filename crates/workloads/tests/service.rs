@@ -121,6 +121,32 @@ fn service_run_conserves_jobs_and_drains_the_plane() {
 }
 
 #[test]
+fn tick_latency_is_ordered_and_its_max_covers_every_refresh() {
+    // Several workers share the plane, so refreshes race ticks and
+    // deadline changes make ticks wait; the percentiles come from the
+    // sampled ticks and the maximum also covers the plane's refreshes
+    // and waits.
+    let report = run_service(&small_cfg());
+    assert!(report.stats.refreshes > 0, "{:?}", report.stats);
+    assert!(report.stats.slow_tick_max_ns > 0, "{:?}", report.stats);
+    assert!(
+        0.0 < report.tick_p50_us
+            && report.tick_p50_us <= report.tick_p99_us
+            && report.tick_p99_us <= report.tick_max_us,
+        "p50 {} p99 {} max {}",
+        report.tick_p50_us,
+        report.tick_p99_us,
+        report.tick_max_us
+    );
+    assert!(
+        report.tick_max_us >= report.stats.slow_tick_max_ns as f64 / 1_000.0,
+        "max {} us below the plane's slowest refresh or wait {} ns",
+        report.tick_max_us,
+        report.stats.slow_tick_max_ns
+    );
+}
+
+#[test]
 fn service_counters_are_deterministic_per_seed() {
     // Wall-clock numbers vary run to run, but the virtual-time outcome
     // (admissions, completions, SLO hits) is a pure function of the

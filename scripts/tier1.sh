@@ -44,18 +44,35 @@ grep -q "digest=$service_digest" <<<"$out" \
 # the wall-clock `throughput:` and `tick latency:` lines is pinned, once
 # with per-job closed-form models (`exact`, no pinning) and once with a
 # shared online model (`online`, one pinned view per refresh).
-service_lines() {
+service_run() {
   ./target/release/jockey-cli service --workers 1 --concurrent 128 --budget 192 \
-    --jobs 4000 --seed 3 --model "$1" | grep -v '^throughput:\|^tick latency:'
+    --jobs 4000 --seed 3 --model "$1"
 }
-diff - <(service_lines exact) <<'EOF' \
+service_exact="$(service_run exact)"
+service_online="$(service_run online)"
+service_lines() {
+  grep -v '^throughput:\|^tick latency:' <<<"$1"
+}
+# The tick latency line is wall-clock, so the diffs leave it out, but
+# it must be printed once and read 0 < p50 <= p99 <= max (max has one
+# decimal fewer, so it may print up to 0.05 us below an equal p99): a
+# sampled tick path that timed nothing would print zeros.
+tick_latency_ordered() {
+  awk '/^tick latency: / { n++; ok = $4 > 0 && $4 <= $7 && $7 <= $10 + 0.05 }
+       END { exit !(n == 1 && ok) }' <<<"$1"
+}
+tick_latency_ordered "$service_exact" \
+  || { echo "tier1: jockey-cli service --model exact tick latency missing or out of order" >&2; exit 1; }
+tick_latency_ordered "$service_online" \
+  || { echo "tier1: jockey-cli service --model online tick latency missing or out of order" >&2; exit 1; }
+diff - <(service_lines "$service_exact") <<'EOF' \
   || { echo "tier1: jockey-cli service --model exact counts drifted" >&2; exit 1; }
 service: 4000 submitted, 188 admitted (4.7%), 3812 capacity-rejected, 0 infeasible
 SLO: 188/188 met (100.0%), 26 mid-flight deadline changes
 plane: 8408 ticks, 171 refreshes (49 ticks/refresh), 0 over-committed rounds, peak 84 slots
 drain: 0 tokens reserved, 0 jobs active after shutdown
 EOF
-diff - <(service_lines online) <<'EOF' \
+diff - <(service_lines "$service_online") <<'EOF' \
   || { echo "tier1: jockey-cli service --model online counts drifted" >&2; exit 1; }
 service: 4000 submitted, 3792 admitted (94.8%), 208 capacity-rejected, 0 infeasible
 SLO: 3792/3792 met (100.0%), 541 mid-flight deadline changes
